@@ -8,6 +8,7 @@ are Fractions throughout (the ideals of interest live at a fixed level).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .multipoly import MultiPoly
 
@@ -200,57 +201,34 @@ def buchberger(gens, order):
     return GroebnerBasis(vars, order, out)
 
 
-def quotient_dimension(gb):
-    """Number of standard monomials, or None when infinite."""
+def _staircase(gb):
+    """Sorted exponents of the monomials outside the leading-term ideal, or
+    None when there are infinitely many."""
     lts = gb.leading_terms()
-    nv = len(gb.vars)
     maxdeg = []
-    for v in range(nv):
+    for v in range(len(gb.vars)):
         pures = [e[v] for e in lts if sum(e) == e[v]]
         if not pures:
             return None
         maxdeg.append(min(pures))
-    count = 0
+    return [
+        e
+        for e in product(*(range(d) for d in maxdeg))
+        if not any(_divides(l, e) for l in lts)
+    ]
 
-    def rec(v, exp):
-        nonlocal count
-        if v == nv:
-            if not any(_divides(l, tuple(exp)) for l in lts):
-                count += 1
-            return
-        for d in range(maxdeg[v]):
-            exp.append(d)
-            rec(v + 1, exp)
-            exp.pop()
 
-    rec(0, [])
-    return count
+def quotient_dimension(gb):
+    """Number of standard monomials, or None when infinite."""
+    std = _staircase(gb)
+    return None if std is None else len(std)
 
 
 def standard_monomials(gb):
-    lts = gb.leading_terms()
-    nv = len(gb.vars)
-    maxdeg = []
-    for v in range(nv):
-        pures = [e[v] for e in lts if sum(e) == e[v]]
-        if not pures:
-            raise ValueError("quotient is infinite dimensional")
-        maxdeg.append(min(pures))
-    out = []
-
-    def rec(v, exp):
-        if v == nv:
-            e = tuple(exp)
-            if not any(_divides(l, e) for l in lts):
-                out.append(e)
-            return
-        for d in range(maxdeg[v]):
-            exp.append(d)
-            rec(v + 1, exp)
-            exp.pop()
-
-    rec(0, [])
-    return sorted(out)
+    std = _staircase(gb)
+    if std is None:
+        raise ValueError("quotient is infinite dimensional")
+    return std
 
 
 def point_membership(polys, point):

@@ -10,6 +10,7 @@ settles them).
 
 from __future__ import annotations
 
+from .modes import NormalOrdering, add_into
 
 H, E, F = 0, 1, 2
 VACUUM = ()
@@ -39,18 +40,13 @@ def _theta_gen(g):
     return g if g == H else (F if g == E else E)
 
 
-class PBWAlgebra:
+class PBWAlgebra(NormalOrdering):
     """Generator-mode action on PBW monomials, with session memo tables."""
 
-    n_gens = 3
-    gen_weights = (1, 1, 1)
-
     def __init__(self, domain):
+        super().__init__()
         self.domain = domain
         self.k = domain.k
-        self._gen_memo = {}
-        self.word_memo = {}
-        self.min_weight = 0
 
     def gen_weight(self, g):
         return 1
@@ -58,49 +54,15 @@ class PBWAlgebra:
     def mono_weight(self, mono):
         return mono_weight(mono)
 
-    def apply_gen(self, g, n, mono):
-        """Normal-ordered state a(n) . mono, a in {h, e, f}."""
-        key = (g, n, mono)
-        hit = self._gen_memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            out = {} if n >= 0 else {((g, n),): 1}
-            self._gen_memo[key] = out
-            return out
-        bg, bm = mono[0]
-        if n <= -1 and (g < bg or (g == bg and n <= bm)):
-            out = {((g, n),) + mono: 1}
-            self._gen_memo[key] = out
-            return out
-        rest = mono[1:]
+    def bracket(self, g, n, bg, bm, rest):
+        """[a(n), b(m)] = [a, b](n + m) + n <a, b> delta_{n+m,0} k on rest."""
         out = {}
-        inner = self.apply_gen(g, n, rest)
-        for m2, c2 in inner.items():
-            for m3, c3 in self.apply_gen(bg, bm, m2).items():
-                s = out.get(m3, 0) + c2 * c3
-                if s:
-                    out[m3] = s
-                else:
-                    del out[m3]
         br = _BRACKET[g][bg]
         if br is not None:
             coef, g2 = br
-            for m2, c2 in self.apply_gen(g2, n + bm, rest).items():
-                s = out.get(m2, 0) + coef * c2
-                if s:
-                    out[m2] = s
-                else:
-                    del out[m2]
-        if n + bm == 0:
-            ip = _FORM[g][bg]
-            if ip:
-                s = out.get(rest, 0) + (n * ip) * self.k
-                if s:
-                    out[rest] = s
-                else:
-                    del out[rest]
-        self._gen_memo[key] = out
+            add_into(out, self.apply_gen(g2, n + bm, rest), coef)
+        if n + bm == 0 and _FORM[g][bg]:
+            add_into(out, {rest: 1}, (n * _FORM[g][bg]) * self.k)
         return out
 
 
@@ -117,18 +79,6 @@ def canonical(domain, state):
         if c:
             out[m] = c
     return out
-
-
-def add_into(acc, state, coeff=1):
-    if not coeff:
-        return acc
-    for m, c in state.items():
-        s = acc.get(m, 0) + coeff * c
-        if s:
-            acc[m] = s
-        else:
-            del acc[m]
-    return acc
 
 
 def scale(state, coeff):
@@ -182,12 +132,7 @@ def theta(alg, state):
             g2 = _theta_gen(g)
             nxt = {}
             for m2, c2 in img.items():
-                for m3, c3 in alg.apply_gen(g2, t, m2).items():
-                    s = nxt.get(m3, 0) + c2 * c3
-                    if s:
-                        nxt[m3] = s
-                    else:
-                        del nxt[m3]
+                add_into(nxt, alg.apply_gen(g2, t, m2), c2)
             img = nxt
         add_into(out, img, c)
     return out
@@ -196,14 +141,7 @@ def theta(alg, state):
 def theta_projection(alg, domain, state, parity):
     """Component of a state in the +1 or -1 eigenspace of theta."""
     half = domain.scalar(1) / 2
-    out = {m: half * c for m, c in state.items()}
-    for m, c in theta(alg, state).items():
-        s = out.get(m, 0) + (half * c if parity > 0 else -(half * c))
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
+    return add_into(scale(state, half), theta(alg, state), half if parity > 0 else -half)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ class CheckResult:
     name: str
     status: str  # pass | fail | computed-no-reference
     payload: str
-    wall: float = 0.0
 
 
 class Context:
@@ -92,7 +91,6 @@ def _run(ctx, key, fn):
     results = fn()
     dt = time.time() - t0
     for r in results:
-        r.wall = dt / max(len(results), 1)
         print(f"[{r.status:>4}] {r.name} ({dt:.1f}s total)", file=sys.stderr)
     ctx.store(key, results)
     return results

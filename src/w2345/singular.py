@@ -9,9 +9,8 @@ analysis.
 
 from __future__ import annotations
 
-
 from . import pbw
-from .modes import mode_apply, mode_power_apply
+from .modes import element_mode, mode_power_apply
 from .zhu import ZhuC2
 
 
@@ -29,12 +28,7 @@ def u0_state(ses):
     for _ in range(k + 1):
         out = {}
         for mono, c in st.items():
-            for m2, c2 in ses.pbw.apply_gen(pbw.F, 0, mono).items():
-                s = out.get(m2, 0) + c * c2
-                if s:
-                    out[m2] = s
-                else:
-                    del out[m2]
+            pbw.add_into(out, ses.pbw.apply_gen(pbw.F, 0, mono), c)
         st = out
     st = pbw.canonical(ses.domain, st)
     wt = pbw.weight(st)
@@ -43,12 +37,7 @@ def u0_state(ses):
     for n in range(0, wt + 1):
         img = {}
         for mono, c in st.items():
-            for m2, c2 in ses.pbw.apply_gen(pbw.H, n, mono).items():
-                s = img.get(m2, 0) + c * c2
-                if s:
-                    img[m2] = s
-                else:
-                    del img[m2]
+            pbw.add_into(img, ses.pbw.apply_gen(pbw.H, n, mono), c)
         if pbw.canonical(ses.domain, img):
             raise SingularCheckError(f"h({n}) u0 != 0")
     return st
@@ -146,7 +135,7 @@ def ideal_span_membership(ses, targets, max_weight=5):
             d = pbw.weight(st)
             for g_state, gw in zip(gens, (2, 3, 4, 5)):
                 for n in range(gw + d - 1 - max_weight, gw + d - 1):
-                    img = pbw.canonical(dom, mode_apply(ses.pbw, g_state, n, st))
+                    img = pbw.canonical(dom, element_mode(ses.pbw, g_state, n, st))
                     d2 = gw + d - n - 1
                     if img and d2 >= 1 and solvers[d2].insert(img) is None:
                         nxt.append(img)

@@ -10,8 +10,8 @@ and extracts the null fields.
 from __future__ import annotations
 
 from . import pbw
-from .linalg import NotInSpanError, SpanSolver
-from .modes import element_mode, mode_apply
+from .linalg import SpanSolver
+from .modes import NormalOrdering, add_into, element_mode
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -93,43 +93,13 @@ def enumerate_nf(d):
     return sorted(out)
 
 
-def _table_commutator(alg, g, t, b, s, rest):
-    """[g_t, b_s] applied to the monomial rest, modes expanded from the
-    product table through the commutator formula
-    [u_m, v_n] = sum_i C(m, i) (u_i v)_{m+n-i}."""
-    out = {}
-    if g <= b:
-        x, y, tm, sign = g, b, t, 1
-    else:
-        x, y, tm, sign = b, g, s, -1
-    for i in range(NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]):
-        prod = alg.table.get((x, y, i))
-        if not prod:
-            continue
-        c = comb_z(tm, i) * sign
-        if not c:
-            continue
-        sub = element_mode(alg, prod, t + s - i, {rest: 1})
-        for m2, c2 in sub.items():
-            v = out.get(m2, 0) + c * c2
-            if v:
-                out[m2] = v
-            else:
-                del out[m2]
-    return out
-
-
-class WAlgebra:
+class WAlgebra(NormalOrdering):
     """Abstract algebra on normal-form words, driven by the product table."""
 
-    n_gens = 4
-
     def __init__(self, dom, table):
+        super().__init__()
         self.domain = dom
         self.table = table  # (x, y, i) -> element dict for x <= y
-        self._gen_memo = {}
-        self.word_memo = {}
-        self.min_weight = 0
 
     def gen_weight(self, g):
         return NF_GEN_WEIGHTS[g]
@@ -137,40 +107,26 @@ class WAlgebra:
     def mono_weight(self, mono):
         return nf_weight(mono)
 
-    def apply_gen(self, g, t, mono):
-        key = (g, t, mono)
-        hit = self._gen_memo.get(key)
-        if hit is not None:
-            return hit
-        if not mono:
-            out = {} if t >= 0 else {((g, t),): 1}
-            self._gen_memo[key] = out
-            return out
-        bg, bm = mono[0]
-        if t <= -1 and (g < bg or (g == bg and t <= bm)):
-            out = {((g, t),) + mono: 1}
-            self._gen_memo[key] = out
-            return out
-        rest = mono[1:]
+    def bracket(self, g, t, b, s, rest):
+        """[g_t, b_s] applied to the monomial rest, modes expanded from the
+        product table through the commutator formula
+        [u_m, v_n] = sum_i C(m, i) (u_i v)_{m+n-i}."""
         out = {}
-        for m2, c2 in self.apply_gen(g, t, rest).items():
-            for m3, c3 in self.apply_gen(bg, bm, m2).items():
-                s = out.get(m3, 0) + c2 * c3
-                if s:
-                    out[m3] = s
-                else:
-                    del out[m3]
-        for m2, c2 in _table_commutator(self, g, t, bg, bm, rest).items():
-            s = out.get(m2, 0) + c2
-            if s:
-                out[m2] = s
-            else:
-                del out[m2]
-        self._gen_memo[key] = out
+        if g <= b:
+            x, y, tm, sign = g, b, t, 1
+        else:
+            x, y, tm, sign = b, g, s, -1
+        for i in range(NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]):
+            prod = self.table.get((x, y, i))
+            if not prod:
+                continue
+            c = comb_z(tm, i) * sign
+            if c:
+                add_into(out, element_mode(self, prod, t + s - i, {rest: 1}), c)
         return out
 
 
-class HWModule:
+class HWModule(WAlgebra):
     """Abstract highest-weight module over the W-algebra words.
 
     The ground vector is annihilated by every weight-lowering mode, carries
@@ -179,58 +135,15 @@ class HWModule:
     """
 
     def __init__(self, walg, eigenvalues):
-        self.walg = walg
-        self.table = walg.table
-        self.domain = walg.domain
+        super().__init__(walg.domain, walg.table)
         self.eigen = tuple(eigenvalues)  # indexed by generator id
-        self._gen_memo = {}
-        self.word_memo = {}
-        self.min_weight = 0
 
-    def gen_weight(self, g):
-        return NF_GEN_WEIGHTS[g]
+    def top_mode(self, g):
+        return NF_GEN_WEIGHTS[g] - 2
 
-    def mono_weight(self, mono):
-        return nf_weight(mono)
-
-    def apply_gen(self, g, t, mono):
-        key = (g, t, mono)
-        hit = self._gen_memo.get(key)
-        if hit is not None:
-            return hit
-        w0 = NF_GEN_WEIGHTS[g]
-        if not mono:
-            if t >= w0:
-                out = {}
-            elif t == w0 - 1:
-                ev = self.eigen[g]
-                out = {(): ev} if ev else {}
-            else:
-                out = {((g, t),): 1}
-            self._gen_memo[key] = out
-            return out
-        bg, bm = mono[0]
-        if t <= w0 - 2 and (g < bg or (g == bg and t <= bm)):
-            out = {((g, t),) + mono: 1}
-            self._gen_memo[key] = out
-            return out
-        rest = mono[1:]
-        out = {}
-        for m2, c2 in self.apply_gen(g, t, rest).items():
-            for m3, c3 in self.apply_gen(bg, bm, m2).items():
-                s = out.get(m3, 0) + c2 * c3
-                if s:
-                    out[m3] = s
-                else:
-                    del out[m3]
-        for m2, c2 in _table_commutator(self, g, t, bg, bm, rest).items():
-            s = out.get(m2, 0) + c2
-            if s:
-                out[m2] = s
-            else:
-                del out[m2]
-        self._gen_memo[key] = out
-        return out
+    def ground(self, g, t):
+        ev = self.eigen[g]
+        return {(): ev} if ev and t == NF_GEN_WEIGHTS[g] - 1 else {}
 
 
 class _NFBasis:
@@ -255,6 +168,7 @@ class Session:
         self._gen_states = None
         self._conformal = None
         self._nf_bases = {}
+        self._null_fields = {}  # weight -> relations, one per eliminated word
         self._ope = None
         self._sc_table = None
         self._walg = None
@@ -274,7 +188,7 @@ class Session:
             }
             w_gam = {((pbw.H, -1), (pbw.H, -1)): dom.one / (4 * k)}
             omega = dict(w_aff)
-            pbw.add_into(omega, w_gam, -1)
+            add_into(omega, w_gam, -1)
             self._conformal = (w_aff, w_gam, pbw.canonical(dom, omega))
         return self._conformal
 
@@ -300,13 +214,14 @@ class Session:
     def commutant_weight_space(self, d):
         """Basis of {v of weight d : h(m) v = 0 for m >= 0}."""
         monos = pbw.enumerate_monomials(d, h0=0)
-        cols = []
-        for mono in monos:
-            col = {}
-            for m in range(0, d + 1):
-                for m2, c in self.pbw.apply_gen(pbw.H, m, mono).items():
-                    col[(m, m2)] = col.get((m, m2), 0) + c
-            cols.append({key: c for key, c in col.items() if c})
+        cols = [
+            {
+                (m, m2): c
+                for m in range(0, d + 1)
+                for m2, c in self.pbw.apply_gen(pbw.H, m, mono).items()
+            }
+            for mono in monos
+        ]
         solver = SpanSolver(self.domain)
         basis = []
         for j, col in enumerate(cols):
@@ -321,13 +236,14 @@ class Session:
         the canonical generator; returns (state, scalar multiple found)."""
         basis = self.commutant_weight_space(d)
         omega = self.conformal()[2]
-        cols = []
-        for v in basis:
-            col = {}
-            for n in range(2, d + 1):
-                for m2, c in element_mode(self.pbw, omega, n, v).items():
-                    col[(n, m2)] = col.get((n, m2), 0) + c
-            cols.append({key: c for key, c in col.items() if c})
+        cols = [
+            {
+                (n, m2): c
+                for n in range(2, d + 1)
+                for m2, c in element_mode(self.pbw, omega, n, v).items()
+            }
+            for v in basis
+        ]
         solver = SpanSolver(self.domain)
         sols = []
         for j, col in enumerate(cols):
@@ -340,7 +256,7 @@ class Session:
             )
         state = {}
         for i, c in sols[0].items():
-            pbw.add_into(state, basis[i], c)
+            add_into(state, basis[i], c)
         state = pbw.canonical(self.domain, state)
         ref = self.generator_state(d - 2)
         mono = next(iter(ref))
@@ -362,7 +278,7 @@ class Session:
     def nf_expand_element(self, elem):
         out = {}
         for mono, c in elem.items():
-            pbw.add_into(out, self.nf_expand(mono), c)
+            add_into(out, self.nf_expand(mono), c)
         return out
 
     def _nf_basis(self, d):
@@ -412,7 +328,7 @@ class Session:
         """W^i_n W^j expressed over the normal-form basis."""
         vi = self.generator_state(i - 2)
         vj = self.generator_state(j - 2)
-        prod = mode_apply(self.pbw, vi, n, vj)
+        prod = element_mode(self.pbw, vi, n, vj)
         prod = pbw.canonical(self.domain, prod)
         if not prod:
             return {}
@@ -437,7 +353,7 @@ class Session:
             for y in range(4):
                 vy = self.generator_state(y)
                 for i in range(0, 2 + NF_GEN_WEIGHTS[y]):
-                    prod = mode_apply(self.pbw, omega, i, vy)
+                    prod = element_mode(self.pbw, omega, i, vy)
                     prod = pbw.canonical(self.domain, prod)
                     wt = 2 + NF_GEN_WEIGHTS[y] - 1 - i
                     table[(GW, y, i)] = self.express(prod, wt) if prod else {}
@@ -467,16 +383,20 @@ class Session:
         monomial; the expansion of every returned element is zero.
         """
         nb = self._nf_basis(d)
-        out = []
-        for x in nb.eliminated:
-            if parity is not None and nf_parity(x) != parity:
-                continue
-            coords = self.express(self.nf_expand(x), d)
-            rel = {x: self.domain.one}
-            for m, c in coords.items():
-                rel[m] = -c
-            out.append(rel)
-        return out
+        rels = self._null_fields.get(d)
+        if rels is None:
+            rels = []
+            for x in nb.eliminated:
+                rel = {x: self.domain.one}
+                for m, c in self.express(self.nf_expand(x), d).items():
+                    rel[m] = -c
+                rels.append(rel)
+            self._null_fields[d] = rels
+        return [
+            rel
+            for x, rel in zip(nb.eliminated, rels)
+            if parity is None or nf_parity(x) == parity
+        ]
 
     def null_field_for(self, mono):
         """The null relation with coefficient 1 on the given monomial."""

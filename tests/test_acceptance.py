@@ -17,7 +17,7 @@ from w2345.groebner import (
     radical_multiplicity_check,
     standard_monomials,
 )
-from w2345.modes import mode_apply
+from w2345.modes import element_mode
 from w2345.scalars import comb_z
 from w2345.walgebra import G3, G4, Session, enumerate_nf, nf_parity, nf_weight
 from w2345.zhu import W_VARS, X_VARS, ZhuC2
@@ -325,17 +325,17 @@ def test_criterion_10b_mode_commutator(ses3):
         v = {rng.choice(monos): rng.randint(-3, -1)}
         w = {rng.choice(monos): 1}
         m, n = rng.randint(-2, 2), rng.randint(-2, 2)
-        lhs = mode_apply(alg, u, m, mode_apply(alg, v, n, w))
-        pbw.add_into(lhs, mode_apply(alg, v, n, mode_apply(alg, u, m, w)), -1)
+        lhs = element_mode(alg, u, m, element_mode(alg, v, n, w))
+        pbw.add_into(lhs, element_mode(alg, v, n, element_mode(alg, u, m, w)), -1)
         rhs = {}
         bound = pbw.weight(u) + pbw.weight(v)
         for i in range(0, bound + 1):
             c = comb_z(m, i)
             if not c:
                 continue
-            uiv = mode_apply(alg, u, i, v)
+            uiv = element_mode(alg, u, i, v)
             if uiv:
-                pbw.add_into(rhs, mode_apply(alg, uiv, m + n - i, w), c)
+                pbw.add_into(rhs, element_mode(alg, uiv, m + n - i, w), c)
         if pbw.canonical(d, lhs) != pbw.canonical(d, rhs):
             failures += 1
     _line(f"criterion 10b: mode commutator identity, {N_CASES} cases", failures == 0)
@@ -351,7 +351,7 @@ def test_criterion_10c_weight_additivity(ses3):
         v = {rng.choice(monos): rng.randint(1, 4)}
         w = {rng.choice(monos): rng.randint(1, 4)}
         n = rng.randint(-3, 3)
-        out = pbw.canonical(d, mode_apply(alg, v, n, w))
+        out = pbw.canonical(d, element_mode(alg, v, n, w))
         if out and pbw.weight(out) != pbw.weight(v) + pbw.weight(w) - n - 1:
             failures += 1
     _line(f"criterion 10c: weight additivity, {N_CASES} cases", failures == 0)
@@ -372,8 +372,8 @@ def test_criterion_10d_theta(ses3):
         v = {rng.choice(monos): 1}
         w = {rng.choice(monos): 1}
         n = rng.randint(-2, 2)
-        lhs = pbw.theta(alg, mode_apply(alg, v, n, w))
-        rhs = mode_apply(alg, pbw.theta(alg, v), n, pbw.theta(alg, w))
+        lhs = pbw.theta(alg, element_mode(alg, v, n, w))
+        rhs = element_mode(alg, pbw.theta(alg, v), n, pbw.theta(alg, w))
         if pbw.canonical(d, lhs) != pbw.canonical(d, rhs):
             failures += 1
     _line(

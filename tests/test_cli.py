@@ -46,8 +46,8 @@ def test_toplevels_subcommand():
 
 def test_report_serialization_deterministic(tmp_path):
     results = [
-        report.CheckResult("b_check", "pass", "payload two", 1.23),
-        report.CheckResult("a_check", "fail", "payload one", 4.56),
+        report.CheckResult("b_check", "pass", "payload two"),
+        report.CheckResult("a_check", "fail", "payload one"),
     ]
     paths = []
     for i in (1, 2):
@@ -58,8 +58,6 @@ def test_report_serialization_deterministic(tmp_path):
     assert paths[0] == paths[1]
     data = json.loads(paths[0][0])
     assert data["schema"] == "v1"
-    # wall times never enter the serialized report
-    assert b"1.23" not in paths[0][0] and b"4.56" not in paths[0][1]
     assert report.exit_code(results) == 1
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 from w2345 import pbw
-from w2345.modes import mode_apply, mode_power_apply
+from w2345.modes import element_mode, mode_power_apply
 from w2345.pbw import E, F, H
 from w2345.scalars import comb_z
 
@@ -26,9 +26,9 @@ def test_vacuum_creation(ses3):
         v = _random_state(rng, d)
         if not v:
             continue
-        assert pbw.canonical(d, mode_apply(ses3.pbw, v, -1, vac)) == v
+        assert pbw.canonical(d, element_mode(ses3.pbw, v, -1, vac)) == v
         for n in range(0, 4):
-            assert not pbw.canonical(d, mode_apply(ses3.pbw, v, n, vac))
+            assert not pbw.canonical(d, element_mode(ses3.pbw, v, n, vac))
 
 
 def test_single_generator_modes_match_apply_gen(ses3):
@@ -40,7 +40,7 @@ def test_single_generator_modes_match_apply_gen(ses3):
         g = rng.choice((H, E, F))
         n = rng.randint(-3, 3)
         w = rng.choice(monos)
-        got = mode_apply(alg, {((g, -1),): 1}, n, {w: 1})
+        got = element_mode(alg, {((g, -1),): 1}, n, {w: 1})
         want = alg.apply_gen(g, n, w)
         assert pbw.canonical(d, got) == pbw.canonical(d, want)
 
@@ -57,17 +57,17 @@ def test_commutator_identity(ses3):
         if not (u and v and w):
             continue
         m, n = rng.randint(-2, 2), rng.randint(-2, 2)
-        lhs = mode_apply(alg, u, m, mode_apply(alg, v, n, w))
-        pbw.add_into(lhs, mode_apply(alg, v, n, mode_apply(alg, u, m, w)), -1)
+        lhs = element_mode(alg, u, m, element_mode(alg, v, n, w))
+        pbw.add_into(lhs, element_mode(alg, v, n, element_mode(alg, u, m, w)), -1)
         rhs = {}
         wu, wv = pbw.weight(u), pbw.weight(v)
         for i in range(0, wu + wv + 1):
             c = comb_z(m, i)
             if not c:
                 continue
-            uiv = mode_apply(alg, u, i, v)
+            uiv = element_mode(alg, u, i, v)
             if uiv:
-                pbw.add_into(rhs, mode_apply(alg, uiv, m + n - i, w), c)
+                pbw.add_into(rhs, element_mode(alg, uiv, m + n - i, w), c)
         assert pbw.canonical(d, lhs) == pbw.canonical(d, rhs)
 
 
@@ -80,7 +80,7 @@ def test_weight_additivity(ses3):
         if not (v and w):
             continue
         n = rng.randint(-3, 3)
-        out = pbw.canonical(d, mode_apply(ses3.pbw, v, n, w))
+        out = pbw.canonical(d, element_mode(ses3.pbw, v, n, w))
         if out:
             assert pbw.weight(out) == pbw.weight(v) + pbw.weight(w) - n - 1
 
@@ -93,8 +93,8 @@ def test_theta_equivariance(ses3):
         v = _random_state(rng, d, 2, 2)
         w = _random_state(rng, d, 2, 1)
         n = rng.randint(-2, 2)
-        lhs = pbw.theta(alg, mode_apply(alg, v, n, w))
-        rhs = mode_apply(alg, pbw.theta(alg, v), n, pbw.theta(alg, w))
+        lhs = pbw.theta(alg, element_mode(alg, v, n, w))
+        rhs = element_mode(alg, pbw.theta(alg, v), n, pbw.theta(alg, w))
         assert pbw.canonical(d, lhs) == pbw.canonical(d, rhs)
 
 
@@ -112,15 +112,15 @@ def test_skew_symmetry_spot(ses3):
         if not (v and w):
             continue
         n = rng.randint(-2, 2)
-        lhs = pbw.canonical(d, mode_apply(alg, v, n, w))
+        lhs = pbw.canonical(d, element_mode(alg, v, n, w))
         rhs = {}
         bound = pbw.weight(v) + pbw.weight(w) - n
         for i in range(0, bound + 1):
-            term = mode_apply(alg, w, n + i, v)
+            term = element_mode(alg, w, n + i, v)
             if not term:
                 continue
             for _ in range(i):
-                term = mode_apply(alg, omega, 0, term)
+                term = element_mode(alg, omega, 0, term)
             sign = -1 if (n + 1 + i) % 2 else 1
             pbw.add_into(rhs, term, Fraction(sign, factorial(i)))
         assert lhs == pbw.canonical(d, rhs)
@@ -129,12 +129,12 @@ def test_skew_symmetry_spot(ses3):
 def test_w3_products(gses):
     d = gses.domain
     w3 = gses.primaries()[0]
-    got5 = pbw.canonical(d, mode_apply(gses.pbw, w3, 5, w3))
+    got5 = pbw.canonical(d, element_mode(gses.pbw, w3, 5, w3))
     want = pbw.canonical(d, {(): d.parse("12*k^3*(k-2)*(k-1)*(3*k+4)")})
     assert got5 == want
-    assert not pbw.canonical(d, mode_apply(gses.pbw, w3, 4, w3))
+    assert not pbw.canonical(d, element_mode(gses.pbw, w3, 4, w3))
     omega = gses.conformal()[2]
-    got1 = pbw.canonical(d, mode_apply(gses.pbw, omega, 1, w3))
+    got1 = pbw.canonical(d, element_mode(gses.pbw, omega, 1, w3))
     assert got1 == pbw.canonical(d, pbw.scale(w3, 3))
 
 

@@ -73,7 +73,7 @@ def test_descendant_matrix_consistency(ses6):
     # the commutator matrix agrees with an honest computation inside the
     # level-6 module on the top vector e(-1)|0>
     from w2345 import pbw
-    from w2345.modes import mode_apply
+    from w2345.modes import element_mode
 
     d = ses6.domain
     alg = ses6.pbw
@@ -81,14 +81,14 @@ def test_descendant_matrix_consistency(ses6):
     gens = [ses6.conformal()[2], *ses6.primaries()]
     quartet = []
     for wt, g in zip((2, 3, 4, 5), gens):
-        res = pbw.canonical(d, mode_apply(alg, g, wt - 1, u))
+        res = pbw.canonical(d, element_mode(alg, g, wt - 1, u))
         quartet.append(res.get(((pbw.E, -1),), Fraction(0)))
     honest = []
     for wtp, gp in zip((2, 3, 4, 5), gens):
         row = []
         for wts, gs in zip((2, 3, 4, 5), gens):
-            v = mode_apply(alg, gs, wts - 2, u)
-            res = pbw.canonical(d, mode_apply(alg, gp, wtp, v))
+            v = element_mode(alg, gs, wts - 2, u)
+            res = pbw.canonical(d, element_mode(alg, gp, wtp, v))
             row.append(res.get(((pbw.E, -1),), Fraction(0)))
         honest.append(row)
     assert toplevels.descendant_matrix(6, quartet) == honest

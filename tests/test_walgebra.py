@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from w2345 import exprs, pbw, reference, walgebra
-from w2345.linalg import NotInSpanError
-from w2345.modes import mode_apply
+from w2345.linalg import NotInSpanError, SpanSolver
+from w2345.modes import element_mode
 from w2345.walgebra import G3, G4, G5, GW, enumerate_nf, nf_parity, nf_weight
 
 
@@ -10,12 +12,12 @@ def test_conformal_examples(gses):
     d = gses.domain
     alg = gses.pbw
     waff, wgam, om = gses.conformal()
-    assert pbw.canonical(d, mode_apply(alg, om, 1, om)) == pbw.canonical(
+    assert pbw.canonical(d, element_mode(alg, om, 1, om)) == pbw.canonical(
         d, pbw.scale(om, 2)
     )
-    got = pbw.canonical(d, mode_apply(alg, om, 3, om))
+    got = pbw.canonical(d, element_mode(alg, om, 3, om))
     assert got == pbw.canonical(d, {(): d.parse("(k-1)/(k+2)")})
-    assert not pbw.canonical(d, mode_apply(alg, wgam, 0, om))
+    assert not pbw.canonical(d, element_mode(alg, wgam, 0, om))
 
 
 def test_primary_conditions(gses):
@@ -23,11 +25,11 @@ def test_primary_conditions(gses):
     alg = gses.pbw
     om = gses.conformal()[2]
     for wt, W in zip((3, 4, 5), gses.primaries()):
-        assert pbw.canonical(d, mode_apply(alg, om, 1, W)) == pbw.canonical(
+        assert pbw.canonical(d, element_mode(alg, om, 1, W)) == pbw.canonical(
             d, pbw.scale(W, wt)
         )
         for n in range(2, wt + 2):
-            assert not pbw.canonical(d, mode_apply(alg, om, n, W))
+            assert not pbw.canonical(d, element_mode(alg, om, n, W))
         for m in range(0, wt + 1):
             img = {}
             for mono, c in W.items():
@@ -73,7 +75,7 @@ def test_expand_examples(gses):
         d, gses.primaries()[0]
     )
     got = pbw.canonical(d, gses.nf_expand(((GW, -1), (GW, -1))))
-    want = pbw.canonical(d, mode_apply(gses.pbw, om, -1, om))
+    want = pbw.canonical(d, element_mode(gses.pbw, om, -1, om))
     assert got == want
 
 
@@ -90,7 +92,7 @@ def test_expand_parity_sector(gses):
 def test_express_examples(gses):
     d = gses.domain
     w3 = gses.primaries()[0]
-    prod = mode_apply(gses.pbw, w3, 3, w3)
+    prod = element_mode(gses.pbw, w3, 3, w3)
     got = gses.express(prod, 2)
     want = exprs.parse_nf(reference.OPE_TEXT[(3, 3, 3)], d)
     assert {m: d.scalar(c) for m, c in got.items()} == want
@@ -152,3 +154,31 @@ def test_weight8_17_even_12_odd():
     monos = enumerate_nf(8)
     even = [m for m in monos if nf_parity(m) > 0]
     assert len(even) == 17 and len(monos) - len(even) == 12
+
+
+def test_null_field_for_reads_cached_null_fields(ses7, monkeypatch):
+    ses7.null_fields(8)
+    calls = []
+    express = SpanSolver.express
+    monkeypatch.setattr(
+        SpanSolver, "express", lambda self, vec: calls.append(vec) or express(self, vec)
+    )
+    rel = ses7.null_field_for(((G3, -2), (G3, -2)))
+    assert rel[((G3, -2), (G3, -2))] == ses7.domain.one
+    ses7.null_field_for(((G3, -1), (G4, -2)))
+    odd = ses7.null_fields(8, parity=-1)
+    assert [next(iter(r)) for r in odd] == [((G3, -1), (G4, -2))]
+    assert not calls
+
+
+def test_hw_module_ground_vector(ses5):
+    ev = (Fraction(3, 7), Fraction(-1, 2), 0, Fraction(5))
+    mod = walgebra.HWModule(ses5.walg(), ev)
+    assert mod.apply_gen(GW, 1, ()) == {(): ev[0]}  # L(0)
+    assert mod.apply_gen(G3, 2, ()) == {(): ev[1]}  # W3(0)
+    assert mod.apply_gen(G4, 3, ()) == {}  # zero eigenvalue
+    assert mod.apply_gen(GW, 2, ()) == {}  # L(1) lowers the weight
+    assert mod.apply_gen(G5, 5, ()) == {}
+    assert mod.apply_gen(G3, 1, ()) == {((G3, 1),): 1}  # W3(-1) creates
+    # [L(1), L(-1)] = 2 L(0) on the ground vector
+    assert mod.apply_gen(GW, 2, ((GW, 0),)) == {(): 2 * ev[0]}
