@@ -23,6 +23,32 @@ def _level_arg(value):
         raise argparse.ArgumentTypeError("level must be 'generic' or an integer")
 
 
+def _checks(run):
+    """A subcommand that runs checks: prints their rows and exits 1 on a
+    failure.  ``run(ctx, args)`` returns the rows."""
+
+    def command(args):
+        ctx = report.Context(cache_dir=args.cache_dir, resume=args.resume)
+        results = run(ctx, args)
+        for r in results:
+            print(f"[{r.status:>22}] {r.name}: {r.payload}")
+        return report.exit_code(results)
+
+    return command
+
+
+def _report(ctx, args):
+    results = report.run_all(ctx)
+    report.serialize(results, args.json, args.txt)
+    print(f"wrote {args.json} and {args.txt}", file=sys.stderr)
+    return results
+
+
+def _toplevels(ctx, args):
+    rows = report.check_toplevels(ctx, args.k)
+    return rows + (report.check_variety(ctx, args.k) if args.k in (5, 6) else [])
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="w2345",
@@ -36,78 +62,55 @@ def build_parser():
 
     p = sub.add_parser("verify-ope", help="check the generator product table")
     p.add_argument("--k", type=_level_arg, default=None)
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_ope(ctx, a.k)))
 
     p = sub.add_parser("null-fields", help="null combinations at one weight")
     p.add_argument("--weight", type=int, choices=(8, 9, 10), required=True)
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_null_fields(ctx, a.weight)))
 
     p = sub.add_parser("zhu", help="associative-quotient kernel polynomials")
     p.add_argument("--k", type=_level_arg, default=None)
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_zhu(ctx, a.k)))
 
     p = sub.add_parser("c2", help="C2-quotient kernel polynomials")
     p.add_argument("--k", type=_level_arg, default=None)
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_c2(ctx, a.k)))
 
     p = sub.add_parser("singular", help="singular vectors at a fixed level")
     p.add_argument("--k", type=int, choices=(2, 3, 4, 5, 6), required=True)
-    p.add_argument("--r", type=int, choices=(0, 1, 2, 3), default=None)
+    p.add_argument("--r", type=int, choices=(0, 1, 2, 3), default=3)
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_singular(ctx, a.k, a.r)))
 
     p = sub.add_parser("groebner", help="Groebner bases of the level ideals")
     p.add_argument("--k", type=int, choices=(5, 6), required=True)
     p.add_argument("--ideal", choices=("P", "A"), required=True)
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_groebner(ctx, a.k, a.ideal)))
 
     p = sub.add_parser("top-levels", help="module top-level eigenvalues")
     p.add_argument("--k", type=int, choices=(2, 3, 4, 5, 6), required=True)
+    p.set_defaults(run=_checks(_toplevels))
 
-    sub.add_parser("f-matrix", help="level-6 descendant system")
+    p = sub.add_parser("f-matrix", help="level-6 descendant system")
+    p.set_defaults(run=_checks(lambda ctx, a: report.check_f_matrix(ctx)))
 
     p = sub.add_parser("report", help="full verification report")
     p.add_argument("--all", action="store_true", required=True)
     p.add_argument("--json", default="report.json")
     p.add_argument("--txt", default="report.txt")
+    p.set_defaults(run=_checks(_report))
 
     p = sub.add_parser("parse", help="round-trip an element through the parser")
     p.add_argument("--kind", choices=("pbw", "nf", "scalar"), default="pbw")
     p.add_argument("--k", type=_level_arg, default=None)
     p.add_argument("text")
+    p.set_defaults(run=_parse_command)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)  # argparse exits 2 on usage errors
-    ctx = report.Context(cache_dir=args.cache_dir, resume=args.resume)
-
-    if args.command == "verify-ope":
-        results = report.check_ope(ctx, args.k)
-    elif args.command == "null-fields":
-        results = report.check_null_fields(ctx, args.weight)
-    elif args.command == "zhu":
-        results = report.check_zhu(ctx, args.k)
-    elif args.command == "c2":
-        results = report.check_c2(ctx, args.k)
-    elif args.command == "singular":
-        rmax = 3 if args.r is None else args.r
-        results = report.check_singular(ctx, args.k, rmax)
-    elif args.command == "groebner":
-        results = report.check_groebner(ctx, args.k, args.ideal)
-    elif args.command == "top-levels":
-        results = report.check_toplevels(ctx, args.k)
-        if args.k in (5, 6):
-            results += report.check_variety(ctx, args.k)
-    elif args.command == "f-matrix":
-        results = report.check_f_matrix(ctx)
-    elif args.command == "report":
-        results = report.run_all(ctx)
-        report.serialize(results, args.json, args.txt)
-        print(f"wrote {args.json} and {args.txt}", file=sys.stderr)
-    elif args.command == "parse":
-        return _parse_command(args)
-    else:  # pragma: no cover
-        ap.error(f"unknown command {args.command}")
-
-    for r in results:
-        print(f"[{r.status:>22}] {r.name}: {r.payload}")
-    return report.exit_code(results)
+    args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
+    return args.run(args)
 
 
 def _parse_command(args):

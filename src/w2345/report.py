@@ -1,16 +1,24 @@
 """Named verification checks and the machine-readable report.
 
-Each check returns CheckResult entries with status pass / fail /
-computed-no-reference.  The report file is deterministic: timings are logged
-to stderr only, never serialized, so identical runs produce identical bytes.
+Each check is a plain function ``check_*(ctx, *params)`` returning
+CheckResult rows with status pass / fail / computed-no-reference.  The one
+decorator ``_check`` caches every check through ``_run``: the cache key is
+the check's name plus every bound parameter, defaults included, and doubles
+as the check's label on stderr.  ``REPORT`` lists the (check, args) pairs of
+``w2345 report --all`` in report order.  The report file is deterministic:
+timings are logged to stderr only, never serialized, so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,18 +48,36 @@ class CheckResult:
     payload: str
 
 
+def _result(name, ok, payload):
+    """A report row: ok True/False gives pass/fail, None means no reference."""
+    if ok is None:
+        return CheckResult(name, "computed-no-reference", payload)
+    return CheckResult(name, "pass" if ok else "fail", payload)
+
+
 class Context:
-    """Shared sessions plus an optional result cache keyed by content hash."""
+    """Shared sessions, lex ideal bases and an optional result cache keyed
+    by check name and arguments."""
 
     def __init__(self, cache_dir=None, resume=False):
         self._sessions = {}
-        self.cache_dir = cache_dir or os.environ.get("WORKBENCH_CACHE_DIR")
+        self._lex_bases = {}
+        self.cache_dir = cache_dir or os.environ.get("WORKBENCH_CACHE_DIR") or None
         self.resume = resume and self.cache_dir is not None
 
     def session(self, level=None):
         if level not in self._sessions:
             self._sessions[level] = Session(level)
         return self._sessions[level]
+
+    def lex_basis(self, level, which):
+        """(generators, lex Groebner basis) of the level ideal P or A, built
+        once per context (w5 > w4 > w3 > w2)."""
+        if (level, which) not in self._lex_bases:
+            gens = _ideal_generators(self, level, which)
+            gb = buchberger(gens, lex_order(tuple(reversed(gens[0].vars))))
+            self._lex_bases[(level, which)] = gens, gb
+        return self._lex_bases[(level, which)]
 
     def _cache_path(self, key):
         h = hashlib.sha256((CODE_VERSION + "|" + key).encode()).hexdigest()[:24]
@@ -68,18 +94,25 @@ class Context:
         return None
 
     def store(self, key, results):
+        """Write the entry to a temporary file, then rename it into place, so
+        an interrupted write never leaves a truncated entry behind."""
         if self.cache_dir is None:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        path = self._cache_path(key)
-        with open(path, "w") as fh:
-            json.dump(
-                [
-                    {"name": r.name, "status": r.status, "payload": r.payload}
-                    for r in results
-                ],
-                fh,
-            )
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(
+                    [
+                        {"name": r.name, "status": r.status, "payload": r.payload}
+                        for r in results
+                    ],
+                    fh,
+                )
+            os.replace(tmp, self._cache_path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _run(ctx, key, fn):
@@ -96,389 +129,285 @@ def _run(ctx, key, fn):
     return results
 
 
+def _check(fn):
+    """Cache a check ``fn(ctx, *params)`` under its name and bound params.
+
+    The wrapper's ``key(*params)`` gives the cache key without running it."""
+    sig = inspect.signature(fn)
+    name = fn.__name__.removeprefix("check_")
+
+    def key(*args, **kwargs):
+        bound = sig.bind(None, *args, **kwargs)
+        bound.apply_defaults()
+        params = list(bound.arguments.items())[1:]
+        return f"{name}(" + ", ".join(f"{p}={v!r}" for p, v in params) + ")"
+
+    @functools.wraps(fn)
+    def wrapper(ctx, *args, **kwargs):
+        compute = functools.partial(fn, ctx, *args, **kwargs)
+        return _run(ctx, key(*args, **kwargs), compute)
+
+    wrapper.key = key
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # the checks
 # ---------------------------------------------------------------------------
 
 
+@_check
 def check_ope(ctx, level=None):
-    def fn():
-        ses = ctx.session(level)
-        tag = "generic" if level is None else f"k{level}"
-        out = []
-        table = ses.ope_table()
-        bad = []
-        for (i, j, n), got in sorted(table.items()):
-            want = exprs.parse_nf(reference.OPE_TEXT[(i, j, n)], ses.domain)
-            got = {m: ses.domain.scalar(c) for m, c in got.items() if ses.domain.scalar(c)}
-            if got != want:
-                diff = set(got.items()) ^ set(want.items())
-                bad.append(f"W{i}_{n} W{j} differs at {sorted({m for m, _ in diff})}")
-        status = "pass" if not bad else "fail"
-        payload = (
-            f"33/33 products match the reference table"
-            if not bad
-            else "; ".join(bad)
-        )
-        out.append(CheckResult(f"ope_table_{tag}", status, payload))
-        return out
-
+    ses = ctx.session(level)
+    bad = []
+    for (i, j, n), got in sorted(ses.ope_table().items()):
+        want = exprs.parse_nf(reference.OPE_TEXT[(i, j, n)], ses.domain)
+        got = {m: ses.domain.scalar(c) for m, c in got.items() if ses.domain.scalar(c)}
+        if got != want:
+            diff = set(got.items()) ^ set(want.items())
+            bad.append(f"W{i}_{n} W{j} differs at {sorted({m for m, _ in diff})}")
     tag = "generic" if level is None else f"k{level}"
-    return _run(ctx, f"ope:{tag}", fn)
+    payload = "; ".join(bad) if bad else "33/33 products match the reference table"
+    return [_result(f"ope_table_{tag}", not bad, payload)]
 
 
+@_check
 def check_commutant(ctx):
-    def fn():
-        ses = ctx.session(None)
-        out = []
-        dims = {d: len(ses.commutant_weight_space(d)) for d in (1, 3, 4, 5)}
-        ok = dims == {1: 0, 3: 2, 4: 4, 5: 6}
-        out.append(
-            CheckResult(
-                "commutant_dimensions",
-                "pass" if ok else "fail",
-                f"dim commutant weight spaces: {dims}",
-            )
+    ses = ctx.session(None)
+    dims = {d: len(ses.commutant_weight_space(d)) for d in (1, 3, 4, 5)}
+    out = [
+        _result(
+            "commutant_dimensions",
+            dims == {1: 0, 3: 2, 4: 4, 5: 6},
+            f"dim commutant weight spaces: {dims}",
         )
-        prim_ok = True
-        scalars = {}
-        for d in (3, 4, 5):
-            try:
-                _, lam = ses.find_primary(d)
-                scalars[d] = ses.domain.fmt(lam)
-            except ValueError as e:
-                prim_ok = False
-                scalars[d] = str(e)
-        out.append(
-            CheckResult(
-                "unique_primaries",
-                "pass" if prim_ok else "fail",
-                f"primary scalars vs stored generators: {scalars}",
-            )
+    ]
+    prim_ok = True
+    scalars = {}
+    for d in (3, 4, 5):
+        try:
+            _, lam = ses.find_primary(d)
+            scalars[d] = ses.domain.fmt(lam)
+        except ValueError as e:
+            prim_ok = False
+            scalars[d] = str(e)
+    out.append(
+        _result(
+            "unique_primaries",
+            prim_ok,
+            f"primary scalars vs stored generators: {scalars}",
         )
-        return out
+    )
+    return out
 
-    return _run(ctx, "commutant", fn)
 
-
+@_check
 def check_null_fields(ctx, weight):
-    def fn():
-        ses = ctx.session(None)
-        dom = ses.domain
-        out = []
-        total, rank = ses.nf_dimensions(weight)
-        expect = {8: (29, 27), 9: (44, 40), 10: (72, None)}[weight]
-        dims_ok = total == expect[0] and (expect[1] is None or rank == expect[1])
-        if weight == 10:
-            nb = ses._nf_basis(10)
-            plus = sum(1 for m in nb.monos if nf_parity(m) > 0)
-            elim_p = sum(1 for m in nb.eliminated if nf_parity(m) > 0)
-            dims_ok = dims_ok and plus == 40 and elim_p == 5
-            payload = (
-                f"{total} words, rank {rank}; even sector {plus} words,"
-                f" {elim_p} null fields; odd sector {total - plus} words,"
-                f" {len(nb.eliminated) - elim_p} null fields"
-            )
-        else:
-            payload = f"{total} words span rank {rank}"
+    ses = ctx.session(None)
+    dom = ses.domain
+    total, rank = ses.nf_dimensions(weight)
+    expect = {8: (29, 27), 9: (44, 40), 10: (72, None)}[weight]
+    dims_ok = total == expect[0] and (expect[1] is None or rank == expect[1])
+    if weight == 10:
+        nb = ses._nf_basis(10)
+        plus = sum(1 for m in nb.monos if nf_parity(m) > 0)
+        elim_p = sum(1 for m in nb.eliminated if nf_parity(m) > 0)
+        dims_ok = dims_ok and plus == 40 and elim_p == 5
+        payload = (
+            f"{total} words, rank {rank}; even sector {plus} words,"
+            f" {elim_p} null fields; odd sector {total - plus} words,"
+            f" {len(nb.eliminated) - elim_p} null fields"
+        )
+    else:
+        payload = f"{total} words span rank {rank}"
+    out = [_result(f"null_dimensions_wt{weight}", dims_ok, payload)]
+    rels = ses.null_fields(weight)
+    vanish = all(
+        not {m: dom.scalar(c) for m, c in ses.nf_expand_element(r).items() if dom.scalar(c)}
+        for r in rels
+    )
+    out.append(
+        _result(
+            f"null_fields_expand_to_zero_wt{weight}",
+            vanish,
+            f"{len(rels)} relations, expansions all zero: {vanish}",
+        )
+    )
+    refs = {
+        8: (
+            (((G3, -2), (G3, -2)), reference.REL_W3m2_SQ, "w3m2_squared"),
+            (((G3, -1), (G4, -2)), reference.REL_W3m1_W4m2, "w3m1_w4m2"),
+        ),
+        9: ((((G3, -1), (G4, -3)), reference.REL_W3m1_W4m3, "w3m1_w4m3"),),
+        10: (),
+    }[weight]
+    for mono, text, label in refs:
+        rel = ses.null_field_for(mono)
+        got = {m: -c for m, c in rel.items() if m != mono}
+        want = exprs.parse_nf(text, dom)
+        ok = {m: dom.scalar(c) for m, c in got.items() if dom.scalar(c)} == want
         out.append(
-            CheckResult(
-                f"null_dimensions_wt{weight}",
-                "pass" if dims_ok else "fail",
-                payload,
+            _result(
+                f"null_relation_{label}",
+                ok,
+                "matches the reference relation coefficient by coefficient"
+                if ok
+                else "relation differs from the reference",
             )
         )
-        rels = ses.null_fields(weight)
-        vanish = all(
-            not {m: dom.scalar(c) for m, c in ses.nf_expand_element(r).items() if dom.scalar(c)}
-            for r in rels
-        )
+    if weight == 10:
+        odd = [m for m in nb.eliminated if nf_parity(m) < 0]
         out.append(
-            CheckResult(
-                f"null_fields_expand_to_zero_wt{weight}",
-                "pass" if vanish else "fail",
-                f"{len(rels)} relations, expansions all zero: {vanish}",
+            _result(
+                "null_fields_wt10_odd_sector",
+                None,
+                f"odd-sector null fields anchored at: "
+                + ", ".join(exprs._fmt_word(m, "nf") for m in odd),
             )
         )
-        refs = {
-            8: (
-                (((G3, -2), (G3, -2)), reference.REL_W3m2_SQ, "w3m2_squared"),
-                (((G3, -1), (G4, -2)), reference.REL_W3m1_W4m2, "w3m1_w4m2"),
-            ),
-            9: ((((G3, -1), (G4, -3)), reference.REL_W3m1_W4m3, "w3m1_w4m3"),),
-            10: (),
-        }[weight]
-        for mono, text, label in refs:
-            rel = ses.null_field_for(mono)
-            got = {m: -c for m, c in rel.items() if m != mono}
-            want = exprs.parse_nf(text, dom)
-            ok = {m: dom.scalar(c) for m, c in got.items() if dom.scalar(c)} == want
-            out.append(
-                CheckResult(
-                    f"null_relation_{label}",
-                    "pass" if ok else "fail",
-                    "matches the reference relation coefficient by coefficient"
-                    if ok
-                    else "relation differs from the reference",
-                )
-            )
-        if weight == 10:
-            nb = ses._nf_basis(10)
-            odd = [m for m in nb.eliminated if nf_parity(m) < 0]
-            out.append(
-                CheckResult(
-                    "null_fields_wt10_odd_sector",
-                    "computed-no-reference",
-                    f"odd-sector null fields anchored at: "
-                    + ", ".join(exprs._fmt_word(m, "nf") for m in odd),
-                )
-            )
-        return out
-
-    return _run(ctx, f"null:{weight}", fn)
+    return out
 
 
+def _kernel_rows(dom, level, vars, images):
+    """Compare the Zhu or C2 images of the null fields with the reference
+    polynomials, at generic k or specialized to the level.  ``images`` holds
+    (name, polynomial, reference text, payload prefix) tuples."""
+    tag = "" if level is None else f"_k{level}"
+    fmt = dom.fmt if level is None else str
+    out = []
+    for name, got, text, note in images:
+        want = exprs.parse_multipoly(text, vars, dom)
+        if level is not None:
+            got, want = got.specialize_level(level), want.specialize_level(level)
+        out.append(_result(f"{name}{tag}", got == want, note + got.format(fmt)))
+    return out
+
+
+@_check
 def check_zhu(ctx, level=None):
-    def fn():
-        ses = ctx.session(None)
-        dom = ses.domain
-        red = zhu.ZhuC2(ses)
-        out = []
-        q0, q1 = red.q_polynomials()
-        want0 = exprs.parse_multipoly(reference.Q0_TEXT, zhu.W_VARS, dom)
-        want1 = exprs.parse_multipoly(reference.Q1_TEXT, zhu.W_VARS, dom)
-        if level is not None:
-            q0, q1 = q0.specialize_level(level), q1.specialize_level(level)
-            want0, want1 = want0.specialize_level(level), want1.specialize_level(level)
-        tag = "" if level is None else f"_k{level}"
-        fmt = (lambda c: dom.fmt(c)) if level is None else str
-        out.append(
-            CheckResult(
-                f"Q0{tag}",
-                "pass" if q0 == want0 else "fail",
-                q0.format(fmt),
-            )
-        )
-        out.append(
-            CheckResult(
-                f"Q1{tag}",
-                "pass" if q1 == want1 else "fail",
-                q1.format(fmt),
-            )
-        )
-        e3, e4, e5 = ({((1, -1),): 1}, {((2, -1),): 1}, {((3, -1),): 1})
-        pairs = (("34", e3, e4), ("35", e3, e5), ("45", e4, e5))
-        comm_ok = True
-        for name, a, b in pairs:
-            if red.zhu_star(a, b) - red.zhu_star(b, a):
-                comm_ok = False
-        out.append(
-            CheckResult(
-                "zhu_star_commutators",
-                "pass" if comm_ok else "fail",
-                "the three star commutators reduce to 0",
-            )
-        )
-        return out
-
-    tag = "generic" if level is None else f"k{level}"
-    return _run(ctx, f"zhu:{tag}", fn)
+    red = zhu.ZhuC2(ctx.session(None))
+    q0, q1 = red.q_polynomials()
+    out = _kernel_rows(
+        red.ses.domain,
+        level,
+        zhu.W_VARS,
+        (("Q0", q0, reference.Q0_TEXT, ""), ("Q1", q1, reference.Q1_TEXT, "")),
+    )
+    e3, e4, e5 = ({((1, -1),): 1}, {((2, -1),): 1}, {((3, -1),): 1})
+    comm_ok = True
+    for a, b in ((e3, e4), (e3, e5), (e4, e5)):
+        if red.zhu_star(a, b) - red.zhu_star(b, a):
+            comm_ok = False
+    out.append(
+        _result("zhu_star_commutators", comm_ok, "the three star commutators reduce to 0")
+    )
+    return out
 
 
+@_check
 def check_c2(ctx, level=None):
-    def fn():
-        ses = ctx.session(None)
-        dom = ses.domain
-        red = zhu.ZhuC2(ses)
-        out = []
-        b0, b1, b2, scal = red.b_polynomials()
-        want0 = exprs.parse_multipoly(reference.B0_TEXT, zhu.X_VARS, dom)
-        want1 = exprs.parse_multipoly(reference.B1_TEXT, zhu.X_VARS, dom)
-        want2 = exprs.parse_multipoly(reference.B2_TEXT, zhu.X_VARS, dom)
-        if level is not None:
-            b0, b1, b2 = (p.specialize_level(level) for p in (b0, b1, b2))
-            want0, want1, want2 = (
-                p.specialize_level(level) for p in (want0, want1, want2)
-            )
-        tag = "" if level is None else f"_k{level}"
-        fmt = (lambda c: dom.fmt(c)) if level is None else str
-        out.append(
-            CheckResult(
-                f"B0{tag}",
-                "pass" if b0 == want0 else "fail",
-                b0.format(fmt),
-            )
-        )
-        out.append(
-            CheckResult(
-                f"B1{tag}",
-                "pass" if b1 == want1 else "fail",
-                f"recorded scale {dom.fmt(-red._null_scale_9())}; " + b1.format(fmt),
-            )
-        )
-        out.append(
-            CheckResult(
-                f"B2{tag}",
-                "pass" if b2 == want2 else "fail",
-                f"recorded scalar {dom.fmt(scal)}; " + b2.format(fmt),
-            )
-        )
-        return out
-
-    tag = "generic" if level is None else f"k{level}"
-    return _run(ctx, f"c2:{tag}", fn)
+    red = zhu.ZhuC2(ctx.session(None))
+    dom = red.ses.domain
+    b0, b1, b2, scal = red.b_polynomials()
+    scale = dom.fmt(-red._null_scale_9())
+    return _kernel_rows(
+        dom,
+        level,
+        zhu.X_VARS,
+        (
+            ("B0", b0, reference.B0_TEXT, ""),
+            ("B1", b1, reference.B1_TEXT, f"recorded scale {scale}; "),
+            ("B2", b2, reference.B2_TEXT, f"recorded scalar {dom.fmt(scal)}; "),
+        ),
+    )
 
 
-def _ur_reference(level, r):
-    if level == 5:
-        return (
-            reference.U0_K5_TEXT,
-            reference.U1_K5_TEXT,
-            reference.U2_K5_TEXT,
-            reference.U3_K5_TEXT,
-        )[r]
-    if level == 6 and r == 0:
-        return reference.U0_K6_TEXT
-    return None
+# reference normal forms of u^r, by (level, r)
+_UR_REFERENCE = {
+    (5, 0): reference.U0_K5_TEXT,
+    (5, 1): reference.U1_K5_TEXT,
+    (5, 2): reference.U2_K5_TEXT,
+    (5, 3): reference.U3_K5_TEXT,
+    (6, 0): reference.U0_K6_TEXT,
+}
 
 
+@_check
 def check_singular(ctx, level, rmax=3):
-    def fn():
-        ses = ctx.session(level)
-        dom = ses.domain
-        out = []
-        par = singular.theta_parity_u0(ses)
-        ok = par == (-1) ** (level + 1)
+    ses = ctx.session(level)
+    dom = ses.domain
+    par = singular.theta_parity_u0(ses)
+    out = [
+        _result(
+            f"u0_theta_parity_k{level}",
+            par == (-1) ** (level + 1),
+            f"theta acts on u0 by {par:+d}",
+        )
+    ]
+    if level in (2, 3, 4):
+        lam = singular.degenerate_identity(ses)
         out.append(
-            CheckResult(
-                f"u0_theta_parity_k{level}",
-                "pass" if ok else "fail",
-                f"theta acts on u0 by {par:+d}",
+            _result(
+                f"u0_degenerate_k{level}",
+                lam == Fraction(reference.U0_SCALAR[level]),
+                f"u0 = {lam} * W{level + 1}",
             )
         )
-        if level in (2, 3, 4):
-            lam = singular.degenerate_identity(ses)
-            want = Fraction(reference.U0_SCALAR[level])
+        if level in (2, 3):
+            names, gens = {2: ("W4, W5", (1, 2)), 3: ("W5", (2,))}[level]
+            targets = [ses.primaries()[g] for g in gens]
+            got = singular.ideal_span_membership(ses, targets)
             out.append(
-                CheckResult(
-                    f"u0_degenerate_k{level}",
-                    "pass" if lam == want else "fail",
-                    f"u0 = {lam} * W{level + 1}",
+                _result(
+                    f"ideal_membership_k{level}",
+                    all(got),
+                    f"{names} contained in the ideal generated by u0"
+                    f" up to weight 5: {got}",
                 )
             )
-            targets = []
-            if level == 2:
-                targets = [ses.primaries()[1], ses.primaries()[2]]
-                names = "W4, W5"
-            elif level == 3:
-                targets = [ses.primaries()[2]]
-                names = "W5"
-            if targets:
-                got = singular.ideal_span_membership(ses, targets)
-                out.append(
-                    CheckResult(
-                        f"ideal_membership_k{level}",
-                        "pass" if all(got) else "fail",
-                        f"{names} contained in the ideal generated by u0"
-                        f" up to weight 5: {got}",
-                    )
-                )
-            return out
-        for r in range(0, rmax + 1):
-            nf = singular.ur_normal_form(ses, r)
-            text = _ur_reference(level, r)
-            if text is None:
-                out.append(
-                    CheckResult(
-                        f"u{r}_k{level}",
-                        "computed-no-reference",
-                        ses.format_nf(nf),
-                    )
-                )
-                continue
+        return out
+    for r in range(0, rmax + 1):
+        nf = singular.ur_normal_form(ses, r)
+        text = _UR_REFERENCE.get((level, r))
+        ok = None
+        if text is not None:
             want = exprs.parse_nf(text, dom)
             ok = {m: dom.scalar(c) for m, c in nf.items() if dom.scalar(c)} == want
-            out.append(
-                CheckResult(
-                    f"u{r}_k{level}",
-                    "pass" if ok else "fail",
-                    ses.format_nf(nf) if ok else "normal form differs",
-                )
-            )
-        return out
-
-    return _run(ctx, f"singular:{level}", fn)
+        payload = "normal form differs" if ok is False else ses.format_nf(nf)
+        out.append(_result(f"u{r}_k{level}", ok, payload))
+    return out
 
 
 def _ideal_generators(ctx, level, which):
     """Generators of the level ideal: P uses the Zhu images, A the C2 images."""
     ses = ctx.session(level)
-    gen = ctx.session(None)
-    red = zhu.ZhuC2(gen)
+    red = zhu.ZhuC2(ctx.session(None))
     if which == "P":
         polys, _ = singular.p_polynomials(ses)
-        q0, q1 = red.q_polynomials()
-        extra = [q0.specialize_level(level), q1.specialize_level(level)]
-        extra = [p.primitive_integer()[0] for p in extra]
-        return polys + extra
-    polys, _ = singular.a_polynomials(ses)
-    b0, b1, b2, _ = red.b_polynomials()
-    extra = [p.specialize_level(level) for p in (b0, b1, b2)]
-    extra = [p.primitive_integer()[0] for p in extra]
-    return polys + extra
+        extra = red.q_polynomials()
+    else:
+        polys, _ = singular.a_polynomials(ses)
+        extra = red.b_polynomials()[:3]
+    return polys + [p.specialize_level(level).primitive_integer()[0] for p in extra]
 
 
+@_check
 def check_p_a_polynomials(ctx, level):
-    def fn():
-        ses = ctx.session(level)
-        out = []
-        polys, muls = singular.p_polynomials(ses)
-        apolys, amuls = singular.a_polynomials(ses)
-        if level == 5:
-            wants = [
-                exprs.parse_multipoly(t, zhu.W_VARS, ses.domain)
-                for t in reference.P_K5_TEXT
-            ]
-            awants = [
-                exprs.parse_multipoly(t, zhu.X_VARS, ses.domain)
-                for t in reference.A_K5_TEXT
-            ]
-            for r in range(4):
-                okp = polys[r] == wants[r] or polys[r] == -wants[r]
-                oka = apolys[r] == awants[r] or apolys[r] == -awants[r]
-                out.append(
-                    CheckResult(
-                        f"P{r}_k5",
-                        "pass" if okp else "fail",
-                        f"multiplier {muls[r]}; " + polys[r].format(),
-                    )
-                )
-                out.append(
-                    CheckResult(
-                        f"A{r}_k5",
-                        "pass" if oka else "fail",
-                        f"multiplier {amuls[r]}; " + apolys[r].format(),
-                    )
-                )
-        else:
-            for r in range(4):
-                out.append(
-                    CheckResult(
-                        f"P{r}_k{level}",
-                        "computed-no-reference",
-                        f"multiplier {muls[r]}; " + polys[r].format(),
-                    )
-                )
-                out.append(
-                    CheckResult(
-                        f"A{r}_k{level}",
-                        "computed-no-reference",
-                        f"multiplier {amuls[r]}; " + apolys[r].format(),
-                    )
-                )
-        return out
-
-    return _run(ctx, f"pa:{level}", fn)
+    ses = ctx.session(level)
+    images = (
+        ("P", singular.p_polynomials(ses), zhu.W_VARS, reference.P_K5_TEXT),
+        ("A", singular.a_polynomials(ses), zhu.X_VARS, reference.A_K5_TEXT),
+    )
+    out = []
+    for r in range(4):
+        for name, (polys, muls), vars, texts in images:
+            ok = None
+            if level == 5:
+                want = exprs.parse_multipoly(texts[r], vars, ses.domain)
+                ok = polys[r] == want or polys[r] == -want
+            payload = f"multiplier {muls[r]}; " + polys[r].format()
+            out.append(_result(f"{name}{r}_k{level}", ok, payload))
+    return out
 
 
 def _factored_unipoly(text):
@@ -500,80 +429,69 @@ def _as_unipoly_in(poly, var_index):
     return UniPoly.from_map(coeffs)
 
 
+@_check
 def check_groebner(ctx, level, which):
-    def fn():
-        gens = _ideal_generators(ctx, level, which)
-        vars = gens[0].vars
-        order = lex_order(tuple(reversed(vars)))  # w5 > w4 > w3 > w2
-        gb = buchberger(gens, order)
-        out = []
-        dim = quotient_dimension(gb)
-        basis_text = " ;; ".join(g.format() for g in gb.elements)
-        if which == "P":
-            want_dim = {5: 15, 6: 21}[level]
-            ok = dim == want_dim
-            std = standard_monomials(gb) if dim is not None else []
-            # expected standard monomials: w2^m and w2^n w3
-            m_max = {5: 8, 6: 12}[level]
-            n_max = {5: 5, 6: 7}[level]
-            want_std = sorted(
-                [(m, 0, 0, 0) for m in range(m_max + 1)]
-                + [(n, 1, 0, 0) for n in range(n_max + 1)]
-            )
-            ok = ok and std == want_std
-            # R1, R2 exact; R3..R5 printed data
-            r1 = _factored_unipoly(
-                reference.R1_K5_TEXT if level == 5 else reference.R1_K6_TEXT
-            )
-            r2t = reference.R2_K5_TEXT if level == 5 else reference.R2_K6_TEXT
-            okr, details = _check_r_basis(gb, level, r1, r2t)
-            out.append(
-                CheckResult(
-                    f"GB_P_k{level}",
-                    "pass" if (ok and okr) else "fail",
-                    f"quotient dimension {dim}; standard monomials"
-                    f" w2^0..w2^{m_max} and w2^0..w2^{n_max} * w3; {details};"
-                    f" basis: {basis_text}",
-                )
-            )
-        else:
-            finite = dim is not None
-            if level == 5:
-                wants = [
-                    exprs.parse_multipoly(t, zhu.X_VARS, make_domain(level))
-                    for t in reference.S_K5_TEXT
-                ]
-                wants = [_sign_normalized(p, gb) for p in wants]
-                got = list(gb.elements)
-                ok = finite and _same_basis(got, wants)
-                out.append(
-                    CheckResult(
-                        "GB_A_k5",
-                        "pass" if ok else "fail",
-                        f"eleven-element reduced basis matches; quotient"
-                        f" dimension {dim} (finite); basis: {basis_text}",
-                    )
-                )
-            else:
-                out.append(
-                    CheckResult(
-                        "GB_A_k6",
-                        "pass" if finite else "fail",
-                        f"quotient dimension {dim} (finite codimension"
-                        f" certified); basis: {basis_text}",
-                    )
-                )
-        ok_s = spoly_reductions_vanish(gb)
-        out.append(
-            CheckResult(
-                f"GB_{which}_k{level}_spolys",
-                "pass" if ok_s else "fail",
-                "every S-polynomial of the output reduces to zero",
-            )
+    _, gb = ctx.lex_basis(level, which)
+    dim = quotient_dimension(gb)
+    basis_text = " ;; ".join(g.format() for g in gb.elements)
+    if which == "P":
+        want_dim = {5: 15, 6: 21}[level]
+        ok = dim == want_dim
+        std = standard_monomials(gb) if dim is not None else []
+        # expected standard monomials: w2^m and w2^n w3
+        m_max = {5: 8, 6: 12}[level]
+        n_max = {5: 5, 6: 7}[level]
+        want_std = sorted(
+            [(m, 0, 0, 0) for m in range(m_max + 1)]
+            + [(n, 1, 0, 0) for n in range(n_max + 1)]
         )
-        return out
-
-    return _run(ctx, f"gb:{level}:{which}", fn)
+        ok = ok and std == want_std
+        # R1, R2 exact; R3..R5 printed data
+        r1 = _factored_unipoly(
+            reference.R1_K5_TEXT if level == 5 else reference.R1_K6_TEXT
+        )
+        r2t = reference.R2_K5_TEXT if level == 5 else reference.R2_K6_TEXT
+        okr, details = _check_r_basis(gb, level, r1, r2t)
+        out = [
+            _result(
+                f"GB_P_k{level}",
+                ok and okr,
+                f"quotient dimension {dim}; standard monomials"
+                f" w2^0..w2^{m_max} and w2^0..w2^{n_max} * w3; {details};"
+                f" basis: {basis_text}",
+            )
+        ]
+    elif level == 5:
+        wants = [
+            exprs.parse_multipoly(t, zhu.X_VARS, make_domain(level))
+            for t in reference.S_K5_TEXT
+        ]
+        wants = [_sign_normalized(p, gb) for p in wants]
+        out = [
+            _result(
+                "GB_A_k5",
+                dim is not None and _same_basis(list(gb.elements), wants),
+                f"eleven-element reduced basis matches; quotient"
+                f" dimension {dim} (finite); basis: {basis_text}",
+            )
+        ]
+    else:
+        out = [
+            _result(
+                "GB_A_k6",
+                dim is not None,
+                f"quotient dimension {dim} (finite codimension"
+                f" certified); basis: {basis_text}",
+            )
+        ]
+    out.append(
+        _result(
+            f"GB_{which}_k{level}_spolys",
+            spoly_reductions_vanish(gb),
+            "every S-polynomial of the output reduces to zero",
+        )
+    )
+    return out
 
 
 def _sign_normalized(poly, gb):
@@ -635,7 +553,6 @@ def _check_r_basis(gb, level, r1_want, r2_text):
         ok = False
         details.append("R1 mismatch")
     # R2: w3 * (univariate in w2)
-    r2_want = None
     dom0 = make_domain(0)
     r2_want = exprs.parse_multipoly(r2_text, vars, dom0).map_coeffs(Fraction)
     r2_want, _ = r2_want.primitive_integer()
@@ -644,28 +561,21 @@ def _check_r_basis(gb, level, r1_want, r2_text):
     if r2 is None or r2 != r2_want:
         ok = False
         details.append("R2 mismatch")
-    # R3 = p(w2) + c3 w3^2
-    r3 = by_lead.get(exp(w3=2))
-    ok3 = r3 is not None and Fraction(r3.terms[exp(w3=2)]) == c3
-    if ok3:
-        p = MultiPoly(vars, {e: c for e, c in r3.terms.items() if e != exp(w3=2)})
-        pu = _as_unipoly_in(p, iw2)
-        ok3 = pu.degree == dp
-        ok3 = ok3 and pu.gcd(r1_want) == _factored_unipoly(pc_text).monic()
-    if not ok3:
-        ok = False
-        details.append("R3 mismatch")
-    # R4 = q(w2) + c4 w4
-    r4 = by_lead.get(exp(w4=1))
-    ok4 = r4 is not None and Fraction(r4.terms[exp(w4=1)]) == c4
-    if ok4:
-        q = MultiPoly(vars, {e: c for e, c in r4.terms.items() if e != exp(w4=1)})
-        qu = _as_unipoly_in(q, iw2)
-        ok4 = qu.degree == dq
-        ok4 = ok4 and qu.gcd(r1_want) == _factored_unipoly(qc_text).monic()
-    if not ok4:
-        ok = False
-        details.append("R4 mismatch")
+    # R3 = p(w2) + c3 w3^2 and R4 = q(w2) + c4 w4
+    for label, lead, c_lead, deg, common_text in (
+        ("R3", exp(w3=2), c3, dp, pc_text),
+        ("R4", exp(w4=1), c4, dq, qc_text),
+    ):
+        rr = by_lead.get(lead)
+        ok_r = rr is not None and Fraction(rr.terms[lead]) == c_lead
+        if ok_r:
+            u = MultiPoly(vars, {e: c for e, c in rr.terms.items() if e != lead})
+            uu = _as_unipoly_in(u, iw2)
+            ok_r = uu.degree == deg
+            ok_r = ok_r and uu.gcd(r1_want) == _factored_unipoly(common_text).monic()
+        if not ok_r:
+            ok = False
+            details.append(f"{label} mismatch")
     # R5 = r(w2) w3 + c5 w5
     r5 = by_lead.get(exp(w5=1))
     ok5 = r5 is not None and Fraction(r5.terms[exp(w5=1)]) == c5
@@ -684,100 +594,80 @@ def _check_r_basis(gb, level, r1_want, r2_text):
     )
 
 
+@_check
 def check_variety(ctx, level):
-    def fn():
-        gens = _ideal_generators(ctx, level, "P")
-        order = lex_order(tuple(reversed(gens[0].vars)))
-        gb = buchberger(gens, order)
-        table = toplevels.quartet_table(level)
-        pts = list(table.values())
-        member = all(point_membership(gens, pt) for pt in pts)
-        member_gb = all(point_membership(gb.elements, pt) for pt in pts)
-        rad = radical_multiplicity_check(gb, pts)
-        out = [
-            CheckResult(
-                f"variety_membership_k{level}",
-                "pass" if member and member_gb else "fail",
-                f"all {len(pts)} top-level quartets satisfy the ideal generators"
-                " and the reduced basis",
-            ),
-            CheckResult(
-                f"variety_radical_k{level}",
-                "pass" if rad else "fail",
-                f"{len(pts)} distinct points match the quotient dimension",
-            ),
-        ]
-        return out
-
-    return _run(ctx, f"variety:{level}", fn)
+    gens, gb = ctx.lex_basis(level, "P")
+    pts = list(toplevels.quartet_table(level).values())
+    member = all(point_membership(gens, pt) for pt in pts)
+    member_gb = all(point_membership(gb.elements, pt) for pt in pts)
+    return [
+        _result(
+            f"variety_membership_k{level}",
+            member and member_gb,
+            f"all {len(pts)} top-level quartets satisfy the ideal generators"
+            " and the reduced basis",
+        ),
+        _result(
+            f"variety_radical_k{level}",
+            radical_multiplicity_check(gb, pts),
+            f"{len(pts)} distinct points match the quotient dimension",
+        ),
+    ]
 
 
+@_check
 def check_toplevels(ctx, level):
-    def fn():
-        out = []
-        table = toplevels.quartet_table(level)
-        agree = all(
-            toplevels.eigenvalues_oracle(level, i, j) == q
-            for (i, j), q in table.items()
-        )
-        table_text = "; ".join(
-            f"({i},{j}): ({', '.join(str(x) for x in q)})"
-            for (i, j), q in sorted(table.items())
-        )
+    table = toplevels.quartet_table(level)
+    agree = all(
+        toplevels.eigenvalues_oracle(level, i, j) == q
+        for (i, j), q in table.items()
+    )
+    table_text = "; ".join(
+        f"({i},{j}): ({', '.join(str(x) for x in q)})"
+        for (i, j), q in sorted(table.items())
+    )
+    out = [
+        _result(
+            f"quartets_k{level}",
+            agree,
+            f"closed form and zero-mode oracle agree on {len(table)}"
+            f" vectors: {table_text}",
+        ),
+        _result(
+            f"toplevel_distinct_k{level}",
+            toplevels.quartets_distinct(table) and toplevels.pairs_distinct(table),
+            f"{len(table)} quartets pairwise distinct, (a2, a3) already distinct",
+        ),
+        _result(
+            f"toplevel_symmetry_k{level}",
+            toplevels.symmetry_check(level),
+            "a2/a4 invariant and a3/a5 negated under j -> i-j",
+        ),
+    ]
+    if level in (5, 6):
+        want = {
+            5: {Fraction(x) for x in reference.E_K5},
+            6: {Fraction(x) for x in reference.E_K6},
+        }[level]
+        got = toplevels.a2_set(table)
+        ok = got == want
+        if level == 5:
+            ok = ok and toplevels.no_integer_differences(got)
         out.append(
-            CheckResult(
-                f"quartets_k{level}",
-                "pass" if agree else "fail",
-                f"closed form and zero-mode oracle agree on {len(table)}"
-                f" vectors: {table_text}",
+            _result(
+                f"E_k{level}",
+                ok,
+                "{" + ", ".join(str(x) for x in sorted(got)) + "}"
+                + (", no two differ by an integer" if level == 5 else ""),
             )
         )
-        distinct = toplevels.quartets_distinct(table) and toplevels.pairs_distinct(
-            table
-        )
-        out.append(
-            CheckResult(
-                f"toplevel_distinct_k{level}",
-                "pass" if distinct else "fail",
-                f"{len(table)} quartets pairwise distinct, (a2, a3) already distinct",
-            )
-        )
-        sym = toplevels.symmetry_check(level)
-        out.append(
-            CheckResult(
-                f"toplevel_symmetry_k{level}",
-                "pass" if sym else "fail",
-                "a2/a4 invariant and a3/a5 negated under j -> i-j",
-            )
-        )
-        if level in (5, 6):
-            want = {
-                5: {Fraction(x) for x in reference.E_K5},
-                6: {Fraction(x) for x in reference.E_K6},
-            }[level]
-            got = toplevels.a2_set(table)
-            ok = got == want
-            if level == 5:
-                ok = ok and toplevels.no_integer_differences(got)
-            out.append(
-                CheckResult(
-                    f"E_k{level}",
-                    "pass" if ok else "fail",
-                    "{" + ", ".join(str(x) for x in sorted(got)) + "}"
-                    + (", no two differ by an integer" if level == 5 else ""),
-                )
-            )
-        return out
-
-    return _run(ctx, f"toplevels:{level}", fn)
+    return out
 
 
 def _k6_null_elements(ctx):
     """The seven vanishing elements of the level-6 simple quotient, as
     normal-form elements: u^0..u^3 and the weight 8, 9, 10 null fields."""
     ses = ctx.session(6)
-    from .walgebra import G3, G4
-
     elems = [singular.ur_normal_form(ses, r) for r in range(4)]
     for mono in (
         ((G3, -2), (G3, -2)),
@@ -788,46 +678,44 @@ def _k6_null_elements(ctx):
     return elems
 
 
+@_check
 def check_f_matrix(ctx):
-    def fn():
-        out = []
-        nulls = _k6_null_elements(ctx)
-        for tag, hw, flip in (
-            ("i1", reference.F_K6_HW_1, False),
-            ("i5", reference.F_K6_HW_5, True),
-        ):
-            rows = []
-            for p in range(4):
-                ref_row = [Fraction(x) for x in reference.F_K6_ROWS[p]]
-                if flip:
-                    # theta negates the odd generators W3 and W5 (the text
-                    # says c3/c5; the intended flip is on those columns)
-                    ref_row = [ref_row[0], -ref_row[1], ref_row[2], -ref_row[3]]
-                rows.append(ref_row)
-            res = toplevels.descendant_analysis(6, hw, nulls, rows)
-            ok = (
-                res["combined_rank"] == 4
-                and res["kernel_in_relations"]
-                and all(a for a in res["alphas"])
+    out = []
+    nulls = _k6_null_elements(ctx)
+    for tag, hw, flip in (
+        ("i1", reference.F_K6_HW_1, False),
+        ("i5", reference.F_K6_HW_5, True),
+    ):
+        rows = []
+        for p in range(4):
+            ref_row = [Fraction(x) for x in reference.F_K6_ROWS[p]]
+            if flip:
+                # theta negates the odd generators W3 and W5 (the text
+                # says c3/c5; the intended flip is on those columns)
+                ref_row = [ref_row[0], -ref_row[1], ref_row[2], -ref_row[3]]
+            rows.append(ref_row)
+        res = toplevels.descendant_analysis(6, hw, nulls, rows)
+        ok = (
+            res["combined_rank"] == 4
+            and res["kernel_in_relations"]
+            and all(a for a in res["alphas"])
+        )
+        mat_text = "; ".join(
+            "(" + ", ".join(str(x) for x in row) + ")" for row in res["matrix"]
+        )
+        out.append(
+            _result(
+                f"F_matrix_k6_{tag}",
+                ok,
+                "raising + null-relation system has rank 4 (trivial kernel"
+                " on honest modules); reference rows match the raising rows"
+                " modulo the null relations with nonzero scalars"
+                f" {[str(a) for a in res['alphas']]};"
+                f" raw raising matrix kernel (dim {res['kernel_dim']})"
+                f" equals the null-relation span; raising rows: {mat_text}",
             )
-            mat_text = "; ".join(
-                "(" + ", ".join(str(x) for x in row) + ")" for row in res["matrix"]
-            )
-            out.append(
-                CheckResult(
-                    f"F_matrix_k6_{tag}",
-                    "pass" if ok else "fail",
-                    "raising + null-relation system has rank 4 (trivial kernel"
-                    " on honest modules); reference rows match the raising rows"
-                    " modulo the null relations with nonzero scalars"
-                    f" {[str(a) for a in res['alphas']]};"
-                    f" raw raising matrix kernel (dim {res['kernel_dim']})"
-                    f" equals the null-relation span; raising rows: {mat_text}",
-                )
-            )
-        return out
-
-    return _run(ctx, "fmatrix", fn)
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -835,25 +723,30 @@ def check_f_matrix(ctx):
 # ---------------------------------------------------------------------------
 
 
+REPORT = (
+    (check_ope, ()),
+    (check_commutant, ()),
+    *((check_null_fields, (w,)) for w in (8, 9, 10)),
+    (check_zhu, ()),
+    (check_c2, ()),
+    *((check_singular, (k,)) for k in (2, 3, 4, 5, 6)),
+    *(
+        (check, (k, *args))
+        for k in (5, 6)
+        for check, args in (
+            (check_p_a_polynomials, ()),
+            (check_groebner, ("P",)),
+            (check_groebner, ("A",)),
+            (check_variety, ()),
+        )
+    ),
+    *((check_toplevels, (k,)) for k in (2, 3, 4, 5, 6)),
+    (check_f_matrix, ()),
+)
+
+
 def run_all(ctx):
-    results = []
-    results += check_ope(ctx)
-    results += check_commutant(ctx)
-    for w in (8, 9, 10):
-        results += check_null_fields(ctx, w)
-    results += check_zhu(ctx)
-    results += check_c2(ctx)
-    for k in (2, 3, 4, 5, 6):
-        results += check_singular(ctx, k)
-    for k in (5, 6):
-        results += check_p_a_polynomials(ctx, k)
-        results += check_groebner(ctx, k, "P")
-        results += check_groebner(ctx, k, "A")
-        results += check_variety(ctx, k)
-    for k in (2, 3, 4, 5, 6):
-        results += check_toplevels(ctx, k)
-    results += check_f_matrix(ctx)
-    return results
+    return [r for check, args in REPORT for r in check(ctx, *args)]
 
 
 def serialize(results, path_json, path_txt):

@@ -1,8 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
-from w2345 import cli, report
+import pytest
+
+from w2345 import cli, exprs, report, zhu
+from w2345.groebner import buchberger
+from w2345.scalars import domain as make_domain
 
 
 def run_cli(*args):
@@ -73,3 +79,71 @@ def test_cache_resume(tmp_path):
     r2 = report._run(ctx, "unit-test-key", fn)
     assert len(calls) == 1
     assert [r.name for r in r1] == [r.name for r in r2] == ["x"]
+
+
+def test_report_plan_cache_keys_distinct():
+    keys = [check.key(*args) for check, args in report.REPORT]
+    assert len(set(keys)) == len(keys)
+
+
+def test_singular_cache_key_includes_rmax(tmp_path, monkeypatch):
+    # A short run must not answer a later full run from the cache.  The
+    # normal forms are stubbed: only the cache key is under test here.
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    monkeypatch.setattr(report.singular, "ur_normal_form", lambda ses, r: {})
+    d = str(tmp_path)
+    short = report.check_singular(report.Context(cache_dir=d), 5, rmax=0)
+    full = report.check_singular(report.Context(cache_dir=d, resume=True), 5)
+    assert [r.name for r in short] == ["u0_theta_parity_k5", "u0_k5"]
+    assert [r.name for r in full] == ["u0_theta_parity_k5"] + [
+        f"u{r}_k5" for r in range(4)
+    ]
+
+
+def test_empty_cache_dir_variable_means_no_cache(monkeypatch):
+    monkeypatch.setenv("WORKBENCH_CACHE_DIR", "")
+    ctx = report.Context()
+    rows = report.check_toplevels(ctx, 2)
+    assert [r.status for r in rows] == ["pass"] * 3
+    assert ctx.cache_dir is None
+
+
+def test_torn_cache_write_leaves_no_entry(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    d = str(tmp_path)
+
+    def torn_dump(obj, fh):
+        fh.write('[{"name": "quartets_k2", "sta')
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(report.json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            report.check_toplevels(report.Context(cache_dir=d), 2)
+    assert os.listdir(d) == []
+    capsys.readouterr()
+    rows = report.check_toplevels(report.Context(cache_dir=d, resume=True), 2)
+    assert "[resume]" not in capsys.readouterr().err
+    assert [r.status for r in rows] == ["pass"] * 3
+    assert len(os.listdir(d)) == 1
+
+
+def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    qq = make_domain(0)
+    gens = [
+        exprs.parse_multipoly(t, zhu.W_VARS, qq).map_coeffs(Fraction)
+        for t in ("w2^2 - 1", "w3^2 - w2", "w4 - 1", "w5")
+    ]
+    monkeypatch.setattr(report, "_ideal_generators", lambda ctx, level, which: gens)
+    calls = []
+
+    def counting_buchberger(*args):
+        calls.append(1)
+        return buchberger(*args)
+
+    monkeypatch.setattr(report, "buchberger", counting_buchberger)
+    ctx = report.Context()
+    report.check_groebner(ctx, 5, "P")
+    report.check_variety(ctx, 5)
+    assert len(calls) == 1
