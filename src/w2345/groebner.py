@@ -7,8 +7,9 @@ are Fractions throughout (the ideals of interest live at a fixed level).
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from .multipoly import MultiPoly
 
@@ -82,27 +83,25 @@ def _reduce_full(terms, basis, key):
 
 class GroebnerBasis:
     """Reduced basis; elements are integer-primitive with positive leading
-    coefficient, sorted by increasing leading term."""
+    coefficient, sorted by increasing leading term.  The leading exponent of
+    each element is found once, here, and kept in ``leads``."""
 
     def __init__(self, vars, order, elements):
         self.vars = vars
         self.order = order
         self.elements = elements
+        self._key = order.for_vars(vars)
+        self.leads = [_lead(g.terms, self._key) for g in elements]
 
     def key(self):
-        return self.order.for_vars(self.vars)
+        return self._key
 
     def leading_terms(self):
-        key = self.key()
-        return [_lead(g.terms, key) for g in self.elements]
+        return list(self.leads)
 
     def normal_form(self, poly):
-        key = self.key()
-        basis = [
-            (_lead(g.terms, key), g.terms[_lead(g.terms, key)], g.terms)
-            for g in self.elements
-        ]
-        return MultiPoly(self.vars, _reduce_full(poly.terms, basis, key))
+        basis = [(m, g.terms[m], g.terms) for m, g in zip(self.leads, self.elements)]
+        return MultiPoly(self.vars, _reduce_full(poly.terms, basis, self._key))
 
 
 def buchberger(gens, order):
@@ -113,88 +112,90 @@ def buchberger(gens, order):
     vars = gens[0].vars
     key = order.for_vars(vars)
 
-    basis = []  # list of term dicts, monic
-
-    def lt(g):
-        return _lead(g, key)
+    # monic term dicts, each entry (leading exponent, 1, terms) as
+    # _reduce_full takes it
+    basis = []
+    one = Fraction(1)
 
     def add(terms):
-        m = lt(terms)
+        m = _lead(terms, key)
         lc = terms[m]
-        basis.append({e: c / lc for e, c in terms.items()})
+        basis.append((m, one, {e: c / lc for e, c in terms.items()}))
 
     for g in gens:
-        red = _reduce_full(
-            {e: Fraction(c) for e, c in g.terms.items()},
-            [(lt(b), Fraction(1), b) for b in basis],
-            key,
-        )
+        red = _reduce_full({e: Fraction(c) for e, c in g.terms.items()}, basis, key)
         if red:
             add(red)
 
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        # normal selection: smallest lcm in the order
-        pairs.sort(key=lambda p: key(_lcm(lt(basis[p[0]]), lt(basis[p[1]]))))
-        i, j = pairs.pop(0)
-        lti, ltj = lt(basis[i]), lt(basis[j])
+    # Pending pairs in a heap ordered by (key of lcm, insertion number): the
+    # smallest lcm first (normal selection), ties in insertion order.
+    heap = []
+    pending = set()
+    seq = count()
+
+    def push(i, j):
+        lcm = _lcm(basis[i][0], basis[j][0])
+        heapq.heappush(heap, (key(lcm), next(seq), i, j))
+        pending.add((i, j))
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        pending.remove((i, j))
+        (lti, _, gi), (ltj, _, gj) = basis[i], basis[j]
         lcm = _lcm(lti, ltj)
         if all(a + b == c for a, b, c in zip(lti, ltj, lcm)):
             continue  # coprime leading terms
         # chain criterion
-        skip = False
-        for l, bl in enumerate(basis):
-            if l in (i, j):
-                continue
-            if _divides(lt(bl), lcm):
-                pi = (min(i, l), max(i, l))
-                pj = (min(j, l), max(j, l))
-                if pi not in pairs and pj not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            l != i
+            and l != j
+            and _divides(ltl, lcm)
+            and (min(i, l), max(i, l)) not in pending
+            and (min(j, l), max(j, l)) not in pending
+            for l, (ltl, _, _) in enumerate(basis)
+        ):
             continue
         qi, qj = _quot(lcm, lti), _quot(lcm, ltj)
         s = {}
-        for m, c in basis[i].items():
+        for m, c in gi.items():
             mm = tuple(x + y for x, y in zip(m, qi))
             s[mm] = s.get(mm, Fraction(0)) + c
-        for m, c in basis[j].items():
+        for m, c in gj.items():
             mm = tuple(x + y for x, y in zip(m, qj))
             v = s.get(mm, Fraction(0)) - c
             if v:
                 s[mm] = v
             else:
                 s.pop(mm, None)
-        red = _reduce_full(s, [(lt(b), Fraction(1), b) for b in basis], key)
+        red = _reduce_full(s, basis, key)
         if red:
             add(red)
             new = len(basis) - 1
-            pairs.extend((i2, new) for i2 in range(new))
+            for i2 in range(new):
+                push(i2, new)
 
     # inter-reduce to the unique reduced basis
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
-            others = [
-                (lt(b), Fraction(1), b) for j2, b in enumerate(basis) if j2 != i
-            ]
-            red = _reduce_full(basis[i], others, key)
+            red = _reduce_full(basis[i][2], basis[:i] + basis[i + 1 :], key)
             if not red:
                 basis.pop(i)
                 changed = True
                 break
-            m = lt(red)
+            m = _lead(red, key)
             red = {e: c / red[m] for e, c in red.items()}
-            if red != basis[i]:
-                basis[i] = red
+            if red != basis[i][2]:
+                basis[i] = (m, one, red)
                 changed = True
 
     out = []
-    for b in sorted(basis, key=lambda b: key(lt(b))):
+    for m, _, b in sorted(basis, key=lambda entry: key(entry[0])):
         poly, _ = MultiPoly(vars, dict(b)).primitive_integer()
-        m = lt(poly.terms)
         if poly.terms[m] < 0:
             poly = -poly
         out.append(poly)
@@ -254,12 +255,10 @@ def radical_multiplicity_check(gb, points):
 
 def spoly_reductions_vanish(gb):
     """Buchberger criterion on the finished basis."""
-    key = gb.key()
-    els = gb.elements
+    els, leads = gb.elements, gb.leads
     for j in range(len(els)):
         for i in range(j):
-            ti = _lead(els[i].terms, key)
-            tj = _lead(els[j].terms, key)
+            ti, tj = leads[i], leads[j]
             lcm = _lcm(ti, tj)
             qi, qj = _quot(lcm, ti), _quot(lcm, tj)
             ci = els[i].terms[ti]

@@ -111,7 +111,9 @@ def word_apply(alg, word, n, wmono):
         for m2, c2 in sub.items():
             add_into(out, alg.apply_gen(g, t - i, m2), coef * c2)
     if imax1 >= -1 and word_apply(alg, rest, n + imax1 + 1, wmono):
-        raise TruncationError("branch-1 truncation bound violated")
+        raise TruncationError(
+            f"branch-1 truncation bound violated at word={word!r}, n={n}, mono={wmono!r}"
+        )
     # branch 2: -(-1)^m u_{-m+n-i} (a(i) w)
     sign_m = -1 if t % 2 else 1
     imax2 = alg.gen_weight(g) + wt_w - 1
@@ -124,7 +126,9 @@ def word_apply(alg, word, n, wmono):
         for m2, c2 in gw.items():
             add_into(out, word_apply(alg, rest, t + n - i, m2), coef * c2)
     if imax2 >= -1 and alg.apply_gen(g, imax2 + 1, wmono):
-        raise TruncationError("branch-2 truncation bound violated")
+        raise TruncationError(
+            f"branch-2 truncation bound violated at word={word!r}, n={n}, mono={wmono!r}"
+        )
     memo[key] = out
     return out
 

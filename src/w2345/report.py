@@ -4,10 +4,11 @@ Each check is a plain function ``check_*(ctx, *params)`` returning
 CheckResult rows with status pass / fail / computed-no-reference.  The one
 decorator ``_check`` caches every check through ``_run``: the cache key is
 the check's name plus every bound parameter, defaults included, and doubles
-as the check's label on stderr.  ``REPORT`` lists the (check, args) pairs of
-``w2345 report --all`` in report order.  The report file is deterministic:
-timings are logged to stderr only, never serialized, so identical runs
-produce identical bytes.
+as the check's label on stderr.  Entries are filed under a digest of the
+package sources too, so an edited package never replays old rows.
+``REPORT`` lists the (check, args) pairs of ``w2345 report --all`` in report
+order.  The report file is deterministic: timings are logged to stderr
+only, never serialized, so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,18 @@ from .scalars import UniPoly, domain as make_domain
 from .walgebra import G3, G4, Session, nf_parity
 
 SCHEMA_VERSION = "v1"
-CODE_VERSION = "w2345-0.1.0"
+
+
+@functools.cache
+def source_digest():
+    """sha256 over the package sources (reference data included), so any
+    edit to the code changes every cache key."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
 
 
 @dataclass
@@ -57,7 +69,7 @@ def _result(name, ok, payload):
 
 class Context:
     """Shared sessions, lex ideal bases and an optional result cache keyed
-    by check name and arguments."""
+    by the source digest, check name and arguments."""
 
     def __init__(self, cache_dir=None, resume=False):
         self._sessions = {}
@@ -80,18 +92,21 @@ class Context:
         return self._lex_bases[(level, which)]
 
     def _cache_path(self, key):
-        h = hashlib.sha256((CODE_VERSION + "|" + key).encode()).hexdigest()[:24]
+        h = hashlib.sha256((source_digest() + "|" + key).encode()).hexdigest()[:24]
         return os.path.join(self.cache_dir, f"{h}.json")
 
     def cached(self, key):
         if not self.resume:
             return None
         path = self._cache_path(key)
-        if os.path.exists(path):
+        if not os.path.exists(path):
+            return None
+        try:
             with open(path) as fh:
-                data = json.load(fh)
-            return [CheckResult(**row) for row in data]
-        return None
+                return [CheckResult(**row) for row in json.load(fh)]
+        except (ValueError, TypeError):
+            print(f"[cache] unreadable entry {key}, recomputing", file=sys.stderr)
+            return None
 
     def store(self, key, results):
         """Write the entry to a temporary file, then rename it into place, so
@@ -495,9 +510,10 @@ def check_groebner(ctx, level, which):
 
 
 def _sign_normalized(poly, gb):
-    key = gb.key()
+    """A reference polynomial under the basis convention: integer-primitive
+    with positive leading coefficient in the basis order."""
     poly, _ = poly.primitive_integer()
-    lead = max(poly.terms, key=key)
+    lead = max(poly.terms, key=gb.key())
     if Fraction(poly.terms[lead]) < 0:
         poly = -poly
     return poly
@@ -533,11 +549,7 @@ def _check_r_basis(gb, level, r1_want, r2_text):
         return False, f"basis has {len(gb.elements)} elements, expected 5"
     vars = gb.vars  # (w2, w3, w4, w5)
     iw2, iw3, iw4, iw5 = (vars.index(v) for v in ("w2", "w3", "w4", "w5"))
-    by_lead = {}
-    key = gb.key()
-    for g in gb.elements:
-        lead = max(g.terms, key=key)
-        by_lead[lead] = g
+    by_lead = dict(zip(gb.leads, gb.elements))
     details = []
     ok = True
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +80,71 @@ def test_cache_resume(tmp_path):
     r2 = report._run(ctx, "unit-test-key", fn)
     assert len(calls) == 1
     assert [r.name for r in r1] == [r.name for r in r2] == ["x"]
+
+
+def _counting_check(calls):
+    def fn():
+        calls.append(1)
+        return [report.CheckResult("x", "pass", "ran")]
+
+    return fn
+
+
+def test_edited_sources_miss_the_cache(tmp_path, monkeypatch):
+    # An entry written by other package sources must never be replayed.
+    calls = []
+    fn = _counting_check(calls)
+    report._run(report.Context(cache_dir=str(tmp_path)), "unit-test-key", fn)
+    monkeypatch.setattr(report, "source_digest", lambda: "0" * 64)
+    ctx = report.Context(cache_dir=str(tmp_path), resume=True)
+    report._run(ctx, "unit-test-key", fn)
+    assert len(calls) == 2
+    report._run(ctx, "unit-test-key", fn)
+    assert len(calls) == 2
+
+
+def test_source_digest_follows_every_source_file(tmp_path):
+    # A copy of the package: its digest matches until one file is edited.
+    pkg = tmp_path / "w2345"
+    shutil.copytree(os.path.dirname(report.__file__), pkg)
+
+    def digest():
+        proc = subprocess.run(
+            [sys.executable, "-c", "from w2345 import report; print(report.source_digest())"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    assert digest() == report.source_digest()
+    seen = {report.source_digest()}
+    for name in ("reference.py", "groebner.py"):
+        with open(pkg / name, "a") as fh:
+            fh.write("\n# edited\n")
+        seen.add(digest())
+    assert len(seen) == 3
+
+
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
+    calls = []
+    fn = _counting_check(calls)
+    ctx = report.Context(cache_dir=str(tmp_path), resume=True)
+    report._run(ctx, "unit-test-key", fn)
+    for garbage in ("{not json", '[{"name": "x"}]', '"rows"', "[1, 2]"):
+        with open(ctx._cache_path("unit-test-key"), "w") as fh:
+            fh.write(garbage)
+        capsys.readouterr()
+        rows = report._run(ctx, "unit-test-key", fn)
+        err = capsys.readouterr().err
+        assert "[cache] unreadable entry unit-test-key, recomputing" in err
+        assert "[resume]" not in err
+        assert [r.payload for r in rows] == ["ran"]
+    assert len(calls) == 5
+    # the recomputed rows were stored again and now replay
+    report._run(ctx, "unit-test-key", fn)
+    assert len(calls) == 5
 
 
 def test_report_plan_cache_keys_distinct():

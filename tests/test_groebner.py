@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from w2345 import exprs
+from w2345 import exprs, groebner
 from w2345.groebner import (
     MonomialOrder,
     buchberger,
@@ -106,3 +106,44 @@ def test_level5_dimension_order_independent(gses, ses5):
         gb = buchberger(gens, MonomialOrder(kind, ("w5", "w4", "w3", "w2")))
         dims.add(quotient_dimension(gb))
     assert dims == {15}
+
+
+# A small zero-dimensional ideal (quotient dimension 20) whose Buchberger run
+# selects, prunes and reduces enough pairs to pin the selection order.
+PINNED = ["w2^2*w3 - w4", "w3^2 - w2 + w5", "w4^2 - w3", "w5^2 - w2*w4 - 1"]
+
+
+def test_reduced_basis_independent_of_generator_order():
+    order = lex_order(("w5", "w4", "w3", "w2"))
+    gens = [poly(t) for t in PINNED]
+    want = [p.format() for p in buchberger(gens, order).elements]
+    assert len(want) == 4
+    rng = random.Random(11)
+    for _ in range(5):
+        rng.shuffle(gens)
+        assert [p.format() for p in buchberger(gens, order).elements] == want
+
+
+def test_stored_leading_terms_match_the_order():
+    gens = [poly(t) for t in PINNED]
+    for kind in ("lex", "grlex", "grevlex"):
+        gb = buchberger(gens, MonomialOrder(kind, ("w5", "w4", "w3", "w2")))
+        key = gb.key()
+        assert gb.leading_terms() == [max(g.terms, key=key) for g in gb.elements]
+        assert all(gb.elements[i].terms[m] > 0 for i, m in enumerate(gb.leading_terms()))
+
+
+def test_buchberger_reduction_count_is_pinned(monkeypatch):
+    # Same pair selection and the same two criteria give the same reductions:
+    # 89 calls of _reduce_full, generators and inter-reduction included.
+    calls = []
+    reduce_full = groebner._reduce_full
+
+    def counting(*args):
+        calls.append(1)
+        return reduce_full(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_full", counting)
+    gb = buchberger([poly(t) for t in PINNED], lex_order(("w5", "w4", "w3", "w2")))
+    assert quotient_dimension(gb) == 20
+    assert len(calls) == 89

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from w2345 import pbw
-from w2345.modes import element_mode, mode_power_apply
+from w2345.modes import TruncationError, element_mode, mode_power_apply, word_apply
 from w2345.pbw import E, F, H
 from w2345.scalars import comb_z
 
@@ -149,3 +151,37 @@ def test_mode_power(ses3):
     if w:
         got = pbw.canonical(d, mode_power_apply(ses3.pbw, omega, 1, 2, w))
         assert got == pbw.canonical(d, pbw.scale(w, Fraction(9)))
+
+
+class _NeverVanishing:
+    """Stub algebra: every generator mode sends every monomial to the vacuum,
+    so both truncation bounds of word_apply are violated."""
+
+    def __init__(self, mono_weight):
+        self.word_memo = {}
+        self._mono_weight = mono_weight
+
+    def gen_weight(self, g):
+        return 1
+
+    def mono_weight(self, mono):
+        return self._mono_weight
+
+    def apply_gen(self, g, t, mono):
+        return {(): 1}
+
+
+def test_truncation_error_names_word_mode_and_monomial():
+    word = (("a", -1),)
+    # mono weight -1: u_{n+1} w survives past the branch-1 bound
+    with pytest.raises(TruncationError) as err:
+        word_apply(_NeverVanishing(-1), word, -2, ())
+    assert str(err.value) == (
+        "branch-1 truncation bound violated at word=(('a', -1),), n=-2, mono=()"
+    )
+    # mono weight 0: a(1) w survives past the branch-2 bound
+    with pytest.raises(TruncationError) as err:
+        word_apply(_NeverVanishing(0), word, 0, ())
+    assert str(err.value) == (
+        "branch-2 truncation bound violated at word=(('a', -1),), n=0, mono=()"
+    )
