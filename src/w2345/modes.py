@@ -22,9 +22,18 @@ word of v with the iterate formula
 bottoming out at the ground state (1_n = delta_{n,-1}).  Both infinite sums
 truncate by weight; the truncation bound is verified by evaluating one extra
 term and checking that it vanishes.
+
+At an integer level the coefficients are plain ints: the affine central term
+uses the integer level, so the PBW memo tables hold ints, and element_mode
+clears the denominators of v and w on entry and divides each output
+coefficient by their product once.  Generic (RatFunc) coefficients pass
+through unchanged.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .scalars import comb_z
 
@@ -133,14 +142,30 @@ def word_apply(alg, word, n, wmono):
     return out
 
 
+def _clear(state):
+    """(integer dict, den) with state == integer dict / den, for int and
+    Fraction coefficients."""
+    den = 1
+    for c in state.values():
+        den = lcm(den, c.denominator)
+    return {m: c.numerator * (den // c.denominator) for m, c in state.items()}, den
+
+
 def element_mode(alg, elem, n, state):
     """v_n w for an element dict v (word -> coeff) and a state dict w."""
+    den = 1
+    if not alg.domain.is_generic:
+        elem, dv = _clear(elem)
+        state, dw = _clear(state)
+        den = dv * dw
     out = {}
     for word, cv in elem.items():
         for wmono, cw in state.items():
             c = cv * cw
             if c:
                 add_into(out, word_apply(alg, word, n, wmono), c)
+    if den != 1:
+        out = {m: Fraction(c, den) for m, c in out.items()}
     return out
 
 

@@ -46,7 +46,8 @@ class PBWAlgebra(NormalOrdering):
     def __init__(self, domain):
         super().__init__()
         self.domain = domain
-        self.k = domain.k
+        # the integer level keeps the memo tables on plain ints
+        self.k = domain.k if domain.is_generic else domain.level
 
     def gen_weight(self, g):
         return 1

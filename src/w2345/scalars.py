@@ -250,7 +250,7 @@ def ip_gcd(a, b):
     if b and b[-1] == 0:
         b = ip_trim(b)
     if not a:
-        return _ip_primitive_pos(b) if b and b[-1] < 0 else (b or IP_ZERO)
+        return ip_neg(b) if b and b[-1] < 0 else (b or IP_ZERO)
     if not b:
         return a if a[-1] > 0 else ip_neg(a)
     ca, cb = ip_content(a), ip_content(b)

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from w2345.walgebra import Session
+
+# Property tests run the same examples every time and never fail on a slow
+# example, so the suite is deterministic on a loaded host.
+settings.register_profile("w2345", deadline=None, derandomize=True)
+settings.load_profile("w2345")
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,10 @@ from math import factorial
 import pytest
 
 from w2345 import pbw
-from w2345.modes import TruncationError, element_mode, mode_power_apply, word_apply
+from w2345.modes import TruncationError, add_into, element_mode, mode_power_apply, word_apply
 from w2345.pbw import E, F, H
 from w2345.scalars import comb_z
+from w2345.walgebra import Session, enumerate_nf
 
 
 def _random_state(rng, dom, max_weight=3, terms=2):
@@ -151,6 +152,50 @@ def test_mode_power(ses3):
     if w:
         got = pbw.canonical(d, mode_power_apply(ses3.pbw, omega, 1, 2, w))
         assert got == pbw.canonical(d, pbw.scale(w, Fraction(9)))
+
+
+def test_level_memo_tables_hold_ints(ses5):
+    # the central term uses the integer level, so no Fraction reaches the
+    # PBW memo tables
+    ses5.ope_entry(3, 3, 1)
+    alg = ses5.pbw
+    assert alg._gen_memo and alg.word_memo
+    for memo in (alg._gen_memo, alg.word_memo):
+        for state in memo.values():
+            assert all(type(c) is int for c in state.values())
+
+
+def test_element_mode_with_fractions_matches_double_loop(ses5):
+    d = ses5.domain
+    alg = ses5.pbw
+    omega = ses5.conformal()[2]
+    assert max(c.denominator for c in omega.values()) == 70
+    w = {
+        ((H, -2), (E, -1)): Fraction(3, 4),
+        ((E, -1), (F, -2)): Fraction(-5, 6),
+        ((H, -1), (H, -1), (H, -1)): Fraction(2, 9),
+        ((E, -3),): Fraction(7),
+    }
+    for n in range(-2, 5):
+        want = {}
+        for word, cv in omega.items():
+            for mono, cw in w.items():
+                add_into(want, word_apply(alg, word, n, mono), cv * cw)
+        got = element_mode(alg, omega, n, w)
+        assert pbw.canonical(d, got) == pbw.canonical(d, want)
+    assert any(c.denominator > 1 for c in pbw.canonical(d, got).values())
+
+
+@pytest.mark.parametrize("k0", (7, 11))
+def test_level_nf_expand_is_generic_specialized(gses, k0):
+    # the integer-level mode calculus against the generic one, on every
+    # normal-form word of weight 2..8
+    lev = Session(k0)
+    words = [m for d in range(2, 9) for m in enumerate_nf(d)]
+    assert len(words) == 69
+    for m in words:
+        want = pbw.canonical(lev.domain, gses.nf_expand(m))
+        assert pbw.canonical(lev.domain, lev.nf_expand(m)) == want
 
 
 class _NeverVanishing:

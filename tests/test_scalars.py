@@ -1,18 +1,28 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from w2345.linalg import _PolyCarrier
 from w2345.scalars import (
     RF_K,
     RF_ONE,
     RatFunc,
     SpecializationError,
     UniPoly,
+    _ip_gcd_subresultant,
+    _ip_primitive_pos,
     comb_z,
     domain,
+    ip_content,
     ip_gcd,
     ip_mul,
+    ip_mul_int,
+    ip_neg,
+    ip_trim,
     ratfunc_normalize,
     specialize,
 )
@@ -136,3 +146,73 @@ def test_comb_z():
 def test_power_and_k():
     assert RF_K**2 + RF_ONE == rf("k^2+1")
     assert (RF_K + 1) ** 3 == rf("(k+1)^3")
+
+
+# Integer polynomials, low degree first, times an integer content: zero,
+# constants, negative leads and contents above 1 all occur.
+ipoly = st.builds(
+    lambda c, p: ip_mul_int(ip_trim(p), c),
+    st.integers(-6, 6),
+    st.lists(st.integers(-9, 9), max_size=5),
+)
+
+
+def _primitive_gcd(a, b):
+    """Primitive gcd with positive lead, by the subresultant sequence."""
+    if not a or not b:
+        return _ip_primitive_pos(a or b)
+    return _ip_gcd_subresultant(_ip_primitive_pos(a), _ip_primitive_pos(b))
+
+
+def test_ip_gcd_keeps_content_when_one_side_is_zero():
+    assert ip_gcd((), (-4,)) == (4,)
+    assert ip_gcd((), (4,)) == (4,)
+    assert ip_gcd((), (-6, -4)) == (6, 4)
+    assert ip_gcd((-6, -4), ()) == (6, 4)
+    assert _PolyCarrier.content_reduce([(-6,), (4,)]) == [(-3,), (2,)]
+
+
+@given(ipoly)
+def test_ip_gcd_with_zero_is_the_other_side_with_positive_lead(b):
+    want = ip_neg(b) if b and b[-1] < 0 else b
+    assert ip_gcd((), b) == want
+    assert ip_gcd(b, ()) == want
+
+
+@given(ipoly, ipoly, ipoly)
+def test_ip_gcd_is_content_gcd_times_primitive_gcd(a, b, f):
+    # a shared factor f makes the primitive gcd nontrivial
+    a, b = ip_mul(a, f), ip_mul(b, f)
+    got = ip_gcd(a, b)
+    if not a and not b:
+        assert got == ()
+        return
+    assert got[-1] > 0
+    c = gcd(ip_content(a), ip_content(b))
+    assert got == ip_mul_int(_primitive_gcd(a, b), c)
+
+
+@given(ipoly, ipoly, ipoly)
+def test_ip_gcd_matches_subresultant_on_primitive_inputs(a, b, f):
+    a = _ip_primitive_pos(ip_mul(a, f))
+    b = _ip_primitive_pos(ip_mul(b, f))
+    if a and b:
+        assert ip_gcd(a, b) == _ip_gcd_subresultant(a, b)
+
+
+@given(st.lists(ipoly, min_size=1, max_size=5), ipoly)
+def test_content_reduce_leaves_content_one(row, f):
+    row = [ip_mul(v, f) for v in row]
+    got = _PolyCarrier.content_reduce(row)
+    g = ()
+    for v in got:
+        g = ip_gcd(g, v)
+    if any(row):
+        assert g == (1,)
+        # the row is a multiple of the reduced row by one polynomial
+        h = ()
+        for v in row:
+            h = ip_gcd(h, v)
+        assert [ip_mul(v, h) for v in got] == row
+    else:
+        assert got == row
