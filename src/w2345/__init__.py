@@ -5,7 +5,7 @@ quotient polynomial images, singular vectors at levels 2..6, Groebner
 certificates, and module top-level eigenvalues.
 """
 
-from .scalars import Rat, RatFunc, UniPoly, domain, ratfunc_normalize, specialize
+from .scalars import Rat, RatFunc, domain, specialize
 from .walgebra import Session
 
 __version__ = "0.1.0"
@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Rat",
     "RatFunc",
-    "UniPoly",
     "domain",
-    "ratfunc_normalize",
     "specialize",
     "Session",
     "__version__",

@@ -349,7 +349,3 @@ def format_pbw(elt, domain):
 
 def format_nf(elt, domain):
     return format_element(elt, domain, "nf")
-
-
-def format_scalar(s, domain):
-    return domain.fmt(s)

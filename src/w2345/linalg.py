@@ -6,7 +6,7 @@ generic mode), combined by cross-multiplication, and re-divided by their
 content after every step.  No fractions are ever stored inside a row, which
 is what keeps the large generic-k systems tractable.
 
-``SpanSolver`` is the incremental engine used on sparse states; ``solve_linear``
+``SpanSolver`` is the incremental engine used on sparse states; ``nullspace``
 is the dense matrix entry point (vectors are columns).
 """
 
@@ -298,47 +298,21 @@ class SpanSolver:
 # ---------------------------------------------------------------------------
 
 
-def solve_linear(matrix, mode, domain):
-    """Exact kernel or target expression for a dense matrix of scalars.
-
-    ``nullspace``: basis of {x : matrix @ x = 0}, each vector normalized to
-    primitive integer entries with the first nonzero entry positive.
-
-    ``express-target``: writes the last column in the span of the others and
-    returns the coordinate list; raises NotInSpanError otherwise.
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    cols = [
-        {i: matrix[i][j] for i in range(nrows) if matrix[i][j]} for j in range(ncols)
-    ]
-    solver = SpanSolver(domain)
-    if mode == "nullspace":
-        basis = []
-        for j, col in enumerate(cols):
-            rel = solver.insert(col)
-            if rel is not None:
-                vec = [rel.get(i, domain.zero) for i in range(j + 1)]
-                vec += [domain.zero] * (ncols - j - 1)
-                basis.append(_normalize_vector(vec, domain))
-        return basis
-    if mode == "express-target":
-        if ncols == 0:
-            raise ValueError("express-target needs at least one column")
-        for col in cols[:-1]:
-            solver.insert(col)
-        coords = solver.express(cols[-1])
-        return [coords.get(i, domain.zero) for i in range(ncols - 1)]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def rank(matrix, domain):
+def nullspace(matrix, domain):
+    """Basis of {x : matrix @ x = 0} for a dense matrix of scalars, each
+    vector normalized to primitive integer entries with the first nonzero
+    entry positive."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     solver = SpanSolver(domain)
+    basis = []
     for j in range(ncols):
-        solver.insert({i: matrix[i][j] for i in range(nrows) if matrix[i][j]})
-    return solver.rank
+        rel = solver.insert({i: matrix[i][j] for i in range(nrows) if matrix[i][j]})
+        if rel is not None:
+            vec = [rel.get(i, domain.zero) for i in range(j + 1)]
+            vec += [domain.zero] * (ncols - j - 1)
+            basis.append(_normalize_vector(vec, domain))
+    return basis
 
 
 def _normalize_vector(vec, domain):

@@ -69,9 +69,6 @@ class MultiPoly:
     def constant_value(self):
         return self.terms.get((0,) * len(self.vars), 0)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):

@@ -88,34 +88,12 @@ def scale(state, coeff):
     return {m: coeff * c for m, c in state.items()}
 
 
-def states_equal(domain, a, b):
-    return canonical(domain, a) == canonical(domain, b)
-
-
 def weight(state):
     """Common weight of a nonzero state, or None when inhomogeneous."""
     if not state:
         raise ValueError("the zero state has no weight")
     ws = {mono_weight(m) for m in state}
     return ws.pop() if len(ws) == 1 else None
-
-
-def h0_eigenvalue(state):
-    if not state:
-        raise ValueError("the zero state has no h(0) eigenvalue")
-    vals = {mono_h0(m) for m in state}
-    return vals.pop() if len(vals) == 1 else None
-
-
-def weight_component(state, d):
-    return {m: c for m, c in state.items() if mono_weight(m) == d}
-
-
-def split_by_weight(state):
-    out = {}
-    for m, c in state.items():
-        out.setdefault(mono_weight(m), {})[m] = c
-    return out
 
 
 def theta(alg, state):
@@ -137,12 +115,6 @@ def theta(alg, state):
             img = nxt
         add_into(out, img, c)
     return out
-
-
-def theta_projection(alg, domain, state, parity):
-    """Component of a state in the +1 or -1 eigenspace of theta."""
-    half = domain.scalar(1) / 2
-    return add_into(scale(state, half), theta(alg, state), half if parity > 0 else -half)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +143,15 @@ def enumerate_monomials(d, h0=None):
             for ph in _partitions(dh):
                 for pe in _partitions(de):
                     for pf in _partitions(df):
-                        if h0 is not None and 2 * (len(pe) - len(pf)) != h0:
-                            continue
                         mono = (
                             tuple((H, -i) for i in ph)
                             + tuple((E, -j) for j in pe)
                             + tuple((F, -m) for m in pf)
                         )
-                        out.append(mono)
+                        if h0 is None or mono_h0(mono) == h0:
+                            out.append(mono)
     out.sort()
     return out
-
-
-def dim_weight_space(d):
-    """Number of PBW monomials of weight d (3-colored partitions)."""
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
-    ways = [1] + [0] * d
-    for n in range(1, d + 1):
-        for _ in range(3):
-            for j in range(n, d + 1):
-                ways[j] += ways[j - n]
-    return ways[d]
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +163,3 @@ def parse_state(text, domain):
     from . import exprs
 
     return exprs.parse_pbw(text, domain)
-
-
-def format_state(state, domain):
-    from . import exprs
-
-    return exprs.format_pbw(canonical(domain, state), domain)

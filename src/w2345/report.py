@@ -35,7 +35,7 @@ from .groebner import (
     standard_monomials,
 )
 from .multipoly import MultiPoly
-from .scalars import UniPoly, domain as make_domain
+from .scalars import domain as make_domain, ip_gcd
 from .walgebra import G3, G4, Session, nf_parity
 
 SCHEMA_VERSION = "v1"
@@ -425,25 +425,6 @@ def check_p_a_polynomials(ctx, level):
     return out
 
 
-def _factored_unipoly(text):
-    """Parse a product like w2*(5*w2-6)*... into a UniPoly in w2."""
-    dom = make_domain(0)
-    poly = exprs.parse_multipoly(text, ("w2",), dom)
-    coeffs = {}
-    for e, c in poly.terms.items():
-        coeffs[e[0]] = Fraction(c)
-    return UniPoly.from_map(coeffs)
-
-
-def _as_unipoly_in(poly, var_index):
-    coeffs = {}
-    for e, c in poly.terms.items():
-        if any(x for i, x in enumerate(e) if i != var_index):
-            raise ValueError("polynomial is not univariate")
-        coeffs[e[var_index]] = Fraction(c)
-    return UniPoly.from_map(coeffs)
-
-
 @_check
 def check_groebner(ctx, level, which):
     _, gb = ctx.lex_basis(level, which)
@@ -462,11 +443,9 @@ def check_groebner(ctx, level, which):
         )
         ok = ok and std == want_std
         # R1, R2 exact; R3..R5 printed data
-        r1 = _factored_unipoly(
-            reference.R1_K5_TEXT if level == 5 else reference.R1_K6_TEXT
-        )
+        r1t = reference.R1_K5_TEXT if level == 5 else reference.R1_K6_TEXT
         r2t = reference.R2_K5_TEXT if level == 5 else reference.R2_K6_TEXT
-        okr, details = _check_r_basis(gb, level, r1, r2t)
+        okr, details = _check_r_basis(gb, level, r1t, r2t)
         out = [
             _result(
                 f"GB_P_k{level}",
@@ -527,7 +506,19 @@ def _same_basis(got, wants):
     return gset == wset
 
 
-def _check_r_basis(gb, level, r1_want, r2_text):
+def _w2_coeffs(poly, iw2):
+    """A polynomial in w2 alone as an integer-primitive coefficient tuple
+    (low degree first, positive lead); ValueError on any other variable."""
+    if any(x for e in poly.terms for i, x in enumerate(e) if i != iw2):
+        raise ValueError("polynomial is not univariate")
+    poly, _ = poly.primitive_integer()
+    coeffs = [0] * (max((e[iw2] for e in poly.terms), default=-1) + 1)
+    for e, c in poly.terms.items():
+        coeffs[e[iw2]] = int(c)
+    return tuple(coeffs)
+
+
+def _check_r_basis(gb, level, r1_text, r2_text):
     """The P-ideal basis: R1, R2 exact, R3..R5 on the printed data."""
     if level == 5:
         c3, c4, c5 = (
@@ -550,6 +541,7 @@ def _check_r_basis(gb, level, r1_want, r2_text):
     vars = gb.vars  # (w2, w3, w4, w5)
     iw2, iw3, iw4, iw5 = (vars.index(v) for v in ("w2", "w3", "w4", "w5"))
     by_lead = dict(zip(gb.leads, gb.elements))
+    dom0 = make_domain(0)
     details = []
     ok = True
 
@@ -560,12 +552,12 @@ def _check_r_basis(gb, level, r1_want, r2_text):
         return tuple(e)
 
     # R1: univariate in w2
-    r1 = by_lead.get(exp(w2=r1_want.degree))
-    if r1 is None or _as_unipoly_in(r1, iw2) != r1_want:
+    r1_want = exprs.parse_multipoly(r1_text, vars, dom0)
+    r1 = _w2_coeffs(r1_want, iw2)
+    if by_lead.get(exp(w2=len(r1) - 1)) != r1_want:
         ok = False
         details.append("R1 mismatch")
     # R2: w3 * (univariate in w2)
-    dom0 = make_domain(0)
     r2_want = exprs.parse_multipoly(r2_text, vars, dom0).map_coeffs(Fraction)
     r2_want, _ = r2_want.primitive_integer()
     deg2 = max(e[iw2] for e in r2_want.terms)
@@ -573,7 +565,8 @@ def _check_r_basis(gb, level, r1_want, r2_text):
     if r2 is None or r2 != r2_want:
         ok = False
         details.append("R2 mismatch")
-    # R3 = p(w2) + c3 w3^2 and R4 = q(w2) + c4 w4
+    # R3 = p(w2) + c3 w3^2 and R4 = q(w2) + c4 w4; by Gauss's lemma the
+    # primitive gcd over Z is the monic gcd over Q up to its content
     for label, lead, c_lead, deg, common_text in (
         ("R3", exp(w3=2), c3, dp, pc_text),
         ("R4", exp(w4=1), c4, dq, qc_text),
@@ -582,9 +575,9 @@ def _check_r_basis(gb, level, r1_want, r2_text):
         ok_r = rr is not None and Fraction(rr.terms[lead]) == c_lead
         if ok_r:
             u = MultiPoly(vars, {e: c for e, c in rr.terms.items() if e != lead})
-            uu = _as_unipoly_in(u, iw2)
-            ok_r = uu.degree == deg
-            ok_r = ok_r and uu.gcd(r1_want) == _factored_unipoly(common_text).monic()
+            uu = _w2_coeffs(u, iw2)
+            common = _w2_coeffs(exprs.parse_multipoly(common_text, vars, dom0), iw2)
+            ok_r = len(uu) - 1 == deg and ip_gcd(uu, r1) == common
         if not ok_r:
             ok = False
             details.append(f"{label} mismatch")
@@ -595,9 +588,10 @@ def _check_r_basis(gb, level, r1_want, r2_text):
         rest = {e: c for e, c in r5.terms.items() if e != exp(w5=1)}
         ok5 = all(e[iw3] == 1 and e[iw4] == 0 and e[iw5] == 0 for e in rest)
         if ok5:
-            ru = UniPoly.from_map({e[iw2]: Fraction(c) for e, c in rest.items()})
-            ok5 = ru.degree == dr
-            ok5 = ok5 and ru.gcd(r1_want).degree == 0
+            ru = _w2_coeffs(
+                MultiPoly(vars, {exp(w2=e[iw2]): c for e, c in rest.items()}), iw2
+            )
+            ok5 = len(ru) - 1 == dr and len(ip_gcd(ru, r1)) == 1
     if not ok5:
         ok = False
         details.append("R5 mismatch")

@@ -21,7 +21,6 @@ Rat = Fraction
 
 __all__ = [
     "Rat",
-    "UniPoly",
     "RatFunc",
     "RF_ZERO",
     "RF_ONE",
@@ -31,7 +30,6 @@ __all__ = [
     "domain",
     "GenericDomain",
     "LevelDomain",
-    "ratfunc_normalize",
     "specialize",
 ]
 
@@ -76,10 +74,6 @@ def ip_add(a, b):
 
 def ip_neg(a):
     return tuple(-x for x in a)
-
-
-def ip_sub(a, b):
-    return ip_add(a, ip_neg(b))
 
 
 def ip_mul(a, b):
@@ -327,194 +321,6 @@ def ip_format(a, symbol="k"):
 
 
 # ---------------------------------------------------------------------------
-# UniPoly: dense univariate polynomial over Q, the public-facing polynomial
-# type (exact-arithmetic API and the univariate checks on Groebner output).
-# ---------------------------------------------------------------------------
-
-
-class UniPoly:
-    """Univariate polynomial with Fraction coefficients, low degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_map(cls, m):
-        if not m:
-            return cls()
-        deg = max(m)
-        cs = [Fraction(0)] * (deg + 1)
-        for d, c in m.items():
-            cs[d] = Fraction(c)
-        return cls(cs)
-
-    @classmethod
-    def const(cls, c):
-        return cls((Fraction(c),))
-
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (() if other == 0 else (Fraction(other),))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        other = _as_unipoly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = _as_unipoly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_unipoly(other)
-        if other is None:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        out = UniPoly.const(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_int_tuple(self):
-        """Clear denominators: returns (int tuple, common denominator)."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return tuple(int(c * den) for c in self.coeffs), den
-
-    @classmethod
-    def from_int_tuple(cls, t):
-        return cls(tuple(Fraction(c) for c in t))
-
-    def divexact(self, other):
-        a, da = self.to_int_tuple()
-        b, db = other.to_int_tuple()
-        # (a/da) / (b/db) = (a*db) / (b*da)
-        num = ip_mul_int(a, db)
-        q, r = _ip_divmod_q(num, b)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        return UniPoly(tuple(Fraction(c) / da for c in q))
-
-    def gcd(self, other):
-        a, _ = self.to_int_tuple()
-        b, _ = other.to_int_tuple()
-        return UniPoly.from_int_tuple(ip_gcd(a, b)).monic()
-
-    def monic(self):
-        if not self.coeffs:
-            return self
-        lc = self.coeffs[-1]
-        return UniPoly(tuple(c / lc for c in self.coeffs))
-
-    def format(self, symbol="k"):
-        t, den = self.to_int_tuple()
-        s = ip_format(t, symbol)
-        if den == 1:
-            return s
-        return f"({s})/{den}"
-
-    def __repr__(self):
-        return f"UniPoly({self.format()})"
-
-
-def _as_unipoly(x):
-    if isinstance(x, UniPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return UniPoly.const(x)
-    return None
-
-
-def _ip_divmod_q(a, b):
-    """Division with rational quotient coefficients cleared lazily; returns
-    integer-scaled quotient only when exact.  Helper for UniPoly.divexact."""
-    if not b:
-        raise ZeroDivisionError
-    rem = [Fraction(c) for c in a]
-    db = len(b) - 1
-    if not a:
-        return IP_ZERO, ()
-    if len(a) - 1 < db:
-        return IP_ZERO, ip_trim(tuple(rem))
-    lb = b[-1]
-    out = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        q = c / lb
-        out[i - db] = q
-        for j in range(db + 1):
-            rem[i - db + j] -= q * b[j]
-    rem = [c for c in rem[:db]]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(out), tuple(rem)
-
-
-# ---------------------------------------------------------------------------
 # RatFunc: reduced rational function in k over Q.
 # ---------------------------------------------------------------------------
 
@@ -574,17 +380,6 @@ class RatFunc:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def num(self):
-        return UniPoly.from_int_tuple(self.n)
-
-    @property
-    def den(self):
-        return UniPoly.from_int_tuple(self.d)
-
-    def is_polynomial(self):
-        return self.d == IP_ONE
-
     def __bool__(self):
         return bool(self.n)
 
@@ -595,8 +390,9 @@ class RatFunc:
         return self.n == o.n and self.d == o.d
 
     def __hash__(self):
-        if self.d == IP_ONE and len(self.n) <= 1:
-            return hash(Fraction(self.n[0] if self.n else 0))
+        # a constant hashes as the Fraction it equals
+        if len(self.n) <= 1 and len(self.d) == 1:
+            return hash(Fraction(self.n[0] if self.n else 0, self.d[0]))
         return hash((self.n, self.d))
 
     # -- arithmetic ---------------------------------------------------------
@@ -733,15 +529,6 @@ RF_ONE = RatFunc.from_int(1)
 RF_K = RatFunc.poly((0, 1))
 
 
-def ratfunc_normalize(num, den):
-    """Reduced, sign-normalized rational function num/den (UniPoly inputs)."""
-    if not den:
-        raise ZeroDivisionError("zero denominator in rational function")
-    a, da = num.to_int_tuple()
-    b, db = den.to_int_tuple()
-    return RatFunc(ip_mul_int(a, db), ip_mul_int(b, da))
-
-
 def specialize(s, k0):
     """Exact evaluation of a generic scalar at integer level k0."""
     if isinstance(s, RatFunc):
@@ -773,9 +560,6 @@ class GenericDomain:
             return RatFunc.from_int(x)
         if isinstance(x, Fraction):
             return RatFunc.from_fraction(x)
-        if isinstance(x, UniPoly):
-            t, den = x.to_int_tuple()
-            return RatFunc(t, (den,))
         raise TypeError(f"cannot coerce {x!r} to a generic scalar")
 
     def fmt(self, s):
@@ -804,8 +588,6 @@ class LevelDomain:
             return Fraction(x)
         if isinstance(x, RatFunc):
             return x.specialize(self.level)
-        if isinstance(x, UniPoly):
-            return x(self.level)
         raise TypeError(f"cannot coerce {x!r} to a level-{self.level} scalar")
 
     def fmt(self, s):

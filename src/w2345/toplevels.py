@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import exprs, reference
-from .linalg import solve_linear
+from .linalg import nullspace
 from .scalars import domain as make_domain
 from .walgebra import NF_GEN_WEIGHTS, HWModule
 
@@ -177,7 +177,7 @@ def descendant_matrix(kval, hw):
 
 def descendant_kernel(matrix, kval):
     dom = make_domain(kval)
-    return solve_linear(matrix, "nullspace", dom)
+    return nullspace(matrix, dom)
 
 
 def descendant_relations(kval, hw, null_elements):
@@ -257,15 +257,3 @@ def descendant_analysis(kval, hw, null_elements, ref_rows):
         "combined_rank": combined.rank,
         "alphas": alphas,
     }
-
-
-def row_proportional(row, ref_row):
-    """Projective comparison; returns the scalar row = scalar * ref_row."""
-    ref = [Fraction(x) for x in ref_row]
-    pivot = next(i for i, x in enumerate(ref) if x)
-    if not row[pivot]:
-        return None
-    scalar = Fraction(row[pivot]) / ref[pivot]
-    if all(Fraction(row[i]) == scalar * ref[i] for i in range(len(ref))):
-        return scalar
-    return None

@@ -52,13 +52,6 @@ def nf_parity(mono):
     return -1 if odd % 2 else 1
 
 
-def nf_element_weight(elem):
-    ws = {nf_weight(m) for m in elem}
-    if len(ws) > 1:
-        return None
-    return ws.pop() if ws else None
-
-
 def _partitions_min(n, minpart, maxpart=None):
     """Weakly decreasing partitions of n with parts >= minpart."""
     if maxpart is None:
@@ -147,15 +140,16 @@ class HWModule(WAlgebra):
 
 
 class _NFBasis:
-    __slots__ = ("weight", "monos", "eliminated", "solver", "idx2mono", "rank")
+    __slots__ = ("weight", "monos", "eliminated", "solver", "idx2mono", "rank", "found")
 
-    def __init__(self, weight, monos, eliminated, solver, idx2mono):
+    def __init__(self, weight, monos, eliminated, solver, idx2mono, found):
         self.weight = weight
         self.monos = monos
         self.eliminated = eliminated
         self.solver = solver
         self.idx2mono = idx2mono
         self.rank = len(idx2mono)
+        self.found = found  # word found dependent -> its null relation
 
 
 class Session:
@@ -290,6 +284,7 @@ class Session:
         solver = SpanSolver(self.domain)
         idx2mono = {}
         eliminated = list(ELIMINATED.get(d, ()))
+        found = {}
         for mono in monos:
             if mono in fixed:
                 continue
@@ -302,7 +297,13 @@ class Session:
                         f"unexpected dependency at weight {d}: {mono}"
                     )
                 eliminated.append(mono)
-        nb = _NFBasis(d, monos, tuple(eliminated), solver, idx2mono)
+                # the relation is unique: scale it to coefficient 1 on mono
+                lam = rel.pop(solver.count - 1)
+                found[mono] = {
+                    mono: self.domain.one,
+                    **{idx2mono[i]: c / lam for i, c in rel.items()},
+                }
+        nb = _NFBasis(d, monos, tuple(eliminated), solver, idx2mono, found)
         self._nf_bases[d] = nb
         return nb
 
@@ -387,9 +388,11 @@ class Session:
         if rels is None:
             rels = []
             for x in nb.eliminated:
-                rel = {x: self.domain.one}
-                for m, c in self.express(self.nf_expand(x), d).items():
-                    rel[m] = -c
+                rel = nb.found.get(x)
+                if rel is None:
+                    rel = {x: self.domain.one}
+                    for m, c in self.express(self.nf_expand(x), d).items():
+                        rel[m] = -c
                 rels.append(rel)
             self._null_fields[d] = rels
         return [

@@ -164,8 +164,3 @@ class ZhuC2:
             b2.map_coeffs(self.dom.scalar),
             scalar,
         )
-
-    def b2_polynomial(self):
-        """The weight-10 C2-kernel polynomial and its recorded scalar."""
-        _, _, b2, scalar = self.b_polynomials()
-        return b2, scalar

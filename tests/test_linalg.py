@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from w2345.linalg import NotInSpanError, SpanSolver, rank, solve_linear
-from w2345.scalars import domain
+from w2345.linalg import NotInSpanError, SpanSolver, nullspace
+from w2345.scalars import RatFunc, domain
 
 QQ = domain(3)
 GEN = domain()
@@ -12,12 +13,12 @@ GEN = domain()
 
 def test_identity_nullspace_empty():
     m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert solve_linear(m, "nullspace", QQ) == []
+    assert nullspace(m, QQ) == []
 
 
 def test_rank_deficient_nullspace():
     m = [[1, 2], [2, 4]]
-    basis = solve_linear(m, "nullspace", QQ)
+    basis = nullspace(m, QQ)
     assert len(basis) == 1
     v = basis[0]
     # normalized primitive with positive first entry: (2, -1) ~ (-2, 1)
@@ -25,20 +26,26 @@ def test_rank_deficient_nullspace():
     assert v[0] * 1 + v[1] * 2 == 0
 
 
+def _solver_over_columns(cols, dom):
+    solver = SpanSolver(dom)
+    for col in cols:
+        solver.insert({i: x for i, x in enumerate(col) if x})
+    return solver
+
+
 def test_express_target():
-    m = [[1, 0, 1], [0, 1, 1]]
-    coords = solve_linear(m, "express-target", QQ)
-    assert coords == [Fraction(1), Fraction(1)]
-    m2 = [[1, 0, 0], [0, 0, 1]]
+    # columns (1, 0) and (0, 1); the target (1, 1) is their sum
+    solver = _solver_over_columns([[1, 0], [0, 1]], QQ)
+    assert solver.express({0: 1, 1: 1}) == {0: Fraction(1), 1: Fraction(1)}
+    solver = _solver_over_columns([[1, 0], [0, 0]], QQ)
     with pytest.raises(NotInSpanError):
-        solve_linear(m2, "express-target", QQ)
+        solver.express({1: 1})
 
 
 def test_generic_express():
     k = GEN.k
-    m = [[k, k * k]]
-    coords = solve_linear(m, "express-target", GEN)
-    assert coords == [k]
+    solver = _solver_over_columns([[k]], GEN)
+    assert solver.express({0: k * k}) == {0: k}
 
 
 def _random_matrix(rng, rows, cols, dom):
@@ -60,8 +67,8 @@ def test_rank_nullity_and_annihilation(dom):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols, dom)
-        basis = solve_linear(m, "nullspace", dom)
-        r = rank(m, dom)
+        basis = nullspace(m, dom)
+        r = _solver_over_columns(zip(*m), dom).rank
         assert r + len(basis) == cols
         for v in basis:
             for i in range(rows):
@@ -84,3 +91,65 @@ def test_span_solver_relations():
     assert rel[0] / -lam == 2 and rel[1] / -lam == 1
     coords = solver.express({0: Fraction(3), 1: Fraction(7)})
     assert coords == {0: Fraction(3), 1: Fraction(1)}
+
+
+# -- outside oracle: sympy's nullspace ----------------------------------------
+
+K = sympy.Symbol("k")
+
+
+def _to_sympy(x):
+    if isinstance(x, RatFunc):
+        num = sum(c * K**i for i, c in enumerate(x.n))
+        return num / sum(c * K**i for i, c in enumerate(x.d))
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sympy_normalized(vec):
+    """A vector over Q(k) scaled to coprime integer polynomials, the first
+    nonzero one with positive lead, as coefficient tuples."""
+    den = sympy.Integer(1)
+    for x in vec:
+        den = sympy.lcm(den, sympy.fraction(sympy.cancel(x))[1])
+    polys = [sympy.Poly(sympy.cancel(x * den), K, domain="QQ") for x in vec]
+    c = 1
+    for p in polys:
+        for x in p.coeffs():
+            c = sympy.ilcm(c, x.q)
+    polys = [(p * c).set_domain("ZZ") for p in polys]
+    g = polys[0]
+    for p in polys[1:]:
+        g = g.gcd(p)
+    polys = [p.exquo(g) for p in polys]
+    if next(p for p in polys if not p.is_zero).LC() < 0:
+        polys = [-p for p in polys]
+    return [
+        tuple(int(x) for x in reversed(p.all_coeffs())) if not p.is_zero else ()
+        for p in polys
+    ]
+
+
+def _coeffs(x):
+    """Coefficient tuple of an integer (polynomial) entry of our nullspace."""
+    if isinstance(x, RatFunc):
+        assert x.d == (1,)
+        return x.n
+    assert x.denominator == 1
+    return (int(x),) if x else ()
+
+
+@pytest.mark.parametrize("dom", [QQ, GEN])
+def test_nullspace_matches_sympy(dom):
+    # Both bases come from the same greedy pivot columns, so after the same
+    # normalization they agree vector by vector; in particular they span the
+    # same space.
+    rng = random.Random(29)
+    for _ in range(25):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 5)
+        m = _random_matrix(rng, rows, cols, dom)
+        want = sympy.Matrix([[_to_sympy(x) for x in row] for row in m]).nullspace()
+        got = nullspace(m, dom)
+        assert [[_coeffs(x) for x in v] for v in got] == [
+            _sympy_normalized(list(v)) for v in want
+        ]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from w2345 import pbw
+from w2345.exprs import format_pbw
 from w2345.pbw import E, F, H
 from w2345.scalars import domain
 
@@ -17,7 +18,7 @@ def test_generator_action_examples(gses):
     alg = gses.pbw
     d = gses.domain
     st = alg.apply_gen(E, 1, ((F, -1),))
-    assert pbw.states_equal(d, st, {(): d.k})
+    assert pbw.canonical(d, st) == pbw.canonical(d, {(): d.k})
     for r in (1, 2, 4):
         mono = tuple((E, -1) for _ in range(r))
         got = pbw.canonical(d, alg.apply_gen(F, 1, mono))
@@ -66,16 +67,26 @@ def test_theta_h0_negation(gses):
     for mono in pbw.enumerate_monomials(4):
         img = pbw.canonical(d, pbw.theta(alg, {mono: d.one}))
         if img:
-            assert pbw.h0_eigenvalue(img) == -pbw.mono_h0(mono)
+            assert {pbw.mono_h0(m) for m in img} == {-pbw.mono_h0(mono)}
+
+
+def dim_weight_space(d):
+    """Number of PBW monomials of weight d (3-colored partitions)."""
+    ways = [1] + [0] * d
+    for n in range(1, d + 1):
+        for _ in range(3):
+            for j in range(n, d + 1):
+                ways[j] += ways[j - n]
+    return ways[d]
 
 
 def test_dim_weight_space():
-    assert pbw.dim_weight_space(0) == 1
-    assert pbw.dim_weight_space(2) == 9
-    # brute-force enumeration is the oracle
+    assert dim_weight_space(0) == 1
+    assert dim_weight_space(2) == 9
+    # brute-force enumeration is checked against the generating function
     for d in range(0, 9):
-        assert len(pbw.enumerate_monomials(d)) == pbw.dim_weight_space(d)
-    assert pbw.dim_weight_space(10) == 2640
+        assert len(pbw.enumerate_monomials(d)) == dim_weight_space(d)
+    assert dim_weight_space(10) == 2640
 
 
 def test_h0_grading():
@@ -142,7 +153,7 @@ def test_parse_print_round_trip(gses):
     ]
     for t in texts:
         st = parse(t)
-        again = pbw.parse_state(pbw.format_state(st, d), d)
+        again = pbw.parse_state(format_pbw(pbw.canonical(d, st), d), d)
         assert pbw.canonical(d, again) == pbw.canonical(d, st)
 
 

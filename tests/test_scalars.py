@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from w2345.scalars import (
     RF_ONE,
     RatFunc,
     SpecializationError,
-    UniPoly,
     _ip_gcd_subresultant,
     _ip_primitive_pos,
     comb_z,
@@ -23,7 +23,6 @@ from w2345.scalars import (
     ip_mul_int,
     ip_neg,
     ip_trim,
-    ratfunc_normalize,
     specialize,
 )
 
@@ -32,16 +31,6 @@ GEN = domain()
 
 def rf(text):
     return GEN.parse(text)
-
-
-def test_ratfunc_normalize_examples():
-    x = UniPoly.x()
-    one = UniPoly.const(1)
-    assert ratfunc_normalize(x * x - 4, x + 2 * one) == rf("k-2")
-    assert ratfunc_normalize(2 * x, 4 * x * x) == rf("1/(2*k)")
-    assert ratfunc_normalize(-x - 2 * one, UniPoly.const(-1)) == rf("k+2")
-    with pytest.raises(ZeroDivisionError):
-        ratfunc_normalize(x, UniPoly())
 
 
 def test_specialize_examples():
@@ -85,20 +74,6 @@ def test_ring_axioms_randomized():
         assert a - a == 0
         if b:
             assert (a / b) * b == a
-
-
-def test_unipoly_ring_axioms():
-    rng = random.Random(13)
-    for _ in range(200):
-        a, b, c = (
-            UniPoly(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))))
-            for _ in range(3)
-        )
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
-    z = UniPoly()
-    assert z.degree is None
-    assert UniPoly((1, 2)).degree == 1
 
 
 def test_specialize_is_ring_hom():
@@ -216,3 +191,82 @@ def test_content_reduce_leaves_content_one(row, f):
         assert [ip_mul(v, h) for v in got] == row
     else:
         assert got == row
+
+
+# -- outside oracle: sympy's rational functions in k --------------------------
+
+K = sympy.Symbol("k")
+ratfunc = st.builds(RatFunc, ipoly, ipoly.filter(bool))
+
+
+def _expr(r):
+    """A RatFunc as a sympy expression in k."""
+    num = sum(c * K**i for i, c in enumerate(r.n))
+    return num / sum(c * K**i for i, c in enumerate(r.d))
+
+
+def _normal_form(expr):
+    """Numerator and denominator coefficient tuples of a rational function
+    in k, coprime in Z[k] (contents included), positive denominator lead."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    p, q = (sympy.Poly(x, K, domain="QQ") for x in (num, den))
+    c = 1
+    for x in p.coeffs() + q.coeffs():
+        c = sympy.ilcm(c, x.q)
+    p, q = ((x * c).set_domain("ZZ") for x in (p, q))
+    g = p.gcd(q)
+    p, q = p.exquo(g), q.exquo(g)
+    if q.LC() < 0:
+        p, q = -p, -q
+    return tuple(
+        tuple(int(x) for x in reversed(f.all_coeffs())) if not f.is_zero else ()
+        for f in (p, q)
+    )
+
+
+@given(ratfunc, ratfunc, st.integers(-4, 4))
+def test_ratfunc_arithmetic_matches_sympy_cancel(a, b, c):
+    ea, eb = _expr(a), _expr(b)
+    cases = [(a, ea), (a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb)]
+    cases += [(a * c, ea * c), (a + c, ea + c)]
+    if b:
+        cases.append((a / b, ea / eb))
+    for got, want in cases:
+        assert (got.n, got.d) == _normal_form(want)
+
+
+@given(ratfunc, st.integers(-6, 6))
+def test_specialize_matches_substitution(r, k0):
+    # dividing by k - k0 makes the denominator vanish at k0, unless the
+    # numerator cancels the factor
+    for s in (r, r / (RF_K - k0)):
+        num, den = sympy.fraction(sympy.cancel(_expr(s)))
+        dv = den.subs(K, k0)
+        if dv == 0:
+            with pytest.raises(SpecializationError):
+                s.specialize(k0)
+        else:
+            v = num.subs(K, k0) / dv
+            assert s.specialize(k0) == Fraction(int(v.p), int(v.q))
+
+
+# -- hashing agrees with equality ---------------------------------------------
+
+
+@given(st.fractions())
+def test_constant_ratfunc_hashes_as_its_fraction(q):
+    r = RatFunc.from_fraction(q)
+    assert r == q and hash(r) == hash(q)
+    assert len({r, q}) == 1 and q in {r}
+
+
+@given(ratfunc, ipoly.filter(bool))
+def test_equal_scalars_hash_equal(r, f):
+    # the same function built from an unreduced pair, and as a plain number
+    same = RatFunc(ip_mul(r.n, f), ip_mul(r.d, f))
+    assert same == r and hash(same) == hash(r)
+    if len(r.n) <= 1 and len(r.d) == 1:
+        q = Fraction(r.n[0] if r.n else 0, r.d[0])
+        assert q == r and hash(q) == hash(r)
+        if q.denominator == 1:
+            assert int(q) == r and hash(int(q)) == hash(r)

@@ -15,14 +15,14 @@ def test_u0_weight_and_commutant(ses5, ses6):
     for ses in (ses5, ses6):
         st = singular.u0_state(ses)  # includes the h(n) annihilation checks
         assert pbw.weight(st) == ses.level + 1
-        assert pbw.h0_eigenvalue(st) == 0
+        assert {pbw.mono_h0(m) for m in st} == {0}
 
 
 def test_ur_weight_and_commutant(ses5):
     for r in range(4):
         st = singular.ur_state(ses5, r)
         assert pbw.weight(st) == ses5.level + 1 + r
-        assert pbw.h0_eigenvalue(st) == 0
+        assert {pbw.mono_h0(m) for m in st} == {0}
         img = {}
         for mono, c in st.items():
             pbw.add_into(img, ses5.pbw.apply_gen(pbw.H, 0, mono), c)

@@ -94,11 +94,23 @@ def test_descendant_matrix_consistency(ses6):
     assert toplevels.descendant_matrix(6, quartet) == honest
 
 
+def row_proportional(row, ref_row):
+    """Projective comparison; returns the scalar row = scalar * ref_row."""
+    ref = [Fraction(x) for x in ref_row]
+    pivot = next(i for i, x in enumerate(ref) if x)
+    if not row[pivot]:
+        return None
+    scalar = Fraction(row[pivot]) / ref[pivot]
+    if all(Fraction(row[i]) == scalar * ref[i] for i in range(len(ref))):
+        return scalar
+    return None
+
+
 def test_descendant_first_row():
     # the first raising row is a nonzero multiple of the first reference row
     hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
     mat = toplevels.descendant_matrix(6, hw1)
-    lam = toplevels.row_proportional(mat[0], reference.F_K6_ROWS[0])
+    lam = row_proportional(mat[0], reference.F_K6_ROWS[0])
     assert lam == Fraction(5, 48)
 
 

@@ -171,6 +171,28 @@ def test_null_field_for_reads_cached_null_fields(ses7, monkeypatch):
     assert not calls
 
 
+def test_null_fields_reuse_the_relations_insert_found(ses7, monkeypatch):
+    # drop a cached weight-10 result another test may have left on the fixture
+    ses7._null_fields.pop(10, None)
+    calls = []
+    express = SpanSolver.express
+    monkeypatch.setattr(
+        SpanSolver, "express", lambda self, vec: calls.append(vec) or express(self, vec)
+    )
+    rels = ses7.null_fields(10)
+    fixed = walgebra.ELIMINATED[10]
+    assert len(calls) == len(fixed) == 5
+    eliminated = ses7._nf_basis(10).eliminated
+    assert len(eliminated) == 9
+    for x, rel in zip(eliminated, rels):
+        if x in fixed:
+            continue
+        want = {x: ses7.domain.one}
+        for m, c in ses7.express(ses7.nf_expand(x), 10).items():
+            want[m] = -c
+        assert rel == want
+
+
 def test_hw_module_ground_vector(ses5):
     ev = (Fraction(3, 7), Fraction(-1, 2), 0, Fraction(5))
     mod = walgebra.HWModule(ses5.walg(), ev)
