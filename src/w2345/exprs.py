@@ -237,6 +237,8 @@ def _vmul(a, b):
 def _vdiv(a, b, pos):
     if isinstance(b, tuple):
         raise ParseError("cannot divide by an operator word", pos)
+    if not b:
+        raise ParseError("division by zero", pos)
     if isinstance(a, tuple) and a[0] == "elt":
         return "elt", {m: _scalar_div(c, b) for m, c in a[1].items()}
     return _scalar_div(a, b)

@@ -1,13 +1,16 @@
 """Exact linear algebra over the session scalars.
 
-All elimination is fraction-free: incoming rows are cleared to integer
-carriers (plain ints at a fixed level, integer polynomial tuples in the
-generic mode), combined by cross-multiplication, and re-divided by their
-content after every step.  No fractions are ever stored inside a row, which
-is what keeps the large generic-k systems tractable.
+``SpanSolver`` is the incremental engine on sparse states.  Its elimination
+is fraction-free: incoming rows are cleared to integer carriers (plain ints
+at a fixed level, integer polynomial tuples in the generic mode), combined
+by cross-multiplication, and re-divided by their content after every step.
 
-``SpanSolver`` is the incremental engine used on sparse states; ``nullspace``
-is the dense matrix entry point (vectors are columns).
+``GenericSpan`` solves the large systems over Q(k) without eliminating over
+rational functions: it runs the integer ``SpanSolver`` at several levels,
+reconstructs the coordinates as rational functions of k, and certifies each
+result exactly over Q(k) before returning it.
+
+``nullspace`` is the dense matrix entry point (vectors are columns).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import scalars as sc
-from .scalars import RatFunc
+from .scalars import RatFunc, ReconstructionError, SpecializationError, specialize
 
 
 class NotInSpanError(ValueError):
@@ -291,6 +294,134 @@ class SpanSolver:
         return {
             i: car.to_scalar(t) / self.factors[i] for i, t in tags.items() if t
         }
+
+
+# ---------------------------------------------------------------------------
+# spans over Q(k) by evaluation at levels
+# ---------------------------------------------------------------------------
+
+FIRST_LEVEL = 7  # generic spans are evaluated at k = 7, 8, ...
+
+
+def _specialize(vec, level, keys=None):
+    return {m: specialize(c, level) for m, c in vec.items() if keys is None or m in keys}
+
+
+def _clear_vector(vec):
+    """(integer polynomial dict, factor) with vec == factor * dict."""
+    raws, factor = _PolyCarrier.clear(list(vec.values()))
+    return dict(zip(vec, raws)), factor
+
+
+class GenericSpan:
+    """Greedy span of sparse vectors over Q(k), solved at integer levels.
+
+    The vectors are inserted, in order, into an integer SpanSolver at the
+    first level k0 >= FIRST_LEVEL where all of them specialize.  That fixes
+    the independent vectors and the kept keys: the pivot keys at k0.  A
+    coordinate problem is then solved at the levels k0, k0 + 1, ... on the
+    kept keys only (a level where an independent vector does not specialize,
+    or loses rank there, is skipped), fitted by ``scalars.reconstruct`` and
+    certified exactly over Q(k) on every key: each relation of a dependent
+    vector must vanish and each ``express`` result must give back its
+    vector, or ReconstructionError is raised.  The rank at k0 bounds the
+    generic rank from below; the certified relations, each with coefficient
+    1 on its own vector and earlier vectors besides, bound it from above.  So
+    the independent vectors are those a greedy insert over Q(k) would keep.
+    """
+
+    def __init__(self, vecs):
+        self.vecs = list(vecs)
+        self.level, self.full, self.independent, self.keys = self._first_level()
+        self._solvers = {}  # level -> SpanSolver on the kept keys, or None
+        self._cleared = {}  # vector index -> _clear_vector of it
+        kept = set(self.independent)
+        dependent = [i for i in range(len(self.vecs)) if i not in kept]
+        self.relations = {}  # dependent index -> relation, 1 on that index
+        fits = self._solve([self.vecs[i] for i in dependent])
+        for i, coords in zip(dependent, fits):
+            if any(j > i for j in coords):
+                raise ReconstructionError(f"vector {i} depends on later vectors over Q(k)")
+            rel = {i: sc.RF_ONE, **{j: -c for j, c in coords.items()}}
+            self._certify(rel)
+            self.relations[i] = rel
+
+    def _first_level(self):
+        for level in range(FIRST_LEVEL, FIRST_LEVEL + sc.RECONSTRUCT_LEVELS):
+            try:
+                rows = [_specialize(v, level) for v in self.vecs]
+            except SpecializationError:
+                continue
+            full = SpanSolver(sc.domain(level))
+            independent = [i for i, row in enumerate(rows) if full.insert(row) is None]
+            return level, full, independent, frozenset(full.pivots)
+        raise ReconstructionError("no level specializes every vector")
+
+    def _solver(self, level):
+        """Integer solver at the level over the independent vectors cut to
+        the kept keys; SpecializationError when the level cannot be used."""
+        if level not in self._solvers:
+            solver = SpanSolver(sc.domain(level))
+            try:
+                for i in self.independent:
+                    if solver.insert(_specialize(self.vecs[i], level, self.keys)) is not None:
+                        solver = None
+                        break
+            except SpecializationError:
+                solver = None
+            self._solvers[level] = solver
+        solver = self._solvers[level]
+        if solver is None:
+            raise SpecializationError(f"the span cannot be solved at k = {level}")
+        return solver
+
+    def _solve(self, targets):
+        """Coordinates of each target over the independent vectors, as
+        fitted rational functions (not yet certified)."""
+        if not targets:
+            return []
+        n = len(self.independent)
+
+        def sample(level):
+            solver = self._solver(level)
+            out = []
+            for vec in targets:
+                coords = solver.express(_specialize(vec, level, self.keys))
+                out.extend(coords.get(j, 0) for j in range(n))
+            return out
+
+        flat = sc.reconstruct(sample, self.level)
+        return [
+            {self.independent[j]: c for j, c in enumerate(flat[t * n : (t + 1) * n]) if c}
+            for t in range(len(targets))
+        ]
+
+    def _certify(self, coords, target=None):
+        """Exact check over Q(k), on every key, that sum coords[i] * vecs[i]
+        equals the target (a _clear_vector result; None means zero)."""
+        terms = []
+        for i, c in coords.items():
+            if i not in self._cleared:
+                self._cleared[i] = _clear_vector(self.vecs[i])
+            terms.append((c, self._cleared[i]))
+        if target is not None:
+            terms.append((-1, target))
+        scales, _ = _PolyCarrier.clear([c * factor for c, (_, factor) in terms])
+        acc = {}
+        for s, (_, (raws, _)) in zip(scales, terms):
+            for m, p in raws.items():
+                acc[m] = sc.ip_add(acc.get(m, sc.IP_ZERO), sc.ip_mul(s, p))
+        if any(acc.values()):
+            raise ReconstructionError("the reconstructed coordinates fail the exact certificate")
+
+    def express(self, vec):
+        """Coordinates of vec over the independent vectors, certified over
+        Q(k).  Raises NotInSpanError when vec is outside the span at k0."""
+        cleared = _clear_vector(vec)
+        self.full.express({m: sc.ip_eval(r, self.level) for m, r in cleared[0].items()})
+        (coords,) = self._solve([vec])
+        self._certify(coords, cleared)
+        return coords
 
 
 # ---------------------------------------------------------------------------

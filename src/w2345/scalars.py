@@ -25,11 +25,13 @@ __all__ = [
     "RF_ZERO",
     "RF_ONE",
     "RF_K",
+    "ReconstructionError",
     "SpecializationError",
     "comb_z",
     "domain",
     "GenericDomain",
     "LevelDomain",
+    "reconstruct",
     "specialize",
 ]
 
@@ -534,6 +536,79 @@ def specialize(s, k0):
     if isinstance(s, RatFunc):
         return s.specialize(k0)
     return Fraction(s)
+
+
+# ---------------------------------------------------------------------------
+# Rational reconstruction from values at integer levels.
+# ---------------------------------------------------------------------------
+
+RECONSTRUCT_LEVELS = 64  # levels sampled before reconstruct gives up
+
+
+class ReconstructionError(ArithmeticError):
+    pass
+
+
+def reconstruct(sample, first):
+    """Rational functions of k from their values at the levels first, first+1, ...
+
+    ``sample(k0)`` returns the values at k0 (one rational per function) or
+    raises SpecializationError to skip that level.  Each function is fitted
+    by its own incremental Thiele continued fraction
+
+        f(k) = a0 + (k - x0) / (a1 + (k - x1) / (a2 + ...)),
+
+    whose coefficients are inverse differences (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, 5.7).  A new value y at x runs through the
+    inverse differences, v <- (x - x_j) / (v - a_j) from v = y; it ends on
+    the last coefficient exactly when the fit already predicts y, and then
+    it is not added.  A value that would make an earlier inverse difference
+    infinite is skipped.  A function is done once its fit has predicted two
+    sampled levels in a row, and the fits are returned as RatFuncs when all
+    are done.  This is a fit, not a proof: the caller certifies it.  Raises
+    ReconstructionError after RECONSTRUCT_LEVELS levels.
+    """
+    fits = None  # per function: [points x_j, coefficients a_j, predicted in a row]
+    for level in range(first, first + RECONSTRUCT_LEVELS):
+        try:
+            values = sample(level)
+        except SpecializationError:
+            continue
+        if fits is None:
+            fits = [[[], [], 0] for _ in values]
+        for fit, y in zip(fits, values):
+            xs, coeffs, streak = fit
+            if streak >= 2:
+                continue
+            v = Fraction(y)
+            for j, (xj, aj) in enumerate(zip(xs, coeffs)):
+                if v == aj:
+                    break
+                v = (level - xj) / (v - aj)
+            else:
+                xs.append(level)
+                coeffs.append(v)
+                fit[2] = 0
+                continue
+            fit[2] = streak + 1 if j == len(coeffs) - 1 else 0
+        if all(fit[2] >= 2 for fit in fits):
+            out = []
+            for xs, coeffs, _ in fits:
+                # fold the continued fraction from the bottom, a_j + (k - x_j) / (num / den)
+                num, den = (coeffs[-1].numerator,), (coeffs[-1].denominator,)
+                for xj, aj in zip(reversed(xs[:-1]), reversed(coeffs[:-1])):
+                    p, q = aj.numerator, aj.denominator
+                    num, den = (
+                        ip_add(ip_mul_int(num, p), ip_mul(den, (-q * xj, q))),
+                        ip_mul_int(num, q),
+                    )
+                    g = gcd(ip_content(num), ip_content(den))
+                    num, den = ip_divexact(num, (g,)), ip_divexact(den, (g,))
+                out.append(RatFunc(num, den))
+            return out
+    raise ReconstructionError(
+        f"no rational fit within {RECONSTRUCT_LEVELS} levels from k = {first}"
+    )
 
 
 # ---------------------------------------------------------------------------

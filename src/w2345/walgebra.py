@@ -5,12 +5,17 @@ commutant of the Heisenberg modes, enumerates and expands normal-form words
 in the four generators, expresses states against the normal-form basis with
 the canonical eliminations, computes the full generator product (OPE) table,
 and extracts the null fields.
+
+At an integer level the normal-form basis is an integer ``SpanSolver``.
+Over Q(k) it is a ``linalg.GenericSpan``: the same integer elimination at
+the levels k = 7, 8, ..., rational reconstruction of the coordinates, and an
+exact certificate over Q(k) of every relation and every expressed state.
 """
 
 from __future__ import annotations
 
 from . import pbw
-from .linalg import SpanSolver
+from .linalg import GenericSpan, SpanSolver
 from .modes import NormalOrdering, add_into, element_mode
 from .scalars import comb_z, domain as make_domain
 
@@ -161,6 +166,7 @@ class Session:
         self.pbw = pbw.PBWAlgebra(self.domain)
         self._gen_states = None
         self._conformal = None
+        self._nf_expansions = {}
         self._nf_bases = {}
         self._null_fields = {}  # weight -> relations, one per eliminated word
         self._ope = None
@@ -263,10 +269,14 @@ class Session:
     # -- normal form ---------------------------------------------------------
 
     def nf_expand(self, mono):
-        """PBW expansion of a normal-form monomial."""
-        state = {(): 1}
-        for g, t in reversed(mono):
-            state = element_mode(self.pbw, self.generator_state(g), t, state)
+        """PBW expansion of a normal-form monomial, computed once per
+        session; callers must not mutate it."""
+        state = self._nf_expansions.get(mono)
+        if state is None:
+            state = {(): 1}
+            for g, t in reversed(mono):
+                state = element_mode(self.pbw, self.generator_state(g), t, state)
+            self._nf_expansions[mono] = state
         return state
 
     def nf_expand_element(self, elem):
@@ -280,29 +290,31 @@ class Session:
         if nb is not None:
             return nb
         monos = enumerate_nf(d)
-        fixed = set(ELIMINATED.get(d, ()))
-        solver = SpanSolver(self.domain)
-        idx2mono = {}
-        eliminated = list(ELIMINATED.get(d, ()))
+        fixed = ELIMINATED.get(d, ())
+        words = [m for m in monos if m not in fixed]
+        if self.domain.is_generic:
+            solver = GenericSpan([self.nf_expand(m) for m in words])
+            rels = solver.relations
+        else:
+            solver = SpanSolver(self.domain)
+            rels = {}
+            for i, mono in enumerate(words):
+                rel = solver.insert(self.nf_expand(mono))
+                if rel is not None:
+                    rels[i] = rel
+        eliminated = list(fixed)
         found = {}
-        for mono in monos:
-            if mono in fixed:
-                continue
-            rel = solver.insert(self.nf_expand(mono))
-            if rel is None:
-                idx2mono[solver.count - 1] = mono
-            else:
-                if d <= 9:
-                    raise AssertionError(
-                        f"unexpected dependency at weight {d}: {mono}"
-                    )
-                eliminated.append(mono)
-                # the relation is unique: scale it to coefficient 1 on mono
-                lam = rel.pop(solver.count - 1)
-                found[mono] = {
-                    mono: self.domain.one,
-                    **{idx2mono[i]: c / lam for i, c in rel.items()},
-                }
+        for i, rel in sorted(rels.items()):
+            if d <= 9:
+                raise AssertionError(f"unexpected dependency at weight {d}: {words[i]}")
+            eliminated.append(words[i])
+            # the relation is unique: scale it to coefficient 1 on the word
+            lam = rel[i]
+            found[words[i]] = {
+                words[i]: self.domain.one,
+                **{words[j]: c / lam for j, c in rel.items() if j != i},
+            }
+        idx2mono = {i: m for i, m in enumerate(words) if i not in rels}
         nb = _NFBasis(d, monos, tuple(eliminated), solver, idx2mono, found)
         self._nf_bases[d] = nb
         return nb

@@ -36,6 +36,16 @@ def test_parse_error_exit_code():
     assert "parse error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "level, text", [("3", "1/0"), ("-2", "1/(k+2)"), ("generic", "1/(k-k)")]
+)
+def test_parse_division_by_zero_is_a_parse_error(level, text):
+    proc = run_cli("parse", "--kind", "scalar", "--k", level, text)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parse error: division by zero")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -3,9 +3,18 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
-from w2345.linalg import NotInSpanError, SpanSolver, nullspace
-from w2345.scalars import RatFunc, domain
+from w2345.linalg import (
+    GenericSpan,
+    NotInSpanError,
+    SpanSolver,
+    _IntCarrier,
+    _PolyCarrier,
+    nullspace,
+)
+from w2345.scalars import RatFunc, ReconstructionError, domain
 
 QQ = domain(3)
 GEN = domain()
@@ -153,3 +162,105 @@ def test_nullspace_matches_sympy(dom):
         assert [[_coeffs(x) for x in v] for v in got] == [
             _sympy_normalized(list(v)) for v in want
         ]
+
+
+# -- SpanSolver round trips and the clearing invariant ------------------------
+
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+ratfunc = st.builds(
+    lambda n, d: RatFunc(n, d),
+    st.lists(st.integers(-4, 4), max_size=3).map(tuple),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=2).map(tuple).filter(any),
+)
+
+
+def _vectors(scalar):
+    return st.lists(st.dictionaries(st.integers(0, 4), scalar, max_size=4), max_size=5)
+
+
+def _combination(dom, coeffs, vecs):
+    out = {}
+    for c, v in zip(coeffs, vecs):
+        for key, x in v.items():
+            out[key] = out.get(key, dom.zero) + c * x
+    return {key: x for key, x in out.items() if x}
+
+
+def _span_round_trip(dom, vecs, coeffs):
+    solver = SpanSolver(dom)
+    for i, v in enumerate(vecs):
+        rel = solver.insert(v)
+        if rel is None:
+            assert solver.express(v) == ({i: dom.one} if v else {})
+        else:
+            # the relation annihilates the inserted vectors and involves this one
+            assert rel.get(i)
+            assert not _combination(dom, [rel.get(j, 0) for j in range(i + 1)], vecs)
+    target = _combination(dom, coeffs, vecs)
+    coords = solver.express(target)
+    assert _combination(dom, [coords.get(j, 0) for j in range(len(vecs))], vecs) == target
+
+
+@given(_vectors(rational), st.lists(rational, min_size=5, max_size=5))
+def test_span_solver_insert_express_round_trip_over_q(vecs, coeffs):
+    _span_round_trip(QQ, vecs, coeffs)
+
+
+@given(_vectors(ratfunc), st.lists(ratfunc, min_size=5, max_size=5))
+def test_span_solver_insert_express_round_trip_over_qk(vecs, coeffs):
+    _span_round_trip(GEN, vecs, coeffs)
+
+
+@given(st.lists(st.one_of(rational, st.integers(-9, 9)), max_size=6))
+def test_int_carrier_clear_is_exact(vals):
+    raws, factor = _IntCarrier.clear(vals)
+    assert all(type(r) is int for r in raws)
+    assert [factor * r for r in raws] == [Fraction(v) for v in vals]
+
+
+@given(st.lists(st.one_of(ratfunc, rational, st.integers(-9, 9)), max_size=5))
+def test_poly_carrier_clear_is_exact(vals):
+    raws, factor = _PolyCarrier.clear(vals)
+    assert all(all(type(c) is int for c in r) for r in raws)
+    assert [factor * RatFunc(r) for r in raws] == [GEN.scalar(v) for v in vals]
+
+
+# -- GenericSpan: levels, reconstruction and the certificate ------------------
+
+
+def test_generic_span_relations_and_express():
+    k = GEN.k
+    v0 = {0: GEN.one, 1: k}
+    v1 = {0: k, 2: 1 / (k - 8)}
+    v2 = {0: (k + 1) / (k - 3), 1: k * k}
+    v3 = _combination(GEN, [(k + 1) / (k - 3), k * k, GEN.zero], [v0, v1, v2])
+    span = GenericSpan([v0, v1, v2, v3])
+    assert span.independent == [0, 1, 2]
+    assert span.relations == {3: {3: GEN.one, 0: -(k + 1) / (k - 3), 1: -k * k}}
+    coeffs = [k**3 - 2, 5 / (2 * k + 1), (k - 1) / (k + 4)]
+    target = _combination(GEN, coeffs, [v0, v1, v2])
+    assert span.express(target) == dict(enumerate(coeffs))
+    with pytest.raises(NotInSpanError):
+        span.express({3: k})
+
+
+def test_generic_span_skips_a_level_where_the_kept_rows_lose_rank():
+    # v1 equals v0 at k = 9 only; a solve there would give wrong coordinates
+    k = GEN.k
+    v0 = {0: GEN.one, 1: GEN.one}
+    v1 = {0: GEN.one, 1: k - 8}
+    span = GenericSpan([v0, v1])
+    assert span.express(_combination(GEN, [2, 3], [v0, v1])) == {0: 2, 1: 3}
+    assert span._solvers[9] is None
+
+
+def test_generic_span_certificate_rejects_a_degenerate_first_level():
+    # at k = 7 the second vector equals the first, so the first level finds a
+    # relation that does not hold over Q(k): the certificate must refuse it
+    k = GEN.k
+    with pytest.raises(ReconstructionError):
+        GenericSpan([{0: GEN.one}, {0: GEN.one, 1: k - 7}])
+    # here the relation over Q(k), v1 = v0 + (k - 7) v2, holds but needs the
+    # later v2, so a greedy insert over Q(k) keeps v1: refused as well
+    with pytest.raises(ReconstructionError):
+        GenericSpan([{0: GEN.one}, {0: GEN.one, 1: k - 7}, {1: GEN.one}])

@@ -12,6 +12,7 @@ from w2345.scalars import (
     RF_K,
     RF_ONE,
     RatFunc,
+    ReconstructionError,
     SpecializationError,
     _ip_gcd_subresultant,
     _ip_primitive_pos,
@@ -23,6 +24,7 @@ from w2345.scalars import (
     ip_mul_int,
     ip_neg,
     ip_trim,
+    reconstruct,
     specialize,
 )
 
@@ -270,3 +272,53 @@ def test_equal_scalars_hash_equal(r, f):
         assert q == r and hash(q) == hash(r)
         if q.denominator == 1:
             assert int(q) == r and hash(int(q)) == hash(r)
+
+
+# -- rational reconstruction from values at levels ----------------------------
+
+
+def _sampled(*fs):
+    """sample(k0) for reconstruct: the values of fs at k0, plus the levels seen."""
+    seen = []
+
+    def sample(k0):
+        seen.append(k0)
+        return [f.specialize(k0) for f in fs]
+
+    return sample, seen
+
+
+poly8 = st.lists(st.integers(-9, 9), max_size=9).map(tuple)  # degree <= 8
+
+
+@given(poly8, poly8.filter(any))
+def test_reconstruct_recovers_a_sampled_ratfunc(n, d):
+    f = RatFunc(n, d)
+    sample, _ = _sampled(f)
+    assert reconstruct(sample, 7) == [f]
+
+
+def test_reconstruct_skips_a_level_where_the_denominator_vanishes():
+    f = rf("(k^2 - 3)/((k - 8)*(k + 1))")
+    sample, seen = _sampled(f, rf("k"))
+    assert reconstruct(sample, 7) == [f, rf("k")]
+    assert 8 in seen  # sampled, raised SpecializationError, skipped
+
+
+def test_reconstruct_zero_constant_and_polynomial():
+    fs = [rf("0"), rf("-5/3"), rf("2*k^5 - k + 7")]
+    sample, seen = _sampled(*fs)
+    assert reconstruct(sample, 7) == fs
+    # degree 5 needs 10 Thiele points (type (5, 4)) and two confirmations
+    assert len(seen) == 12
+
+
+def test_reconstruct_gives_up_at_the_level_cap():
+    with pytest.raises(ReconstructionError):
+        reconstruct(lambda k0: [Fraction(2) ** k0], 7)  # not rational in k
+
+    def never(k0):
+        raise SpecializationError(f"no value at k = {k0}")
+
+    with pytest.raises(ReconstructionError):
+        reconstruct(never, 7)

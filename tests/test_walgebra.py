@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import exprs, pbw, reference, walgebra
-from w2345.linalg import NotInSpanError, SpanSolver
+from w2345 import exprs, pbw, reference, scalars, walgebra
+from w2345.linalg import GenericSpan, NotInSpanError, SpanSolver
 from w2345.modes import element_mode
-from w2345.walgebra import G3, G4, G5, GW, enumerate_nf, nf_parity, nf_weight
+from w2345.scalars import ReconstructionError, specialize
+from w2345.walgebra import G3, G4, G5, GW, Session, enumerate_nf, nf_parity, nf_weight
 
 
 def test_conformal_examples(gses):
@@ -191,6 +192,53 @@ def test_null_fields_reuse_the_relations_insert_found(ses7, monkeypatch):
         for m, c in ses7.express(ses7.nf_expand(x), 10).items():
             want[m] = -c
         assert rel == want
+
+
+# -- the generic normal-form bases: certificate and level cross-checks ---------
+
+
+def test_generic_null_fields_refuse_a_perturbed_reconstruction(monkeypatch):
+    fit = scalars.reconstruct
+
+    def perturbed(sample, first):
+        out = fit(sample, first)
+        i = next(i for i, c in enumerate(out) if c)
+        out[i] = out[i] + 1
+        return out
+
+    monkeypatch.setattr(scalars, "reconstruct", perturbed)
+    with pytest.raises(ReconstructionError):
+        Session().null_fields(8)
+
+
+def test_generic_null_fields_with_a_dropped_kept_row_raise_or_agree(gses, monkeypatch):
+    first_level = GenericSpan._first_level
+
+    def drop_one_key(self):
+        level, full, independent, keys = first_level(self)
+        return level, full, independent, keys - {sorted(keys)[len(keys) // 2]}
+
+    monkeypatch.setattr(GenericSpan, "_first_level", drop_one_key)
+    try:
+        rels = Session().null_fields(8)
+    except ReconstructionError:
+        return
+    assert rels == gses.null_fields(8)
+
+
+def _specialized(elem, k0):
+    return {m: specialize(c, k0) for m, c in elem.items() if specialize(c, k0)}
+
+
+@pytest.mark.parametrize("k0", [7, 11])
+def test_generic_tables_specialize_to_the_level_sessions(gses, ses7, k0):
+    ses = ses7 if k0 == 7 else Session(k0)
+    for w in (8, 9):
+        got = [_specialized(rel, k0) for rel in gses.null_fields(w)]
+        assert got == [_specialized(rel, k0) for rel in ses.null_fields(w)]
+    level_table = ses.ope_table()
+    for key, elem in gses.ope_table().items():
+        assert _specialized(elem, k0) == _specialized(level_table[key], k0), key
 
 
 def test_hw_module_ground_vector(ses5):
