@@ -10,6 +10,9 @@ rational functions: it runs the integer ``SpanSolver`` at several levels,
 reconstructs the coordinates as rational functions of k, and certifies each
 result exactly over Q(k) before returning it.
 
+``exact_sum`` adds combinations of sparse vectors on the same integer
+carriers: the certificate and the null-field checks both use it.
+
 ``nullspace`` is the dense matrix entry point (vectors are columns).
 """
 
@@ -157,6 +160,36 @@ def carrier_for(domain):
 
 
 # ---------------------------------------------------------------------------
+# exact sums of sparse vectors
+# ---------------------------------------------------------------------------
+
+
+def clear_vector(domain, vec):
+    """(raws, factor) with vec == factor * raws, raws a dict of the domain
+    carrier's integer values."""
+    raws, factor = carrier_for(domain).clear(list(vec.values()))
+    return dict(zip(vec, raws)), factor
+
+
+def exact_sum(domain, terms):
+    """sum c * vec over a list of (c, clear_vector(domain, vec)) pairs,
+    exactly.
+
+    The scaled coefficients c * factor are cleared once, the integer raws
+    are added, and only the nonzero entries become domain scalars again:
+    returns a sparse state without zero entries."""
+    car = carrier_for(domain)
+    scales, factor = car.clear([c * f for c, (_, f) in terms])
+    acc = {}
+    for s, (_, (raws, _)) in zip(scales, terms):
+        for m, r in raws.items():
+            v = car.mul(s, r)
+            old = acc.get(m)
+            acc[m] = v if old is None else car.add(old, v)
+    return {m: factor * car.to_scalar(v) for m, v in acc.items() if v}
+
+
+# ---------------------------------------------------------------------------
 # sparse rows: sorted lists of (key, raw) pairs
 # ---------------------------------------------------------------------------
 
@@ -301,16 +334,11 @@ class SpanSolver:
 # ---------------------------------------------------------------------------
 
 FIRST_LEVEL = 7  # generic spans are evaluated at k = 7, 8, ...
+_GENERIC = sc.domain()
 
 
 def _specialize(vec, level, keys=None):
     return {m: specialize(c, level) for m, c in vec.items() if keys is None or m in keys}
-
-
-def _clear_vector(vec):
-    """(integer polynomial dict, factor) with vec == factor * dict."""
-    raws, factor = _PolyCarrier.clear(list(vec.values()))
-    return dict(zip(vec, raws)), factor
 
 
 class GenericSpan:
@@ -334,7 +362,7 @@ class GenericSpan:
         self.vecs = list(vecs)
         self.level, self.full, self.independent, self.keys = self._first_level()
         self._solvers = {}  # level -> SpanSolver on the kept keys, or None
-        self._cleared = {}  # vector index -> _clear_vector of it
+        self._cleared = {}  # vector index -> clear_vector of it
         kept = set(self.independent)
         dependent = [i for i in range(len(self.vecs)) if i not in kept]
         self.relations = {}  # dependent index -> relation, 1 on that index
@@ -398,26 +426,21 @@ class GenericSpan:
 
     def _certify(self, coords, target=None):
         """Exact check over Q(k), on every key, that sum coords[i] * vecs[i]
-        equals the target (a _clear_vector result; None means zero)."""
+        equals the target (a clear_vector result; None means zero)."""
         terms = []
         for i, c in coords.items():
             if i not in self._cleared:
-                self._cleared[i] = _clear_vector(self.vecs[i])
+                self._cleared[i] = clear_vector(_GENERIC, self.vecs[i])
             terms.append((c, self._cleared[i]))
         if target is not None:
             terms.append((-1, target))
-        scales, _ = _PolyCarrier.clear([c * factor for c, (_, factor) in terms])
-        acc = {}
-        for s, (_, (raws, _)) in zip(scales, terms):
-            for m, p in raws.items():
-                acc[m] = sc.ip_add(acc.get(m, sc.IP_ZERO), sc.ip_mul(s, p))
-        if any(acc.values()):
+        if exact_sum(_GENERIC, terms):
             raise ReconstructionError("the reconstructed coordinates fail the exact certificate")
 
     def express(self, vec):
         """Coordinates of vec over the independent vectors, certified over
         Q(k).  Raises NotInSpanError when vec is outside the span at k0."""
-        cleared = _clear_vector(vec)
+        cleared = clear_vector(_GENERIC, vec)
         self.full.express({m: sc.ip_eval(r, self.level) for m, r in cleared[0].items()})
         (coords,) = self._solve([vec])
         self._certify(coords, cleared)

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exprs, reference, singular, toplevels, zhu
+from . import exprs, pbw, reference, singular, toplevels, zhu
 from .groebner import (
     buchberger,
     lex_order,
@@ -177,7 +177,7 @@ def check_ope(ctx, level=None):
     bad = []
     for (i, j, n), got in sorted(ses.ope_table().items()):
         want = exprs.parse_nf(reference.OPE_TEXT[(i, j, n)], ses.domain)
-        got = {m: ses.domain.scalar(c) for m, c in got.items() if ses.domain.scalar(c)}
+        got = pbw.canonical(ses.domain, got)
         if got != want:
             diff = set(got.items()) ^ set(want.items())
             bad.append(f"W{i}_{n} W{j} differs at {sorted({m for m, _ in diff})}")
@@ -237,10 +237,7 @@ def check_null_fields(ctx, weight):
         payload = f"{total} words span rank {rank}"
     out = [_result(f"null_dimensions_wt{weight}", dims_ok, payload)]
     rels = ses.null_fields(weight)
-    vanish = all(
-        not {m: dom.scalar(c) for m, c in ses.nf_expand_element(r).items() if dom.scalar(c)}
-        for r in rels
-    )
+    vanish = all(not ses.nf_expand_element(r) for r in rels)
     out.append(
         _result(
             f"null_fields_expand_to_zero_wt{weight}",
@@ -260,7 +257,7 @@ def check_null_fields(ctx, weight):
         rel = ses.null_field_for(mono)
         got = {m: -c for m, c in rel.items() if m != mono}
         want = exprs.parse_nf(text, dom)
-        ok = {m: dom.scalar(c) for m, c in got.items() if dom.scalar(c)} == want
+        ok = pbw.canonical(dom, got) == want
         out.append(
             _result(
                 f"null_relation_{label}",
@@ -387,7 +384,7 @@ def check_singular(ctx, level, rmax=3):
         ok = None
         if text is not None:
             want = exprs.parse_nf(text, dom)
-            ok = {m: dom.scalar(c) for m, c in nf.items() if dom.scalar(c)} == want
+            ok = pbw.canonical(dom, nf) == want
         payload = "normal form differs" if ok is False else ses.format_nf(nf)
         out.append(_result(f"u{r}_k{level}", ok, payload))
     return out
@@ -623,11 +620,9 @@ def check_variety(ctx, level):
 
 @_check
 def check_toplevels(ctx, level):
+    ses = ctx.session(level)
     table = toplevels.quartet_table(level)
-    agree = all(
-        toplevels.eigenvalues_oracle(level, i, j) == q
-        for (i, j), q in table.items()
-    )
+    agree = all(toplevels.eigenvalues_oracle(ses, i, j) == q for (i, j), q in table.items())
     table_text = "; ".join(
         f"({i},{j}): ({', '.join(str(x) for x in q)})"
         for (i, j), q in sorted(table.items())
@@ -700,7 +695,7 @@ def check_f_matrix(ctx):
                 # says c3/c5; the intended flip is on those columns)
                 ref_row = [ref_row[0], -ref_row[1], ref_row[2], -ref_row[3]]
             rows.append(ref_row)
-        res = toplevels.descendant_analysis(6, hw, nulls, rows)
+        res = toplevels.descendant_analysis(ctx.session(6), hw, nulls, rows)
         ok = (
             res["combined_rank"] == 4
             and res["kernel_in_relations"]

@@ -74,30 +74,27 @@ def _integer_primitive(poly):
     return norm, 1 / content
 
 
-def p_polynomials(ses):
-    """Zhu-quotient polynomials of u^0..u^3, integer-rescaled.
+def _quotient_polynomials(ses, reduce):
+    """reduce(ZhuC2(ses), nf) of u^0..u^3, integer-rescaled.
 
     Returns (polys, multipliers)."""
     red = ZhuC2(ses)
     polys, muls = [], []
     for r in range(4):
-        raw = red.zhu_reduce(ur_normal_form(ses, r))
-        norm, mul = _integer_primitive(raw)
+        norm, mul = _integer_primitive(reduce(red, ur_normal_form(ses, r)))
         polys.append(norm)
         muls.append(mul)
     return polys, muls
+
+
+def p_polynomials(ses):
+    """Zhu-quotient polynomials of u^0..u^3, integer-rescaled."""
+    return _quotient_polynomials(ses, ZhuC2.zhu_reduce)
 
 
 def a_polynomials(ses):
     """C2-quotient polynomials of u^0..u^3, integer-rescaled."""
-    red = ZhuC2(ses)
-    polys, muls = [], []
-    for r in range(4):
-        raw = red.c2_reduce(ur_normal_form(ses, r))
-        norm, mul = _integer_primitive(raw)
-        polys.append(norm)
-        muls.append(mul)
-    return polys, muls
+    return _quotient_polynomials(ses, ZhuC2.c2_reduce)
 
 
 def degenerate_identity(ses):

@@ -5,15 +5,16 @@ in (k, i-2j, (i-j+1)j, ...), and a brute-force oracle that acts with the
 reversed zero-mode words of the defining PBW states on the (i+1)-dimensional
 sl2 module spanned by the top vectors.  The level-6 descendant system is
 evaluated on an abstract highest-weight module driven purely by the product
-table.
+table.  The oracle and the descendant analysis take the caller's level
+Session, so its states and product table are built once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import exprs, reference
-from .linalg import nullspace
+from . import exprs, modes, pbw, reference
+from .linalg import NotInSpanError, SpanSolver, nullspace
 from .scalars import domain as make_domain
 from .walgebra import NF_GEN_WEIGHTS, HWModule
 
@@ -72,13 +73,11 @@ def _zero_mode_word_action(mono, vec, i):
     return out
 
 
-def eigenvalues_oracle(kval, i, j):
-    """Independent evaluation by zero-mode words of the defining states."""
-    if not (0 <= j <= i <= kval):
+def eigenvalues_oracle(ses, i, j):
+    """Independent evaluation by zero-mode words of the defining states of
+    the level session."""
+    if not (0 <= j <= i <= ses.level):
         raise ValueError("need 0 <= j <= i <= k")
-    from .walgebra import Session
-
-    ses = _level_session(kval)
     states = [ses.conformal()[2], *ses.primaries()]
     base = [Fraction(0)] * (i + 1)
     base[j] = Fraction(1)
@@ -95,18 +94,6 @@ def eigenvalues_oracle(kval, i, j):
                 raise AssertionError("top vector is not an eigenvector")
         quartet.append(acc[j])
     return tuple(quartet)
-
-
-_SESSIONS = {}
-
-
-def _level_session(kval):
-    from .walgebra import Session
-
-    ses = _SESSIONS.get(kval)
-    if ses is None:
-        ses = _SESSIONS[kval] = Session(kval)
-    return ses
 
 
 def quartet_table(kval):
@@ -154,11 +141,11 @@ def no_integer_differences(values):
     return True
 
 
-def descendant_matrix(kval, hw):
+def descendant_matrix(ses, hw):
     """Matrix of the raising conditions on c1 L(-1)u + c2 W3(-1)u
     + c3 W4(-1)u + c4 W5(-1)u over a highest-weight vector with the given
-    zero-mode quartet; rows are L(1), W3(1), W4(1), W5(1)."""
-    ses = _level_session(kval)
+    zero-mode quartet, in the level session; rows are L(1), W3(1), W4(1),
+    W5(1)."""
     mod = HWModule(ses.walg(), [Fraction(x) for x in hw])
     dom = ses.domain
     cols = []
@@ -166,8 +153,7 @@ def descendant_matrix(kval, hw):
         vmono = ((s, NF_GEN_WEIGHTS[s] - 2),)
         col = []
         for p in range(4):
-            res = mod.apply_gen(p, NF_GEN_WEIGHTS[p], vmono)
-            res = {m: dom.scalar(c) for m, c in res.items() if dom.scalar(c)}
+            res = pbw.canonical(dom, mod.apply_gen(p, NF_GEN_WEIGHTS[p], vmono))
             if set(res) - {()}:
                 raise AssertionError("raising a weight-(h+1) vector left the top")
             col.append(res.get((), dom.zero))
@@ -175,21 +161,17 @@ def descendant_matrix(kval, hw):
     return [[cols[s][p] for s in range(4)] for p in range(4)]
 
 
-def descendant_kernel(matrix, kval):
-    dom = make_domain(kval)
-    return nullspace(matrix, dom)
+def descendant_kernel(ses, matrix):
+    return nullspace(matrix, ses.domain)
 
 
-def descendant_relations(kval, hw, null_elements):
+def descendant_relations(ses, hw, null_elements):
     """Images of the vanishing elements' modes on the weight-(h+1) layer.
 
     Every element of the simple algebra's kernel acts by zero on its
     modules, so the mode carrying the top vector into the layer spanned by
     L(-1)u, W3(-1)u, W4(-1)u, W5(-1)u yields a linear relation among those
     four descendants.  Returns one coordinate vector per element."""
-    from .modes import element_mode
-
-    ses = _level_session(kval)
     mod = HWModule(ses.walg(), [Fraction(x) for x in hw])
     dom = ses.domain
     layer = [((s, NF_GEN_WEIGHTS[s] - 2),) for s in range(4)]
@@ -197,7 +179,7 @@ def descendant_relations(kval, hw, null_elements):
     for elem in null_elements:
         wt = {sum(NF_GEN_WEIGHTS[g] - t - 1 for g, t in m) for m in elem}
         wt = wt.pop()
-        img = element_mode(mod, elem, wt - 2, {(): 1})
+        img = modes.element_mode(mod, elem, wt - 2, {(): 1})
         vec = [Fraction(0)] * 4
         for mono, c in img.items():
             c = dom.scalar(c)
@@ -210,7 +192,7 @@ def descendant_relations(kval, hw, null_elements):
     return out
 
 
-def descendant_analysis(kval, hw, null_elements, ref_rows):
+def descendant_analysis(ses, hw, null_elements, ref_rows):
     """The full weight-(h+1) singular-vector analysis.
 
     Returns a dict with: the raising matrix, the relation span dimension,
@@ -218,16 +200,15 @@ def descendant_analysis(kval, hw, null_elements, ref_rows):
     layer carries no singular vector iff the combined system is full), the
     rank of the combined raising+relation system, and for each reference row
     the scalar alpha with row = alpha * (raising row) + relation combination
-    (alpha must be nonzero for the projective match modulo relations)."""
-    from .linalg import SpanSolver
-
-    dom = make_domain(kval)
-    mat = descendant_matrix(kval, hw)
-    rels = descendant_relations(kval, hw, null_elements)
+    (alpha must be nonzero for the projective match modulo relations, and
+    is None when the row is outside the span)."""
+    dom = ses.domain
+    mat = descendant_matrix(ses, hw)
+    rels = descendant_relations(ses, hw, null_elements)
     rel_span = SpanSolver(dom)
     for v in rels:
         rel_span.insert({i: x for i, x in enumerate(v) if x})
-    kern = descendant_kernel(mat, kval)
+    kern = descendant_kernel(ses, mat)
     kernel_in_relations = all(
         not rel_span.probe({i: x for i, x in enumerate(v) if x})[0] for v in kern
     )
@@ -246,7 +227,7 @@ def descendant_analysis(kval, hw, null_elements, ref_rows):
         try:
             coords = solver.express({i: x for i, x in enumerate(ref) if x})
             alphas.append(coords.get(0, Fraction(0)))
-        except Exception:
+        except NotInSpanError:
             alphas.append(None)
     return {
         "matrix": mat,

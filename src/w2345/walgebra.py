@@ -10,12 +10,14 @@ At an integer level the normal-form basis is an integer ``SpanSolver``.
 Over Q(k) it is a ``linalg.GenericSpan``: the same integer elimination at
 the levels k = 7, 8, ..., rational reconstruction of the coordinates, and an
 exact certificate over Q(k) of every relation and every expressed state.
+Expanding a normal-form element back to PBW states uses the certificate's
+exact sum, at a level and over Q(k) alike.
 """
 
 from __future__ import annotations
 
 from . import pbw
-from .linalg import GenericSpan, SpanSolver
+from .linalg import GenericSpan, SpanSolver, clear_vector, exact_sum
 from .modes import NormalOrdering, add_into, element_mode
 from .scalars import comb_z, domain as make_domain
 
@@ -280,10 +282,10 @@ class Session:
         return state
 
     def nf_expand_element(self, elem):
-        out = {}
-        for mono, c in elem.items():
-            add_into(out, self.nf_expand(mono), c)
-        return out
+        """PBW expansion of a normal-form element, summed exactly by
+        ``linalg.exact_sum``: domain scalars, zero entries dropped."""
+        dom = self.domain
+        return exact_sum(dom, [(c, clear_vector(dom, self.nf_expand(m))) for m, c in elem.items()])
 
     def _nf_basis(self, d):
         nb = self._nf_bases.get(d)

@@ -208,11 +208,12 @@ def test_criterion_7_c2_ideals(gses, ses5, ses6):
 def test_criterion_8_toplevels(gses, ses5, ses6):
     ok = True
     for k in range(2, 7):
+        ses = Session(k)
         for i in range(0, k + 1):
             for j in range(0, i + 1):
                 ok = ok and toplevels.eigenvalues_closed_form(
                     k, i, j
-                ) == toplevels.eigenvalues_oracle(k, i, j)
+                ) == toplevels.eigenvalues_oracle(ses, i, j)
     t5 = toplevels.quartet_table(5)
     t6 = toplevels.quartet_table(6)
     ok = ok and len(t5) == 15 and len(t6) == 21
@@ -260,7 +261,7 @@ def test_criterion_9_descendants(ses6):
                 ref = [ref[0], -ref[1], ref[2], -ref[3]]
             rows.append(ref)
         res = toplevels.descendant_analysis(
-            6, tuple(Fraction(x) for x in hw), nulls, rows
+            ses6, tuple(Fraction(x) for x in hw), nulls, rows
         )
         ok = ok and res["combined_rank"] == 4
         ok = ok and res["kernel_in_relations"] and res["relation_rank"] == 3

@@ -10,6 +10,7 @@ import pytest
 from w2345 import cli, exprs, report, zhu
 from w2345.groebner import buchberger
 from w2345.scalars import domain as make_domain
+from w2345.walgebra import Session
 
 
 def run_cli(*args):
@@ -223,3 +224,19 @@ def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
     report.check_groebner(ctx, 5, "P")
     report.check_variety(ctx, 5)
     assert len(calls) == 1
+
+
+def test_null_fields_check_fails_on_a_perturbed_relation(monkeypatch):
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    null_fields = Session.null_fields
+
+    def perturbed(self, d, parity=None):
+        rels = [dict(r) for r in null_fields(self, d, parity)]
+        other = list(rels[0])[1]  # the first key is the anchor
+        rels[0][other] = rels[0][other] + 1
+        return rels
+
+    monkeypatch.setattr(Session, "null_fields", perturbed)
+    rows = {r.name: r for r in report.check_null_fields(report.Context(), 8)}
+    assert rows["null_dimensions_wt8"].status == "pass"
+    assert rows["null_fields_expand_to_zero_wt8"].status == "fail"

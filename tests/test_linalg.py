@@ -12,8 +12,12 @@ from w2345.linalg import (
     SpanSolver,
     _IntCarrier,
     _PolyCarrier,
+    clear_vector,
+    exact_sum,
     nullspace,
 )
+from w2345.modes import add_into
+from w2345.pbw import canonical
 from w2345.scalars import RatFunc, ReconstructionError, domain
 
 QQ = domain(3)
@@ -223,6 +227,39 @@ def test_poly_carrier_clear_is_exact(vals):
     raws, factor = _PolyCarrier.clear(vals)
     assert all(all(type(c) is int for c in r) for r in raws)
     assert [factor * RatFunc(r) for r in raws] == [GEN.scalar(v) for v in vals]
+
+
+# -- exact_sum against term-by-term scalar arithmetic -------------------------
+
+
+def _exact_sum_matches_add_into(dom, vecs, coeffs):
+    """exact_sum equals the add_into sum of RatFunc / Fraction products, and
+    subtracting that sum as one more vector gives zero.  States carry no
+    zero entries, as add_into expects."""
+    vecs = [{m: x for m, x in v.items() if x} for v in vecs]
+    want = {}
+    for c, v in zip(coeffs, vecs):
+        add_into(want, v, c)
+    want = canonical(dom, want)
+    terms = [(c, clear_vector(dom, v)) for c, v in zip(coeffs, vecs)]
+    assert exact_sum(dom, terms) == want
+    assert exact_sum(dom, terms + [(-1, clear_vector(dom, want))]) == {}
+
+
+@given(
+    _vectors(st.one_of(rational, st.integers(-9, 9))),
+    st.lists(st.one_of(rational, st.integers(-9, 9)), min_size=5, max_size=5),
+)
+def test_exact_sum_matches_add_into_over_q(vecs, coeffs):
+    _exact_sum_matches_add_into(QQ, vecs, coeffs)
+
+
+@given(
+    _vectors(st.one_of(ratfunc, rational, st.integers(-9, 9))),
+    st.lists(st.one_of(ratfunc, rational, st.integers(-9, 9)), min_size=5, max_size=5),
+)
+def test_exact_sum_matches_add_into_over_qk(vecs, coeffs):
+    _exact_sum_matches_add_into(GEN, vecs, coeffs)
 
 
 # -- GenericSpan: levels, reconstruction and the certificate ------------------

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
 from w2345 import reference, toplevels
+from w2345.linalg import SpanSolver
+from w2345.walgebra import Session
 
 
 def test_closed_form_examples():
@@ -15,19 +19,20 @@ def test_closed_form_examples():
     assert toplevels.eigenvalues_closed_form(5, 1, 0)[0] == Fraction(2, 35)
 
 
-def test_oracle_examples():
-    assert toplevels.eigenvalues_oracle(6, 5, 0)[1] == -20
-    assert toplevels.eigenvalues_oracle(6, 5, 0)[3] == 1560
-    assert toplevels.eigenvalues_oracle(2, 1, 0)[0] == Fraction(1, 16)
+def test_oracle_examples(ses6):
+    assert toplevels.eigenvalues_oracle(ses6, 5, 0)[1] == -20
+    assert toplevels.eigenvalues_oracle(ses6, 5, 0)[3] == 1560
+    assert toplevels.eigenvalues_oracle(Session(2), 1, 0)[0] == Fraction(1, 16)
 
 
 def test_oracle_agrees_with_closed_form():
     for k in range(2, 7):
+        ses = Session(k)
         for i in range(0, k + 1):
             for j in range(0, i + 1):
                 assert toplevels.eigenvalues_closed_form(
                     k, i, j
-                ) == toplevels.eigenvalues_oracle(k, i, j), (k, i, j)
+                ) == toplevels.eigenvalues_oracle(ses, i, j), (k, i, j)
 
 
 def test_quartet_tables():
@@ -91,7 +96,7 @@ def test_descendant_matrix_consistency(ses6):
             res = pbw.canonical(d, element_mode(alg, gp, wtp, v))
             row.append(res.get(((pbw.E, -1),), Fraction(0)))
         honest.append(row)
-    assert toplevels.descendant_matrix(6, quartet) == honest
+    assert toplevels.descendant_matrix(ses6, quartet) == honest
 
 
 def row_proportional(row, ref_row):
@@ -106,10 +111,10 @@ def row_proportional(row, ref_row):
     return None
 
 
-def test_descendant_first_row():
+def test_descendant_first_row(ses6):
     # the first raising row is a nonzero multiple of the first reference row
     hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
-    mat = toplevels.descendant_matrix(6, hw1)
+    mat = toplevels.descendant_matrix(ses6, hw1)
     lam = row_proportional(mat[0], reference.F_K6_ROWS[0])
     assert lam == Fraction(5, 48)
 
@@ -133,9 +138,43 @@ def test_descendant_analysis(ses6):
                 ref = [ref[0], -ref[1], ref[2], -ref[3]]
             rows.append(ref)
         res = toplevels.descendant_analysis(
-            6, tuple(Fraction(x) for x in hw), nulls, rows
+            ses6, tuple(Fraction(x) for x in hw), nulls, rows
         )
         assert res["relation_rank"] == 3
         assert res["kernel_in_relations"]
         assert res["combined_rank"] == 4
         assert all(a for a in res["alphas"])
+
+
+def _first_two_rows(ses6):
+    """Reference rows for the first two raising rows at the i = 1 quartet,
+    with no null relations: the second is the raising row itself, the
+    first is its raising row with one entry moved off the row's line."""
+    hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
+    mat = toplevels.descendant_matrix(ses6, hw1)
+    off = list(mat[0])
+    j = next(j for j, x in enumerate(off) if x)
+    off[(j + 1) % 4] += 1
+    return hw1, [off, mat[1]]
+
+
+def test_descendant_analysis_uses_the_given_session(ses6, monkeypatch):
+    hw1, rows = _first_two_rows(ses6)
+
+    def no_new_session(self, level=None):
+        raise AssertionError("the descendant analysis built a new Session")
+
+    monkeypatch.setattr(Session, "__init__", no_new_session)
+    res = toplevels.descendant_analysis(ses6, hw1, [], rows)
+    assert res["alphas"] == [None, 1]
+
+
+def test_descendant_analysis_propagates_other_express_errors(ses6, monkeypatch):
+    hw1, rows = _first_two_rows(ses6)
+
+    def broken(self, vec):
+        raise ZeroDivisionError("express failed")
+
+    monkeypatch.setattr(SpanSolver, "express", broken)
+    with pytest.raises(ZeroDivisionError):
+        toplevels.descendant_analysis(ses6, hw1, [], rows)
