@@ -6,9 +6,11 @@ at a fixed level, integer polynomial tuples in the generic mode), combined
 by cross-multiplication, and re-divided by their content after every step.
 
 ``GenericSpan`` solves the large systems over Q(k) without eliminating over
-rational functions: it runs the integer ``SpanSolver`` at several levels,
-reconstructs the coordinates as rational functions of k, and certifies each
-result exactly over Q(k) before returning it.
+rational functions: it clears each vector once to integer polynomials, runs
+the integer ``SpanSolver`` on their values at several levels, reconstructs
+the coordinates over the cleared vectors as rational functions of k,
+rescales them by the clearing factors, and certifies each result exactly
+over Q(k) before returning it.
 
 ``exact_sum`` adds combinations of sparse vectors on the same integer
 carriers: the certificate and the null-field checks both use it.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import scalars as sc
-from .scalars import RatFunc, ReconstructionError, SpecializationError, specialize
+from .scalars import RatFunc, ReconstructionError, SpecializationError
 
 
 class NotInSpanError(ValueError):
@@ -35,19 +37,25 @@ class NotInSpanError(ValueError):
 
 
 class _IntCarrier:
-    """Rows of plain ints (specialized-level sessions)."""
+    """Rows of plain ints (specialized-level sessions).
+
+    Each carrier's ``clear`` is the one clearing routine of the package
+    (``element_mode``, ``SpanSolver`` and ``exact_sum``); ``to_scalar``
+    turns a raw into a coefficient the engines multiply: the int itself
+    here, a polynomial ``RatFunc`` over Q(k)."""
 
     one = 1
 
     @staticmethod
     def clear(vals):
-        """Integerize to a primitive row; returns (raws, factor) with
-        original = factor * raws."""
+        """Integerize ints and Fractions to a primitive row; returns (raws,
+        factor) with original = factor * raws."""
         den = 1
         for v in vals:
-            v = Fraction(v)
-            den = den * v.denominator // gcd(den, v.denominator)
-        out = [int(Fraction(v) * den) for v in vals]
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        out = [v.numerator * (den // v.denominator) for v in vals]
         g = 0
         for v in out:
             g = gcd(g, v)
@@ -82,7 +90,7 @@ class _IntCarrier:
     def divexact(a, g):
         return a // g
 
-    to_scalar = staticmethod(lambda a: Fraction(a))
+    to_scalar = staticmethod(lambda a: a)
 
     @staticmethod
     def ratio(a, b):
@@ -337,36 +345,41 @@ FIRST_LEVEL = 7  # generic spans are evaluated at k = 7, 8, ...
 _GENERIC = sc.domain()
 
 
-def _specialize(vec, level, keys=None):
-    return {m: specialize(c, level) for m, c in vec.items() if keys is None or m in keys}
+def _evaluate(raws, level, keys=None):
+    """The integer row of cleared polynomial raws at k = level."""
+    return {m: sc.ip_eval(r, level) for m, r in raws.items() if keys is None or m in keys}
 
 
 class GenericSpan:
     """Greedy span of sparse vectors over Q(k), solved at integer levels.
 
-    The vectors are inserted, in order, into an integer SpanSolver at the
-    first level k0 >= FIRST_LEVEL where all of them specialize.  That fixes
-    the independent vectors and the kept keys: the pivot keys at k0.  A
-    coordinate problem is then solved at the levels k0, k0 + 1, ... on the
-    kept keys only (a level where an independent vector does not specialize,
-    or loses rank there, is skipped), fitted by ``scalars.reconstruct`` and
-    certified exactly over Q(k) on every key: each relation of a dependent
-    vector must vanish and each ``express`` result must give back its
-    vector, or ReconstructionError is raised.  The rank at k0 bounds the
+    Each vector v_i is cleared once, v_i = F_i * R_i with R_i a vector of
+    integer polynomials (``clear_vector``), and every level works on the
+    values R_i(k) in plain ints.  The vectors are inserted, in order, into
+    an integer SpanSolver at the first level k0 >= FIRST_LEVEL where no
+    entry of any v_i has a pole.  That fixes the independent vectors and the
+    kept keys: the pivot keys at k0.  A coordinate problem R_t = sum c'_i R_i
+    is then solved at the levels k0, k0 + 1, ... on the kept keys only (a
+    level where the kept rows lose rank is skipped) and fitted by
+    ``scalars.reconstruct``; the cleared problem has polynomial data, so its
+    coordinates have lower degree and need fewer levels than those of the
+    original vectors.  The fits are rescaled exactly over Q(k), c_i = c'_i *
+    F_t / F_i, and certified over Q(k) on every key: each relation of a
+    dependent vector must vanish and each ``express`` result must give back
+    its vector, or ReconstructionError is raised.  The rank at k0 bounds the
     generic rank from below; the certified relations, each with coefficient
     1 on its own vector and earlier vectors besides, bound it from above.  So
     the independent vectors are those a greedy insert over Q(k) would keep.
     """
 
     def __init__(self, vecs):
-        self.vecs = list(vecs)
+        self._cleared = [clear_vector(_GENERIC, v) for v in vecs]  # (R_i, F_i) per vector
         self.level, self.full, self.independent, self.keys = self._first_level()
         self._solvers = {}  # level -> SpanSolver on the kept keys, or None
-        self._cleared = {}  # vector index -> clear_vector of it
         kept = set(self.independent)
-        dependent = [i for i in range(len(self.vecs)) if i not in kept]
+        dependent = [i for i in range(len(self._cleared)) if i not in kept]
         self.relations = {}  # dependent index -> relation, 1 on that index
-        fits = self._solve([self.vecs[i] for i in dependent])
+        fits = self._solve([self._cleared[i] for i in dependent])
         for i, coords in zip(dependent, fits):
             if any(j > i for j in coords):
                 raise ReconstructionError(f"vector {i} depends on later vectors over Q(k)")
@@ -376,27 +389,24 @@ class GenericSpan:
 
     def _first_level(self):
         for level in range(FIRST_LEVEL, FIRST_LEVEL + sc.RECONSTRUCT_LEVELS):
-            try:
-                rows = [_specialize(v, level) for v in self.vecs]
-            except SpecializationError:
+            # an entry of v_i has a pole exactly where the denominator of F_i vanishes
+            if any(sc.ip_eval(f.d, level) == 0 for _, f in self._cleared):
                 continue
             full = SpanSolver(sc.domain(level))
+            rows = [_evaluate(raws, level) for raws, _ in self._cleared]
             independent = [i for i, row in enumerate(rows) if full.insert(row) is None]
             return level, full, independent, frozenset(full.pivots)
         raise ReconstructionError("no level specializes every vector")
 
     def _solver(self, level):
-        """Integer solver at the level over the independent vectors cut to
-        the kept keys; SpecializationError when the level cannot be used."""
+        """Integer solver at the level over the cleared independent vectors
+        cut to the kept keys; SpecializationError when they lose rank."""
         if level not in self._solvers:
             solver = SpanSolver(sc.domain(level))
-            try:
-                for i in self.independent:
-                    if solver.insert(_specialize(self.vecs[i], level, self.keys)) is not None:
-                        solver = None
-                        break
-            except SpecializationError:
-                solver = None
+            for i in self.independent:
+                if solver.insert(_evaluate(self._cleared[i][0], level, self.keys)) is not None:
+                    solver = None
+                    break
             self._solvers[level] = solver
         solver = self._solvers[level]
         if solver is None:
@@ -404,8 +414,9 @@ class GenericSpan:
         return solver
 
     def _solve(self, targets):
-        """Coordinates of each target over the independent vectors, as
-        fitted rational functions (not yet certified)."""
+        """Coordinates of each cleared target (raws, F_t) over the
+        independent vectors: fitted over the cleared vectors, then rescaled
+        by F_t / F_i (not yet certified)."""
         if not targets:
             return []
         n = len(self.independent)
@@ -413,25 +424,26 @@ class GenericSpan:
         def sample(level):
             solver = self._solver(level)
             out = []
-            for vec in targets:
-                coords = solver.express(_specialize(vec, level, self.keys))
+            for raws, _ in targets:
+                coords = solver.express(_evaluate(raws, level, self.keys))
                 out.extend(coords.get(j, 0) for j in range(n))
             return out
 
         flat = sc.reconstruct(sample, self.level)
+        factors = [self._cleared[i][1] for i in self.independent]
         return [
-            {self.independent[j]: c for j, c in enumerate(flat[t * n : (t + 1) * n]) if c}
-            for t in range(len(targets))
+            {
+                self.independent[j]: c * (f_t / factors[j])
+                for j, c in enumerate(flat[t * n : (t + 1) * n])
+                if c
+            }
+            for t, (_, f_t) in enumerate(targets)
         ]
 
     def _certify(self, coords, target=None):
-        """Exact check over Q(k), on every key, that sum coords[i] * vecs[i]
+        """Exact check over Q(k), on every key, that sum coords[i] * v_i
         equals the target (a clear_vector result; None means zero)."""
-        terms = []
-        for i, c in coords.items():
-            if i not in self._cleared:
-                self._cleared[i] = clear_vector(_GENERIC, self.vecs[i])
-            terms.append((c, self._cleared[i]))
+        terms = [(c, self._cleared[i]) for i, c in coords.items()]
         if target is not None:
             terms.append((-1, target))
         if exact_sum(_GENERIC, terms):
@@ -441,8 +453,8 @@ class GenericSpan:
         """Coordinates of vec over the independent vectors, certified over
         Q(k).  Raises NotInSpanError when vec is outside the span at k0."""
         cleared = clear_vector(_GENERIC, vec)
-        self.full.express({m: sc.ip_eval(r, self.level) for m, r in cleared[0].items()})
-        (coords,) = self._solve([vec])
+        self.full.express(_evaluate(cleared[0], self.level))
+        (coords,) = self._solve([cleared])
         self._certify(coords, cleared)
         return coords
 
@@ -477,4 +489,4 @@ def _normalize_vector(vec, domain):
         negative = (lead < 0) if not domain.is_generic else (lead[-1] < 0)
         if negative:
             raws = [car.neg(r) for r in raws]
-    return [car.to_scalar(r) for r in raws]
+    return [domain.scalar(car.to_scalar(r)) for r in raws]

@@ -23,18 +23,17 @@ bottoming out at the ground state (1_n = delta_{n,-1}).  Both infinite sums
 truncate by weight; the truncation bound is verified by evaluating one extra
 term and checking that it vanishes.
 
-At an integer level the coefficients are plain ints: the affine central term
-uses the integer level, so the PBW memo tables hold ints, and element_mode
-clears the denominators of v and w on entry and divides each output
-coefficient by their product once.  Generic (RatFunc) coefficients pass
-through unchanged.
+The PBW memo tables hold integers: plain ints at an integer level (the
+affine central term uses the integer level), integer polynomials in k over
+Q(k).  element_mode clears the denominators of v and w on entry with the
+domain carrier's ``clear`` (``linalg``), in both domains, so its inner loops
+multiply integers, or polynomial RatFuncs on their gcd-free fast path, and
+it divides each output coefficient by the two clearing factors once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
+from .linalg import carrier_for
 from .scalars import comb_z
 
 
@@ -51,7 +50,7 @@ def add_into(acc, state, coeff=1):
         if s:
             acc[m] = s
         else:
-            del acc[m]
+            acc.pop(m, None)
     return acc
 
 
@@ -142,30 +141,28 @@ def word_apply(alg, word, n, wmono):
     return out
 
 
-def _clear(state):
-    """(integer dict, den) with state == integer dict / den, for int and
-    Fraction coefficients."""
-    den = 1
-    for c in state.values():
-        den = lcm(den, c.denominator)
-    return {m: c.numerator * (den // c.denominator) for m, c in state.items()}, den
-
-
 def element_mode(alg, elem, n, state):
-    """v_n w for an element dict v (word -> coeff) and a state dict w."""
-    den = 1
-    if not alg.domain.is_generic:
-        elem, dv = _clear(elem)
-        state, dw = _clear(state)
-        den = dv * dw
+    """v_n w for an element dict v (word -> coeff) and a state dict w.
+
+    The coefficients of v and w are cleared on entry by the domain carrier,
+    so the double loop multiplies ints (or integer polynomials over Q(k)),
+    and each output coefficient is divided once by the two clearing
+    factors."""
+    car = carrier_for(alg.domain)
+    raws_v, fv = car.clear(list(elem.values()))
+    raws_w, fw = car.clear(list(state.values()))
+    lift = car.to_scalar
+    rows_w = [(wmono, lift(cw)) for wmono, cw in zip(state, raws_w) if cw]
     out = {}
-    for word, cv in elem.items():
-        for wmono, cw in state.items():
-            c = cv * cw
-            if c:
-                add_into(out, word_apply(alg, word, n, wmono), c)
-    if den != 1:
-        out = {m: Fraction(c, den) for m, c in out.items()}
+    for word, cv in zip(elem, raws_v):
+        if not cv:
+            continue
+        cv = lift(cv)
+        for wmono, cw in rows_w:
+            add_into(out, word_apply(alg, word, n, wmono), cv * cw)
+    factor = fv * fw
+    if factor != 1:
+        out = {m: factor * c for m, c in out.items()}
     return out
 
 

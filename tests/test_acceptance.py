@@ -84,6 +84,10 @@ def test_criterion_3_null_fields(gses):
         for rel in gses.null_fields(w):
             exp = pbw.canonical(d, gses.nf_expand_element(rel))
             ok = ok and not exp
+        # positive control: the same sum with one coefficient shifted by 1
+        # is that word's expansion, so an empty result means a vanishing sum
+        mono, c = next(iter(rel.items()))
+        ok = ok and bool(gses.nf_expand_element({**rel, mono: c + 1}))
     _line("criterion 3: null-field dimensions and displayed relations", ok)
 
 

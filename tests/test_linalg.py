@@ -281,6 +281,31 @@ def test_generic_span_relations_and_express():
         span.express({3: k})
 
 
+def test_generic_span_fits_over_the_cleared_vectors():
+    # v_i = F_i * R_i with clearing factors F_i that depend on k; v0 has a
+    # pole at k = 7, so the first level is 8, and v1 has one at k = 10, a
+    # level the fit samples: the cleared rows R_i(10) are integers.  The
+    # fitted coordinates must be rescaled by F_target / F_i over Q(k).
+    k = GEN.k
+    v0 = {0: 1 / (k - 7), 1: GEN.one}
+    v1 = {0: k / (k - 10), 2: 1 / (k - 10)}
+    v2 = {1: k * (k + 3), 2: 2 * (k + 3) / (k - 2)}
+    assert [clear_vector(GEN, v)[1] for v in (v0, v1, v2)] == [
+        1 / (k - 7),
+        1 / (k - 10),
+        (k + 3) / (k - 2),
+    ]
+    v3 = _combination(GEN, [(k + 1) / (k + 5), GEN.zero, k * k], [v0, v1, v2])
+    span = GenericSpan([v0, v1, v2, v3])
+    assert span.level == 8
+    assert span.independent == [0, 1, 2]
+    assert span.relations == {3: {3: GEN.one, 0: -(k + 1) / (k + 5), 2: -k * k}}
+    coeffs = [k**2 - 2, 5 / (2 * k + 1), (k - 1) / (k + 4)]
+    target = _combination(GEN, coeffs, [v0, v1, v2])
+    assert span.express(target) == dict(enumerate(coeffs))
+    assert span._solvers[10] is not None
+
+
 def test_generic_span_skips_a_level_where_the_kept_rows_lose_rank():
     # v1 equals v0 at k = 9 only; a solve there would give wrong coordinates
     k = GEN.k

@@ -7,7 +7,7 @@ import pytest
 from w2345 import pbw
 from w2345.modes import TruncationError, add_into, element_mode, mode_power_apply, word_apply
 from w2345.pbw import E, F, H
-from w2345.scalars import comb_z
+from w2345.scalars import IP_ONE, comb_z
 from w2345.walgebra import Session, enumerate_nf
 
 
@@ -184,6 +184,41 @@ def test_element_mode_with_fractions_matches_double_loop(ses5):
         got = element_mode(alg, omega, n, w)
         assert pbw.canonical(d, got) == pbw.canonical(d, want)
     assert any(c.denominator > 1 for c in pbw.canonical(d, got).values())
+
+
+def test_element_mode_over_qk_matches_double_loop(gses):
+    # the generic mirror of the level test above: v and w carry RatFunc
+    # denominators, which element_mode clears on entry and divides out once
+    d = gses.domain
+    alg = gses.pbw
+    k = d.k
+    omega = gses.conformal()[2]
+    assert {c.d for c in omega.values()} == {(0, 4, 2), (2, 1), (4, 2)}  # 2k(k+2), k+2, 2(k+2)
+    w = {
+        ((H, -2), (E, -1)): 3 / (k - 1),
+        ((E, -1), (F, -2)): (k + 5) / (6 * k + 6),
+        ((H, -1), (H, -1), (H, -1)): k * k / 9,
+        ((E, -3),): d.scalar(7),
+    }
+    for n in range(-2, 5):
+        want = {}
+        for word, cv in omega.items():
+            for mono, cw in w.items():
+                add_into(want, word_apply(alg, word, n, mono), cv * cw)
+        got = element_mode(alg, omega, n, w)
+        assert pbw.canonical(d, got) == pbw.canonical(d, want)
+    assert any(c.d != IP_ONE for c in pbw.canonical(d, got).values())
+    # the PBW memo tables hold integer polynomials: no RatFunc denominator
+    assert alg._gen_memo and alg.word_memo
+    for memo in (alg._gen_memo, alg.word_memo):
+        for state in memo.values():
+            assert all(d.scalar(c).d == IP_ONE for c in state.values())
+
+
+def test_add_into_skips_explicit_zeros_on_missing_keys():
+    assert add_into({}, {0: 0}, 1) == {}
+    assert add_into({0: 1}, {0: 0}) == {0: 1}
+    assert add_into({0: 1}, {0: 1, 1: 0}, -1) == {}
 
 
 @pytest.mark.parametrize("k0", (7, 11))

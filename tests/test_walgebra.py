@@ -149,6 +149,10 @@ def test_weight8_structure(gses):
         assert len(parities) == 1
         exp = pbw.canonical(gses.domain, gses.nf_expand_element(rel))
         assert not exp
+        # positive control: one coefficient shifted by 1 leaves that word's
+        # expansion, so the empty sums above are not an empty-result fault
+        mono, c = next(iter(rel.items()))
+        assert gses.nf_expand_element({**rel, mono: c + 1})
 
 
 def test_weight8_17_even_12_odd():
