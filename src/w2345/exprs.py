@@ -263,35 +263,33 @@ def _scalar_div(a, b):
 # ---------------------------------------------------------------------------
 
 
-def parse_scalar(text, domain):
-    ev = _Evaluator(tokenize(text), domain, {"k": domain.k})
+def _evaluate(text, domain, names, word_kind=None):
+    """Value of the whole text; ParseError on trailing input."""
+    ev = _Evaluator(tokenize(text), domain, names, word_kind)
     v = ev.expr()
     if ev.peek()[0] != "end":
         raise ParseError("trailing input", ev.peek()[2])
+    return v
+
+
+def parse_scalar(text, domain):
+    v = _evaluate(text, domain, {"k": domain.k})
     if isinstance(v, tuple):
         raise ParseError("expected a scalar, found an operator word")
     return domain.scalar(v)
 
 
 def parse_multipoly(text, vars, domain):
-    names = {"k": domain.k}
     vars = tuple(vars)
-    for v in vars:
-        names[v] = MultiPoly.var(vars, v)
-    ev = _Evaluator(tokenize(text), domain, names)
-    v = ev.expr()
-    if ev.peek()[0] != "end":
-        raise ParseError("trailing input", ev.peek()[2])
+    names = {"k": domain.k, **{v: MultiPoly.var(vars, v) for v in vars}}
+    v = _evaluate(text, domain, names)
     if not isinstance(v, MultiPoly):
         v = MultiPoly.const(vars, v)
     return v.map_coeffs(domain.scalar)
 
 
 def _parse_element(text, domain, kind):
-    ev = _Evaluator(tokenize(text), domain, {"k": domain.k}, word_kind=kind)
-    v = ev.expr()
-    if ev.peek()[0] != "end":
-        raise ParseError("trailing input", ev.peek()[2])
+    v = _evaluate(text, domain, {"k": domain.k}, word_kind=kind)
     if not isinstance(v, tuple):
         if v == 0:
             return {}

@@ -55,16 +55,9 @@ class _IntCarrier:
             d = v.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-        out = [v.numerator * (den // v.denominator) for v in vals]
-        g = 0
-        for v in out:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            out = [v // g for v in out]
-        if g == 0:
-            g = 1
+        out, g = _IntCarrier.content_reduce(
+            [v.numerator * (den // v.denominator) for v in vals]
+        )
         return out, Fraction(g, den)
 
     mul = staticmethod(lambda a, b: a * b)
@@ -73,14 +66,16 @@ class _IntCarrier:
 
     @staticmethod
     def content_reduce(vals):
+        """(row divided by its content, content); the same list object and
+        content 1 when the content is 1 or the row is zero."""
         g = 0
         for v in vals:
             g = gcd(g, v)
             if g == 1:
-                return vals
+                return vals, 1
         if g > 1:
-            return [v // g for v in vals]
-        return vals
+            return [v // g for v in vals], g
+        return vals, 1
 
     @staticmethod
     def gcd2(a, b):
@@ -106,14 +101,7 @@ class _PolyCarrier:
     def clear(vals):
         """Integerize to a primitive row; returns (raws, factor) with
         original = factor * raws."""
-        rfs = [
-            v
-            if isinstance(v, RatFunc)
-            else RatFunc.from_int(v)
-            if isinstance(v, int)
-            else RatFunc.from_fraction(v)
-            for v in vals
-        ]
+        rfs = [sc._as_ratfunc(v) for v in vals]
         den = sc.IP_ONE
         for v in rfs:
             if v.d != sc.IP_ONE:
@@ -125,15 +113,7 @@ class _PolyCarrier:
                 out.append(sc.ip_mul(v.n, den) if den != sc.IP_ONE else v.n)
             else:
                 out.append(sc.ip_mul(v.n, sc.ip_divexact(den, v.d)))
-        g = sc.IP_ZERO
-        for v in out:
-            g = sc.ip_gcd(g, v)
-            if g == sc.IP_ONE:
-                break
-        if g and g != sc.IP_ONE:
-            out = [sc.ip_divexact(v, g) if v else v for v in out]
-        if not g:
-            g = sc.IP_ONE
+        out, g = _PolyCarrier.content_reduce(out)
         return out, RatFunc(g, den)
 
     mul = staticmethod(sc.ip_mul)
@@ -142,14 +122,16 @@ class _PolyCarrier:
 
     @staticmethod
     def content_reduce(vals):
+        """(row divided by its content, content); the same list object and
+        content 1 when the content is 1 or the row is zero."""
         g = sc.IP_ZERO
         for v in vals:
             g = sc.ip_gcd(g, v)
             if g == sc.IP_ONE:
-                return vals
-        if g and g != sc.IP_ONE:
-            return [sc.ip_divexact(v, g) if v else v for v in vals]
-        return vals
+                return vals, g
+        if g:
+            return [sc.ip_divexact(v, g) if v else v for v in vals], g
+        return vals, sc.IP_ONE
 
     gcd2 = staticmethod(sc.ip_gcd)
     divexact = staticmethod(sc.ip_divexact)
@@ -278,7 +260,7 @@ class SpanSolver:
                     newtags.pop(i, None)
             tags = newtags
             vals = [v for _, v in row] + list(tags.values())
-            red = car.content_reduce(vals)
+            red, _ = car.content_reduce(vals)
             if red is not vals:
                 n = len(row)
                 row = [(k, red[j]) for j, (k, _) in enumerate(row)]
@@ -379,8 +361,8 @@ class GenericSpan:
         kept = set(self.independent)
         dependent = [i for i in range(len(self._cleared)) if i not in kept]
         self.relations = {}  # dependent index -> relation, 1 on that index
-        fits = self._solve([self._cleared[i] for i in dependent])
-        for i, coords in zip(dependent, fits):
+        for i in dependent:
+            coords = self._solve(self._cleared[i])
             if any(j > i for j in coords):
                 raise ReconstructionError(f"vector {i} depends on later vectors over Q(k)")
             rel = {i: sc.RF_ONE, **{j: -c for j, c in coords.items()}}
@@ -413,32 +395,24 @@ class GenericSpan:
             raise SpecializationError(f"the span cannot be solved at k = {level}")
         return solver
 
-    def _solve(self, targets):
-        """Coordinates of each cleared target (raws, F_t) over the
-        independent vectors: fitted over the cleared vectors, then rescaled
-        by F_t / F_i (not yet certified)."""
-        if not targets:
-            return []
+    def _solve(self, target):
+        """Coordinates of a cleared target (raws, F_t) over the independent
+        vectors: fitted over the cleared vectors, then rescaled by F_t / F_i
+        (not yet certified).  Each target gets its own fit, so it samples
+        only the levels its own coordinates need."""
+        raws, f_t = target
         n = len(self.independent)
 
         def sample(level):
-            solver = self._solver(level)
-            out = []
-            for raws, _ in targets:
-                coords = solver.express(_evaluate(raws, level, self.keys))
-                out.extend(coords.get(j, 0) for j in range(n))
-            return out
+            coords = self._solver(level).express(_evaluate(raws, level, self.keys))
+            return [coords.get(j, 0) for j in range(n)]
 
-        flat = sc.reconstruct(sample, self.level)
-        factors = [self._cleared[i][1] for i in self.independent]
-        return [
-            {
-                self.independent[j]: c * (f_t / factors[j])
-                for j, c in enumerate(flat[t * n : (t + 1) * n])
-                if c
-            }
-            for t, (_, f_t) in enumerate(targets)
-        ]
+        fits = sc.reconstruct(sample, self.level)
+        return {
+            i: c * (f_t / self._cleared[i][1])
+            for i, c in zip(self.independent, fits)
+            if c
+        }
 
     def _certify(self, coords, target=None):
         """Exact check over Q(k), on every key, that sum coords[i] * v_i
@@ -454,7 +428,7 @@ class GenericSpan:
         Q(k).  Raises NotInSpanError when vec is outside the span at k0."""
         cleared = clear_vector(_GENERIC, vec)
         self.full.express(_evaluate(cleared[0], self.level))
-        (coords,) = self._solve([cleared])
+        coords = self._solve(cleared)
         self._certify(coords, cleared)
         return coords
 

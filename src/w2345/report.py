@@ -226,12 +226,12 @@ def check_null_fields(ctx, weight):
     if weight == 10:
         nb = ses._nf_basis(10)
         plus = sum(1 for m in nb.monos if nf_parity(m) > 0)
-        elim_p = sum(1 for m in nb.eliminated if nf_parity(m) > 0)
+        elim_p = sum(1 for m in nb.relations if nf_parity(m) > 0)
         dims_ok = dims_ok and plus == 40 and elim_p == 5
         payload = (
             f"{total} words, rank {rank}; even sector {plus} words,"
             f" {elim_p} null fields; odd sector {total - plus} words,"
-            f" {len(nb.eliminated) - elim_p} null fields"
+            f" {len(nb.relations) - elim_p} null fields"
         )
     else:
         payload = f"{total} words span rank {rank}"
@@ -268,7 +268,7 @@ def check_null_fields(ctx, weight):
             )
         )
     if weight == 10:
-        odd = [m for m in nb.eliminated if nf_parity(m) < 0]
+        odd = [m for m in nb.relations if nf_parity(m) < 0]
         out.append(
             _result(
                 "null_fields_wt10_odd_sector",

@@ -11,6 +11,7 @@ Session, so its states and product table are built once.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import exprs, modes, pbw, reference
@@ -19,30 +20,27 @@ from .scalars import domain as make_domain
 from .walgebra import NF_GEN_WEIGHTS, HWModule
 
 
+@functools.cache
+def _eigen_polys(kval):
+    """The four eigenvalue polynomials in (m, p, q) at the level, parsed once."""
+    dom = make_domain(kval)
+    return tuple(
+        exprs.parse_multipoly(text, ("m", "p", "q"), dom)
+        for text in (
+            reference.EIG_OMEGA_TEXT,
+            reference.EIG_W3_TEXT,
+            reference.EIG_W4_TEXT,
+            reference.EIG_W5_TEXT,
+        )
+    )
+
+
 def eigenvalues_closed_form(kval, i, j):
     """Quartet (a2, a3, a4, a5) on the top vector indexed (i, j)."""
     if not (0 <= j <= i <= kval):
         raise ValueError("need 0 <= j <= i <= k")
-    dom = make_domain(kval)
-    names = {
-        "k": Fraction(kval),
-        "m": Fraction(i - 2 * j),
-        "p": Fraction((i - j + 1) * j),
-        "q": Fraction((i - j + 1) * (i - j + 2) * (j - 1) * j),
-    }
-    vals = []
-    for text in (
-        reference.EIG_OMEGA_TEXT,
-        reference.EIG_W3_TEXT,
-        reference.EIG_W4_TEXT,
-        reference.EIG_W5_TEXT,
-    ):
-        ev = exprs._Evaluator(exprs.tokenize(text), dom, names)
-        v = ev.expr()
-        if ev.peek()[0] != "end":
-            raise ValueError("trailing input in eigenvalue formula")
-        vals.append(Fraction(v))
-    return tuple(vals)
+    point = (i - 2 * j, (i - j + 1) * j, (i - j + 1) * (i - j + 2) * (j - 1) * j)
+    return tuple(Fraction(poly.evaluate(point)) for poly in _eigen_polys(kval))
 
 
 def _zero_mode_word_action(mono, vec, i):
@@ -161,10 +159,6 @@ def descendant_matrix(ses, hw):
     return [[cols[s][p] for s in range(4)] for p in range(4)]
 
 
-def descendant_kernel(ses, matrix):
-    return nullspace(matrix, ses.domain)
-
-
 def descendant_relations(ses, hw, null_elements):
     """Images of the vanishing elements' modes on the weight-(h+1) layer.
 
@@ -208,7 +202,7 @@ def descendant_analysis(ses, hw, null_elements, ref_rows):
     rel_span = SpanSolver(dom)
     for v in rels:
         rel_span.insert({i: x for i, x in enumerate(v) if x})
-    kern = descendant_kernel(ses, mat)
+    kern = nullspace(mat, dom)
     kernel_in_relations = all(
         not rel_span.probe({i: x for i, x in enumerate(v) if x})[0] for v in kern
     )

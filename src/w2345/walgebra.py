@@ -6,6 +6,12 @@ in the four generators, expresses states against the normal-form basis with
 the canonical eliminations, computes the full generator product (OPE) table,
 and extracts the null fields.
 
+One span per weight gives both the basis and the null fields: the free words
+go in first and the ``ELIMINATED`` table words after them, so every
+eliminated word (a table word, or at weight 10 a free word found dependent)
+gets its relation from that span, and a table word that comes out
+independent fails the build.
+
 At an integer level the normal-form basis is an integer ``SpanSolver``.
 Over Q(k) it is a ``linalg.GenericSpan``: the same integer elimination at
 the levels k = 7, 8, ..., rational reconstruction of the coordinates, and an
@@ -147,16 +153,15 @@ class HWModule(WAlgebra):
 
 
 class _NFBasis:
-    __slots__ = ("weight", "monos", "eliminated", "solver", "idx2mono", "rank", "found")
+    __slots__ = ("weight", "monos", "solver", "idx2mono", "rank", "relations")
 
-    def __init__(self, weight, monos, eliminated, solver, idx2mono, found):
+    def __init__(self, weight, monos, solver, idx2mono, relations):
         self.weight = weight
         self.monos = monos
-        self.eliminated = eliminated
         self.solver = solver
         self.idx2mono = idx2mono
         self.rank = len(idx2mono)
-        self.found = found  # word found dependent -> its null relation
+        self.relations = relations  # eliminated word -> its null relation, 1 on it
 
 
 class Session:
@@ -170,7 +175,6 @@ class Session:
         self._conformal = None
         self._nf_expansions = {}
         self._nf_bases = {}
-        self._null_fields = {}  # weight -> relations, one per eliminated word
         self._ope = None
         self._sc_table = None
         self._walg = None
@@ -294,6 +298,8 @@ class Session:
         monos = enumerate_nf(d)
         fixed = ELIMINATED.get(d, ())
         words = [m for m in monos if m not in fixed]
+        nfree = len(words)
+        words += fixed  # last, so each table word is tested against all free words
         if self.domain.is_generic:
             solver = GenericSpan([self.nf_expand(m) for m in words])
             rels = solver.relations
@@ -304,20 +310,22 @@ class Session:
                 rel = solver.insert(self.nf_expand(mono))
                 if rel is not None:
                     rels[i] = rel
-        eliminated = list(fixed)
-        found = {}
-        for i, rel in sorted(rels.items()):
-            if d <= 9:
-                raise AssertionError(f"unexpected dependency at weight {d}: {words[i]}")
-            eliminated.append(words[i])
+        found = sorted(i for i in rels if i < nfree)
+        if d <= 9 and found:
+            raise AssertionError(f"unexpected dependency at weight {d}: {words[found[0]]}")
+        relations = {}
+        for i in [*range(nfree, len(words)), *found]:
+            rel = rels.get(i)
+            if rel is None:
+                raise AssertionError(f"eliminated word {words[i]} is independent at weight {d}")
             # the relation is unique: scale it to coefficient 1 on the word
             lam = rel[i]
-            found[words[i]] = {
+            relations[words[i]] = {
                 words[i]: self.domain.one,
                 **{words[j]: c / lam for j, c in rel.items() if j != i},
             }
         idx2mono = {i: m for i, m in enumerate(words) if i not in rels}
-        nb = _NFBasis(d, monos, tuple(eliminated), solver, idx2mono, found)
+        nb = _NFBasis(d, monos, solver, idx2mono, relations)
         self._nf_bases[d] = nb
         return nb
 
@@ -392,36 +400,26 @@ class Session:
         return len(nb.monos), nb.rank
 
     def null_fields(self, d, parity=None):
-        """Null combinations at weight d, one per eliminated monomial.
+        """Null combinations at weight d, one per eliminated monomial: the
+        table words first, then the words the span found dependent.
 
-        Each relation is normalized to coefficient 1 on its eliminated
-        monomial; the expansion of every returned element is zero.
+        Each relation comes from the span that builds the normal-form basis,
+        normalized to coefficient 1 on its eliminated monomial; the expansion
+        of every returned element is zero.
         """
-        nb = self._nf_basis(d)
-        rels = self._null_fields.get(d)
-        if rels is None:
-            rels = []
-            for x in nb.eliminated:
-                rel = nb.found.get(x)
-                if rel is None:
-                    rel = {x: self.domain.one}
-                    for m, c in self.express(self.nf_expand(x), d).items():
-                        rel[m] = -c
-                rels.append(rel)
-            self._null_fields[d] = rels
         return [
             rel
-            for x, rel in zip(nb.eliminated, rels)
+            for x, rel in self._nf_basis(d).relations.items()
             if parity is None or nf_parity(x) == parity
         ]
 
     def null_field_for(self, mono):
-        """The null relation with coefficient 1 on the given monomial."""
-        d = nf_weight(mono)
-        for rel in self.null_fields(d):
-            if mono in rel and rel[mono] == self.domain.one:
-                return rel
-        raise KeyError(f"no null field anchored at {mono}")
+        """The null relation anchored at the given eliminated monomial, with
+        coefficient 1 on it; KeyError when no relation is anchored there."""
+        rel = self._nf_basis(nf_weight(mono)).relations.get(mono)
+        if rel is None:
+            raise KeyError(f"no null field anchored at {mono}")
+        return rel
 
     # -- text ------------------------------------------------------------------
 

@@ -70,7 +70,7 @@ def test_criterion_3_null_fields(gses):
     total10, rank10 = gses.nf_dimensions(10)
     nb = gses._nf_basis(10)
     plus = [m for m in nb.monos if nf_parity(m) > 0]
-    elim_p = [m for m in nb.eliminated if nf_parity(m) > 0]
+    elim_p = [m for m in nb.relations if nf_parity(m) > 0]
     ok = ok and total10 == 72 and len(plus) == 40 and len(elim_p) == 5
     for mono, text in (
         (((G3, -2), (G3, -2)), reference.REL_W3m2_SQ),

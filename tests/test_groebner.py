@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+
 from w2345 import exprs, groebner
 from w2345.groebner import (
     MonomialOrder,
@@ -14,6 +17,7 @@ from w2345.groebner import (
 )
 from w2345.multipoly import MultiPoly
 from w2345.scalars import domain
+from w2345.zhu import X_VARS
 
 QQ = domain(0)
 VARS = ("w2", "w3", "w4", "w5")
@@ -147,3 +151,35 @@ def test_buchberger_reduction_count_is_pinned(monkeypatch):
     gb = buchberger([poly(t) for t in PINNED], lex_order(("w5", "w4", "w3", "w2")))
     assert quotient_dimension(gb) == 20
     assert len(calls) == 89
+
+
+# -- outside oracle: sympy's lex Groebner bases of the C2 ideals ----------------
+
+
+def _monic(terms):
+    """A polynomial as a set of (exponent, coefficient) pairs divided by its
+    lex-leading coefficient, exponents in X_VARS order."""
+    lc = terms[max(terms, key=lambda e: e[::-1])]
+    return frozenset((e, Fraction(c) / lc) for e, c in terms.items())
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_lex_buchberger_matches_sympy_on_the_a_ideals(gses, ses5, ses6, level):
+    from test_acceptance import _a_ideal
+
+    gens = _a_ideal(gses, ses5 if level == 5 else ses6)
+    gb = buchberger(gens, lex_order(("x5", "x4", "x3", "x2")))
+    syms = sympy.symbols(X_VARS[::-1])  # x5 > x4 > x3 > x2
+    sym_gens = [
+        sympy.Poly.from_dict(
+            {e[::-1]: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
+            *syms,
+        ).as_expr()
+        for g in gens
+    ]
+    want = {
+        _monic({e[::-1]: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
+        for g in sympy.groebner(sym_gens, *syms, order="lex", domain="QQ").polys
+    }
+    assert len(want) == len(gb.elements) == {5: 11, 6: 13}[level]
+    assert {_monic(g.terms) for g in gb.elements} == want

@@ -146,7 +146,7 @@ def test_ip_gcd_keeps_content_when_one_side_is_zero():
     assert ip_gcd((), (4,)) == (4,)
     assert ip_gcd((), (-6, -4)) == (6, 4)
     assert ip_gcd((-6, -4), ()) == (6, 4)
-    assert _PolyCarrier.content_reduce([(-6,), (4,)]) == [(-3,), (2,)]
+    assert _PolyCarrier.content_reduce([(-6,), (4,)]) == ([(-3,), (2,)], (2,))
 
 
 @given(ipoly)
@@ -180,19 +180,20 @@ def test_ip_gcd_matches_subresultant_on_primitive_inputs(a, b, f):
 @given(st.lists(ipoly, min_size=1, max_size=5), ipoly)
 def test_content_reduce_leaves_content_one(row, f):
     row = [ip_mul(v, f) for v in row]
-    got = _PolyCarrier.content_reduce(row)
+    got, content = _PolyCarrier.content_reduce(row)
     g = ()
     for v in got:
         g = ip_gcd(g, v)
     if any(row):
         assert g == (1,)
-        # the row is a multiple of the reduced row by one polynomial
+        # the row is the reduced row times its content
         h = ()
         for v in row:
             h = ip_gcd(h, v)
+        assert content == h
         assert [ip_mul(v, h) for v in got] == row
     else:
-        assert got == row
+        assert got is row and content == (1,)
 
 
 # -- outside oracle: sympy's rational functions in k --------------------------

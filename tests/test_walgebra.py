@@ -176,26 +176,32 @@ def test_null_field_for_reads_cached_null_fields(ses7, monkeypatch):
     assert not calls
 
 
-def test_null_fields_reuse_the_relations_insert_found(ses7, monkeypatch):
-    # drop a cached weight-10 result another test may have left on the fixture
-    ses7._null_fields.pop(10, None)
+def test_null_fields_reuse_the_relations_insert_found(monkeypatch):
+    ses = Session(7)
     calls = []
     express = SpanSolver.express
     monkeypatch.setattr(
         SpanSolver, "express", lambda self, vec: calls.append(vec) or express(self, vec)
     )
-    rels = ses7.null_fields(10)
-    fixed = walgebra.ELIMINATED[10]
-    assert len(calls) == len(fixed) == 5
-    eliminated = ses7._nf_basis(10).eliminated
-    assert len(eliminated) == 9
+    rels = ses.null_fields(10)
+    assert not calls
+    eliminated = tuple(ses._nf_basis(10).relations)
+    assert eliminated[:5] == walgebra.ELIMINATED[10]
+    assert len(eliminated) == len(rels) == 9
+    # oracle: the word minus its coordinates over the basis
     for x, rel in zip(eliminated, rels):
-        if x in fixed:
-            continue
-        want = {x: ses7.domain.one}
-        for m, c in ses7.express(ses7.nf_expand(x), 10).items():
+        want = {x: ses.domain.one}
+        for m, c in ses.express(ses.nf_expand(x), 10).items():
             want[m] = -c
         assert rel == want
+
+
+def test_an_independent_table_word_fails_the_basis_build(monkeypatch):
+    fixed = walgebra.ELIMINATED[8]
+    extra = next(m for m in enumerate_nf(8) if m not in fixed)
+    monkeypatch.setitem(walgebra.ELIMINATED, 8, fixed + (extra,))
+    with pytest.raises(AssertionError, match="independent"):
+        Session(5).nf_dimensions(8)
 
 
 # -- the generic normal-form bases: certificate and level cross-checks ---------
