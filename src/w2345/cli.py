@@ -23,6 +23,14 @@ def _level_arg(value):
         raise argparse.ArgumentTypeError("level must be 'generic' or an integer")
 
 
+def _check_level_arg(value):
+    """The level of a check: 'generic' or a positive integer."""
+    level = _level_arg(value)
+    if level is not None and level < 1:
+        raise argparse.ArgumentTypeError("level must be 'generic' or an integer >= 1")
+    return level
+
+
 def _checks(run):
     """A subcommand that runs checks: prints their rows and exits 1 on a
     failure.  ``run(ctx, args)`` returns the rows."""
@@ -61,7 +69,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-ope", help="check the generator product table")
-    p.add_argument("--k", type=_level_arg, default=None)
+    p.add_argument("--k", type=_check_level_arg, default=None)
     p.set_defaults(run=_checks(lambda ctx, a: report.check_ope(ctx, a.k)))
 
     p = sub.add_parser("null-fields", help="null combinations at one weight")
@@ -69,11 +77,11 @@ def build_parser():
     p.set_defaults(run=_checks(lambda ctx, a: report.check_null_fields(ctx, a.weight)))
 
     p = sub.add_parser("zhu", help="associative-quotient kernel polynomials")
-    p.add_argument("--k", type=_level_arg, default=None)
+    p.add_argument("--k", type=_check_level_arg, default=None)
     p.set_defaults(run=_checks(lambda ctx, a: report.check_zhu(ctx, a.k)))
 
     p = sub.add_parser("c2", help="C2-quotient kernel polynomials")
-    p.add_argument("--k", type=_level_arg, default=None)
+    p.add_argument("--k", type=_check_level_arg, default=None)
     p.set_defaults(run=_checks(lambda ctx, a: report.check_c2(ctx, a.k)))
 
     p = sub.add_parser("singular", help="singular vectors at a fixed level")

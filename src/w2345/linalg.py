@@ -1,9 +1,9 @@
 """Exact linear algebra over the session scalars.
 
 ``SpanSolver`` is the incremental engine on sparse states.  Its elimination
-is fraction-free: incoming rows are cleared to integer carriers (plain ints
-at a fixed level, integer polynomial tuples in the generic mode), combined
-by cross-multiplication, and re-divided by their content after every step.
+is fraction-free: incoming rows are cleared to integer raws (plain ints at a
+fixed level, ``IntPoly`` polynomials in the generic mode), combined by
+cross-multiplication, and re-divided by their content after every step.
 
 ``GenericSpan`` solves the large systems over Q(k) without eliminating over
 rational functions: it clears each vector once to integer polynomials, runs
@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import floordiv
 
 from . import scalars as sc
-from .scalars import RatFunc, ReconstructionError, SpecializationError
+from .scalars import IntPoly, RatFunc, ReconstructionError, SpecializationError
 
 
 class NotInSpanError(ValueError):
@@ -40,9 +41,10 @@ class _IntCarrier:
     """Rows of plain ints (specialized-level sessions).
 
     Each carrier's ``clear`` is the one clearing routine of the package
-    (``element_mode``, ``SpanSolver`` and ``exact_sum``); ``to_scalar``
-    turns a raw into a coefficient the engines multiply: the int itself
-    here, a polynomial ``RatFunc`` over Q(k)."""
+    (``element_mode``, ``SpanSolver`` and ``exact_sum``).  Its raws are
+    numbers the engines add, negate and multiply with plain operators:
+    ints here, ``scalars.IntPoly`` over Q(k).  They become domain scalars
+    only when multiplied or divided by a clearing factor."""
 
     one = 1
 
@@ -60,10 +62,6 @@ class _IntCarrier:
         )
         return out, Fraction(g, den)
 
-    mul = staticmethod(lambda a, b: a * b)
-    add = staticmethod(lambda a, b: a + b)
-    neg = staticmethod(lambda a: -a)
-
     @staticmethod
     def content_reduce(vals):
         """(row divided by its content, content); the same list object and
@@ -77,25 +75,18 @@ class _IntCarrier:
             return [v // g for v in vals], g
         return vals, 1
 
-    @staticmethod
-    def gcd2(a, b):
-        return gcd(a, b)
-
-    @staticmethod
-    def divexact(a, g):
-        return a // g
-
-    to_scalar = staticmethod(lambda a: a)
-
-    @staticmethod
-    def ratio(a, b):
-        return Fraction(a, b)
+    gcd2 = staticmethod(gcd)
+    divexact = staticmethod(floordiv)
+    ratio = staticmethod(Fraction)
 
 
 class _PolyCarrier:
-    """Rows of integer polynomial tuples (generic sessions)."""
+    """Rows of ``IntPoly`` integer polynomials (generic sessions).
 
-    one = sc.IP_ONE
+    ``gcd2`` and ``divexact`` may return plain tuples; the engines only
+    multiply them into ``IntPoly`` raws."""
+
+    one = IntPoly(sc.IP_ONE)
 
     @staticmethod
     def clear(vals):
@@ -105,20 +96,11 @@ class _PolyCarrier:
         den = sc.IP_ONE
         for v in rfs:
             if v.d != sc.IP_ONE:
-                g = sc.ip_gcd(den, v.d)
-                den = sc.ip_mul(den, sc.ip_divexact(v.d, g))
-        out = []
-        for v in rfs:
-            if v.d == sc.IP_ONE:
-                out.append(sc.ip_mul(v.n, den) if den != sc.IP_ONE else v.n)
-            else:
-                out.append(sc.ip_mul(v.n, sc.ip_divexact(den, v.d)))
-        out, g = _PolyCarrier.content_reduce(out)
+                den = sc.ip_mul(den, sc.ip_divexact(v.d, sc.ip_gcd(den, v.d)))
+        out, g = _PolyCarrier.content_reduce(
+            [IntPoly(sc.ip_divexact(den, v.d)) * v.n for v in rfs]
+        )
         return out, RatFunc(g, den)
-
-    mul = staticmethod(sc.ip_mul)
-    add = staticmethod(sc.ip_add)
-    neg = staticmethod(sc.ip_neg)
 
     @staticmethod
     def content_reduce(vals):
@@ -130,19 +112,12 @@ class _PolyCarrier:
             if g == sc.IP_ONE:
                 return vals, g
         if g:
-            return [sc.ip_divexact(v, g) if v else v for v in vals], g
+            return [IntPoly(sc.ip_divexact(v, g)) for v in vals], g
         return vals, sc.IP_ONE
 
     gcd2 = staticmethod(sc.ip_gcd)
     divexact = staticmethod(sc.ip_divexact)
-
-    @staticmethod
-    def to_scalar(a):
-        return RatFunc(a, sc.IP_ONE, _raw=True)
-
-    @staticmethod
-    def ratio(a, b):
-        return RatFunc(a, b)
+    ratio = staticmethod(RatFunc)
 
 
 def carrier_for(domain):
@@ -168,15 +143,12 @@ def exact_sum(domain, terms):
     The scaled coefficients c * factor are cleared once, the integer raws
     are added, and only the nonzero entries become domain scalars again:
     returns a sparse state without zero entries."""
-    car = carrier_for(domain)
-    scales, factor = car.clear([c * f for c, (_, f) in terms])
+    scales, factor = carrier_for(domain).clear([c * f for c, (_, f) in terms])
     acc = {}
     for s, (_, (raws, _)) in zip(scales, terms):
         for m, r in raws.items():
-            v = car.mul(s, r)
-            old = acc.get(m)
-            acc[m] = v if old is None else car.add(old, v)
-    return {m: factor * car.to_scalar(v) for m, v in acc.items() if v}
+            acc[m] = acc.get(m, 0) + s * r
+    return {m: factor * v for m, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +156,33 @@ def exact_sum(domain, terms):
 # ---------------------------------------------------------------------------
 
 
-def _combine(car, rowa, ca, rowb, cb):
+def _combine(rowa, ca, rowb, cb):
     """ca * rowa + cb * rowb over sorted (key, raw) lists."""
     out = []
     ia = ib = 0
-    mul = car.mul
     na, nb = len(rowa), len(rowb)
     while ia < na and ib < nb:
         ka, va = rowa[ia]
         kb, vb = rowb[ib]
         if ka < kb:
-            out.append((ka, mul(ca, va)))
+            out.append((ka, va * ca))
             ia += 1
         elif kb < ka:
-            out.append((kb, mul(cb, vb)))
+            out.append((kb, vb * cb))
             ib += 1
         else:
-            s = car.add(mul(ca, va), mul(cb, vb))
+            s = va * ca + vb * cb
             if s:
                 out.append((ka, s))
             ia += 1
             ib += 1
     while ia < na:
         ka, va = rowa[ia]
-        out.append((ka, mul(ca, va)))
+        out.append((ka, va * ca))
         ia += 1
     while ib < nb:
         kb, vb = rowb[ib]
-        out.append((kb, mul(cb, vb)))
+        out.append((kb, vb * cb))
         ib += 1
     return out
 
@@ -247,13 +218,11 @@ class SpanSolver:
             pv = prow[0][1]
             g = car.gcd2(lv, pv)
             ca = car.divexact(pv, g)
-            cb = car.neg(car.divexact(lv, g))
-            row = _combine(car, row, ca, prow, cb)
-            newtags = dict((i, car.mul(ca, t)) for i, t in tags.items())
+            cb = car.divexact(-lv, g)
+            row = _combine(row, ca, prow, cb)
+            newtags = {i: t * ca for i, t in tags.items()}
             for i, t in ptags.items():
-                s = newtags.get(i)
-                v = car.mul(cb, t)
-                s = v if s is None else car.add(s, v)
+                s = newtags.get(i, 0) + t * cb
                 if s:
                     newtags[i] = s
                 else:
@@ -313,10 +282,7 @@ class SpanSolver:
         return coords
 
     def _tags_to_relation(self, tags):
-        car = self.car
-        return {
-            i: car.to_scalar(t) / self.factors[i] for i, t in tags.items() if t
-        }
+        return {i: t / self.factors[i] for i, t in tags.items() if t}
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +422,8 @@ def nullspace(matrix, domain):
 
 
 def _normalize_vector(vec, domain):
-    car = carrier_for(domain)
-    raws, _ = car.clear(vec)
+    raws, _ = carrier_for(domain).clear(vec)
     lead = next((r for r in raws if r), None)
-    if lead is not None:
-        negative = (lead < 0) if not domain.is_generic else (lead[-1] < 0)
-        if negative:
-            raws = [car.neg(r) for r in raws]
-    return [domain.scalar(car.to_scalar(r)) for r in raws]
+    if lead is not None and (lead[-1] if domain.is_generic else lead) < 0:
+        raws = [-r for r in raws]
+    return [domain.scalar(r) for r in raws]

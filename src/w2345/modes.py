@@ -23,12 +23,14 @@ bottoming out at the ground state (1_n = delta_{n,-1}).  Both infinite sums
 truncate by weight; the truncation bound is verified by evaluating one extra
 term and checking that it vanishes.
 
-The PBW memo tables hold integers: plain ints at an integer level (the
-affine central term uses the integer level), integer polynomials in k over
-Q(k).  element_mode clears the denominators of v and w on entry with the
-domain carrier's ``clear`` (``linalg``), in both domains, so its inner loops
-multiply integers, or polynomial RatFuncs on their gcd-free fast path, and
-it divides each output coefficient by the two clearing factors once.
+The PBW memo tables hold integers: plain ints at an integer level, and ints
+and ``scalars.IntPoly`` integer polynomials in k over Q(k) (the affine
+central term uses the integer level, or the polynomial k).  element_mode
+clears the denominators of v and w on entry with the domain carrier's
+``clear`` (``linalg``), in both domains, so its inner loops add and multiply
+these integers with plain operators, and it multiplies each output
+coefficient by the two clearing factors once, which makes it a domain
+scalar.
 """
 
 from __future__ import annotations
@@ -145,23 +147,22 @@ def element_mode(alg, elem, n, state):
     """v_n w for an element dict v (word -> coeff) and a state dict w.
 
     The coefficients of v and w are cleared on entry by the domain carrier,
-    so the double loop multiplies ints (or integer polynomials over Q(k)),
-    and each output coefficient is divided once by the two clearing
-    factors."""
+    so the double loop multiplies ints (or IntPolys over Q(k)), and each
+    output coefficient is multiplied once by the two clearing factors.  At
+    a level that multiply is skipped when the factor is 1, since ints are
+    level scalars already; an IntPoly never leaves."""
     car = carrier_for(alg.domain)
     raws_v, fv = car.clear(list(elem.values()))
     raws_w, fw = car.clear(list(state.values()))
-    lift = car.to_scalar
-    rows_w = [(wmono, lift(cw)) for wmono, cw in zip(state, raws_w) if cw]
+    rows_w = [(wmono, cw) for wmono, cw in zip(state, raws_w) if cw]
     out = {}
     for word, cv in zip(elem, raws_v):
         if not cv:
             continue
-        cv = lift(cv)
         for wmono, cw in rows_w:
             add_into(out, word_apply(alg, word, n, wmono), cv * cw)
     factor = fv * fw
-    if factor != 1:
+    if factor != 1 or alg.domain.is_generic:
         out = {m: factor * c for m, c in out.items()}
     return out
 

@@ -11,9 +11,9 @@ settles them).
 from __future__ import annotations
 
 from .modes import NormalOrdering, add_into
+from .scalars import IntPoly
 
 H, E, F = 0, 1, 2
-VACUUM = ()
 
 # [a, b] = _BRACKET[a][b] as (integer coefficient, generator), None when zero.
 _BRACKET = (
@@ -46,8 +46,9 @@ class PBWAlgebra(NormalOrdering):
     def __init__(self, domain):
         super().__init__()
         self.domain = domain
-        # the integer level keeps the memo tables on plain ints
-        self.k = domain.k if domain.is_generic else domain.level
+        # the central term keeps the memo tables on integers: the int level,
+        # or the polynomial k over Q(k)
+        self.k = IntPoly((0, 1)) if domain.is_generic else domain.level
 
     def gen_weight(self, g):
         return 1

@@ -8,8 +8,8 @@ specialized at the integer level ``k0``.
 
 Rational functions are stored as a pair of primitive integer polynomials
 (dense, low degree first) with gcd 1 and a positive leading denominator
-coefficient.  All rational content lives in the integer coefficients, so the
-inner loops of the normal-ordering engines run on plain Python ints.
+coefficient.  The engines clear the rational content away and run their
+inner loops on integers: plain ints at a level, ``IntPoly`` over Q(k).
 """
 
 from __future__ import annotations
@@ -302,6 +302,40 @@ def _ip_gcd_heuristic(a, b):
     return _ip_gcd_subresultant(a, b)
 
 
+class IntPoly(tuple):
+    """An integer polynomial in k as a number: a trimmed tuple of ints, low
+    degree first, with gcd-free ``+``, unary ``-`` and ``*`` against ints and
+    integer polynomial tuples.  The engines carry these raw values where a
+    level session carries plain ints; anything else gets NotImplemented."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return self
+            other = (other,)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return IntPoly(ip_add(self, other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return IntPoly([-x for x in self])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if not other or not self:
+                return IntPoly()
+            return self if other == 1 else IntPoly([x * other for x in self])
+        if not isinstance(other, tuple):
+            return NotImplemented
+        return IntPoly(ip_mul(self, other))
+
+    __rmul__ = __mul__
+
+
 def ip_format(a, symbol="k"):
     if not a:
         return "0"
@@ -403,8 +437,6 @@ class RatFunc:
         o = _as_ratfunc(other)
         if o is None:
             return NotImplemented
-        if self.d == IP_ONE and o.d == IP_ONE:
-            return RatFunc(ip_add(self.n, o.n), IP_ONE, _raw=True)
         if not self.n:
             return o
         if not o.n:
@@ -444,21 +476,11 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is int:
-            if other == 0 or not self.n:
-                return RF_ZERO
-            if other == 1:
-                return self
-            if self.d == IP_ONE:
-                return RatFunc(ip_mul_int(self.n, other), IP_ONE, _raw=True)
-            return RatFunc(ip_mul_int(self.n, other), self.d)
         o = _as_ratfunc(other)
         if o is None:
             return NotImplemented
         if not self.n or not o.n:
             return RF_ZERO
-        if self.d == IP_ONE and o.d == IP_ONE:
-            return RatFunc(ip_mul(self.n, o.n), IP_ONE, _raw=True)
         g1 = ip_gcd(self.n, o.d)
         g2 = ip_gcd(o.n, self.d)
         n1 = ip_divexact(self.n, g1) if g1 != IP_ONE else self.n
@@ -517,8 +539,12 @@ class RatFunc:
 
 
 def _as_ratfunc(x):
+    """The one coercion to RatFunc: RatFunc, IntPoly, int or Fraction, else
+    None."""
     if isinstance(x, RatFunc):
         return x
+    if isinstance(x, IntPoly):  # plain tuples inside: ip_* may concatenate
+        return RatFunc(tuple(x), IP_ONE, _raw=True)
     if isinstance(x, int):
         return RatFunc.from_int(x)
     if isinstance(x, Fraction):
@@ -629,13 +655,10 @@ class GenericDomain:
         self.one = RF_ONE
 
     def scalar(self, x):
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, int):
-            return RatFunc.from_int(x)
-        if isinstance(x, Fraction):
-            return RatFunc.from_fraction(x)
-        raise TypeError(f"cannot coerce {x!r} to a generic scalar")
+        r = _as_ratfunc(x)
+        if r is None:
+            raise TypeError(f"cannot coerce {x!r} to a generic scalar")
+        return r
 
     def fmt(self, s):
         return self.scalar(s).format()

@@ -29,7 +29,6 @@ from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
 NF_GEN_WEIGHTS = (2, 3, 4, 5)
-NF_NAMES = ("w", "W3", "W4", "W5")
 
 # Monomials removed from the normal-form spanning set so that the remainder
 # is a basis; weight 10 lists the even-sector choices, the odd sector at

@@ -115,9 +115,10 @@ class ZhuC2:
 
     def _null_scale(self):
         """The multiple relating the printed displays to the unit-normalized
-        weight-8 null field: -(17/9) k (k+1) (16k+17)^2 (64k+107)."""
-        k = self.dom.k
-        return -(17 * k * (k + 1) * (16 * k + 17) ** 2 * (64 * k + 107)) / 9
+        weight-8 null field: minus the recorded B0 scale."""
+        from . import reference
+
+        return -self.dom.parse(reference.B0_SCALE_TEXT)
 
     def _null_scale_9(self):
         """Scale for the weight-9 null field image: k (1424k^2+3241k+1542)."""

@@ -47,6 +47,15 @@ def test_parse_division_by_zero_is_a_parse_error(level, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["verify-ope", "zhu", "c2"])
+@pytest.mark.parametrize("level", ["0", "-1", "-2"])
+def test_check_commands_refuse_levels_below_one(command, level):
+    proc = run_cli(command, "--k", level)
+    assert proc.returncode == 2
+    assert "level must be 'generic' or an integer >= 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exit_code():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

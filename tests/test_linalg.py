@@ -18,7 +18,7 @@ from w2345.linalg import (
 )
 from w2345.modes import add_into
 from w2345.pbw import canonical
-from w2345.scalars import RatFunc, ReconstructionError, domain
+from w2345.scalars import IntPoly, RatFunc, ReconstructionError, domain
 
 QQ = domain(3)
 GEN = domain()
@@ -225,7 +225,7 @@ def test_int_carrier_clear_is_exact(vals):
 @given(st.lists(st.one_of(ratfunc, rational, st.integers(-9, 9)), max_size=5))
 def test_poly_carrier_clear_is_exact(vals):
     raws, factor = _PolyCarrier.clear(vals)
-    assert all(all(type(c) is int for c in r) for r in raws)
+    assert all(type(r) is IntPoly and all(type(c) is int for c in r) for r in raws)
     assert [factor * RatFunc(r) for r in raws] == [GEN.scalar(v) for v in vals]
 
 

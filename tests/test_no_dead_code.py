@@ -1,7 +1,12 @@
-"""Every top-level function and class of the package, and every non-dunder
-method, is named somewhere in the package outside its own definition, or is
-part of the public API (``w2345.__all__``).  Code that only tests call
-belongs in the tests."""
+"""Every top-level function, class and assignment of the package, and every
+non-dunder method and class-level assignment, is named somewhere in the
+package outside its own definition, or is part of the public API
+(``w2345.__all__``).  Code that only tests call belongs in the tests.
+
+A top-level name counts as used when its own module loads it, when another
+module imports it from that module, or when any module reads an attribute
+of that name; so a constant duplicated in a second module is found even
+though the first copy is in use."""
 
 import ast
 import pathlib
@@ -10,33 +15,56 @@ import w2345
 
 PKG = pathlib.Path(w2345.__file__).parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ASSIGNS = (ast.Assign, ast.AnnAssign)
+
+
+def _names(node):
+    """(name, node) for a definition, or for each plain name an assignment
+    binds; dunder names are skipped."""
+    if isinstance(node, DEFS):
+        names = [node.name]
+    elif isinstance(node, ASSIGNS):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [
+            n.id
+            for t in targets
+            for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+            if isinstance(n, ast.Name)
+        ]
+    else:
+        names = []
+    return [(name, node) for name in names if not name.startswith("__")]
 
 
 def _definitions(tree):
-    """(qualified name, node) for top-level functions and classes and the
-    non-dunder methods of top-level classes."""
+    """(qualified name, name, node, enclosing class or None) for top-level
+    definitions and assignments and for the methods and assignments of
+    top-level classes."""
     for node in tree.body:
-        if isinstance(node, DEFS):
-            yield node.name, node
+        for name, defn in _names(node):
+            yield name, name, defn, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, DEFS) and not item.name.startswith("__"):
-                    yield f"{node.name}.{item.name}", item
+                for name, defn in _names(item):
+                    yield f"{node.name}.{name}", name, defn, node
 
 
-def _references(tree):
-    """(identifier, enclosing definitions) for every name, attribute and
-    imported name in a module."""
+def _references(module, tree):
+    """(kind, module or None, identifier, enclosing definitions) for every
+    loaded name, attribute and imported name of a module.  An imported name
+    carries the module it is imported from."""
     out = []
 
     def visit(node, inside):
-        if isinstance(node, ast.Name):
-            out.append((node.id, inside))
-        elif isinstance(node, ast.Attribute):
-            out.append((node.attr, inside))
-        elif isinstance(node, ast.alias):
-            out.append((node.name.rsplit(".", 1)[-1], inside))
-        if isinstance(node, DEFS):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.append(("name", module, node.id, inside))
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            out.append(("attr", None, node.attr, inside))
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                out.append(("import", source, alias.name, inside))
+        if isinstance(node, DEFS + ASSIGNS):
             inside = inside | {id(node)}
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
@@ -45,20 +73,35 @@ def _references(tree):
     return out
 
 
+def _used(module, name, node, cls, refs):
+    """A top-level name is used by an attribute read anywhere, a load in its
+    own module or an import from it; a class member by an attribute read
+    anywhere or a load inside its class."""
+    for kind, where, ident, inside in refs:
+        if ident != name or id(node) in inside:
+            continue
+        if kind == "attr":
+            return True
+        if cls is None and where == module:
+            return True
+        if cls is not None and kind == "name" and id(cls) in inside:
+            return True
+    return False
+
+
 def unreferenced_names(pkg=PKG):
     trees = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
+        path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(pkg.glob("*.py"))
     }
-    refs = [ref for tree in trees.values() for ref in _references(tree)]
+    refs = [ref for module, tree in trees.items() for ref in _references(module, tree)]
     dead = []
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree):
-            name = node.name
+        for qualname, name, node, cls in _definitions(tree):
             if name in w2345.__all__:
                 continue
-            if not any(r == name and id(node) not in inside for r, inside in refs):
-                dead.append(f"{module[:-3]}.{qualname}")
+            if not _used(module, name, node, cls, refs):
+                dead.append(f"{module}.{qualname}")
     return dead
 
 

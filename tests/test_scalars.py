@@ -11,6 +11,7 @@ from w2345.linalg import _PolyCarrier
 from w2345.scalars import (
     RF_K,
     RF_ONE,
+    IntPoly,
     RatFunc,
     ReconstructionError,
     SpecializationError,
@@ -194,6 +195,46 @@ def test_content_reduce_leaves_content_one(row, f):
         assert [ip_mul(v, h) for v in got] == row
     else:
         assert got is row and content == (1,)
+
+
+# -- IntPoly: the engines' raw numbers over Q(k) -----------------------------
+
+
+@given(ipoly, ipoly, st.integers(-9, 9))
+def test_intpoly_arithmetic_matches_ratfunc(a, b, c):
+    # against ints, IntPolys and plain tuples, on either side: a plain tuple
+    # on the left must not concatenate or repeat
+    pa, pb = IntPoly(a), IntPoly(b)
+    ra, rb = RatFunc(a), RatFunc(b)
+    cases = [
+        (pa + pb, ra + rb),
+        (pa * pb, ra * rb),
+        (-pa, -ra),
+        (pa + -pb, ra - rb),
+        (pa + c, ra + c),
+        (c + pa, c + ra),
+        (pa * c, ra * c),
+        (c * pa, c * ra),
+        (pa + b, ra + rb),
+        (b + pa, rb + ra),
+        (pa * b, ra * rb),
+        (b * pa, rb * ra),
+    ]
+    for got, want in cases:
+        assert type(got) is IntPoly
+        assert want.d == (1,) and got == want.n
+        assert GEN.scalar(got) == want
+
+
+def test_intpoly_leaves_other_operands_to_them():
+    p = IntPoly((1, 2))
+    for other in (Fraction(1, 2), 0.5, "k", [1]):
+        assert p.__add__(other) is NotImplemented
+        assert p.__mul__(other) is NotImplemented
+    assert p * RF_K == RatFunc((0, 1, 2)) == RF_K * p
+    assert p + RF_K == RatFunc((1, 3))
+    with pytest.raises(TypeError):
+        p * Fraction(1, 2)
 
 
 # -- outside oracle: sympy's rational functions in k --------------------------

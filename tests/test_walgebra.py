@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,17 @@ from w2345 import exprs, pbw, reference, scalars, walgebra
 from w2345.linalg import GenericSpan, NotInSpanError, SpanSolver
 from w2345.modes import element_mode
 from w2345.scalars import ReconstructionError, specialize
-from w2345.walgebra import G3, G4, G5, GW, Session, enumerate_nf, nf_parity, nf_weight
+from w2345.walgebra import (
+    G3,
+    G4,
+    G5,
+    GW,
+    NF_GEN_WEIGHTS,
+    Session,
+    enumerate_nf,
+    nf_parity,
+    nf_weight,
+)
 
 
 def test_conformal_examples(gses):
@@ -249,6 +260,40 @@ def test_generic_tables_specialize_to_the_level_sessions(gses, ses7, k0):
     level_table = ses.ope_table()
     for key, elem in gses.ope_table().items():
         assert _specialized(elem, k0) == _specialized(level_table[key], k0), key
+
+
+# sha256 of the canonical generic expansions of the 185 normal-form words of
+# weight 2..10, one line "word monomial coefficient" per term
+GENERIC_EXPANSIONS_SHA256 = "8a042e4854dfa7fa68468bb20b0da9c01ef4360279f6ad1edb0c13b691f99066"
+
+
+def test_generic_expansions_match_the_pinned_digest(gses):
+    dom = gses.domain
+    words = [w for d in range(2, 11) for w in enumerate_nf(d)]
+    assert len(words) == 185
+    h = hashlib.sha256()
+    for word in words:
+        for mono, c in sorted(pbw.canonical(dom, gses.nf_expand(word)).items()):
+            h.update(f"{word!r} {mono!r} {dom.fmt(c)}\n".encode())
+    assert h.hexdigest() == GENERIC_EXPANSIONS_SHA256
+
+
+def test_product_table_action_matches_the_pbw_action(ses7):
+    # the table-driven W-algebra against the mode calculus on PBW states:
+    # every generator mode on every word of weight 2..6 that lands at weight
+    # 0..8, zero results included
+    walg = ses7.walg()
+    cases = 0
+    for d in range(2, 7):
+        for w in enumerate_nf(d):
+            for g, gw in enumerate(NF_GEN_WEIGHTS):
+                gen = ses7.generator_state(g)
+                for t in range(gw + d - 9, gw + d):
+                    got = ses7.nf_expand_element(walg.apply_gen(g, t, w))
+                    want = element_mode(ses7.pbw, gen, t, ses7.nf_expand(w))
+                    assert got == pbw.canonical(ses7.domain, want), (g, t, w)
+                    cases += 1
+    assert cases == 864
 
 
 def test_hw_module_ground_vector(ses5):
