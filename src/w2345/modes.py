@@ -23,14 +23,24 @@ bottoming out at the ground state (1_n = delta_{n,-1}).  Both infinite sums
 truncate by weight; the truncation bound is verified by evaluating one extra
 term and checking that it vanishes.
 
-The PBW memo tables hold integers: plain ints at an integer level, and ints
-and ``scalars.IntPoly`` integer polynomials in k over Q(k) (the affine
-central term uses the integer level, or the polynomial k).  element_mode
-clears the denominators of v and w on entry with the domain carrier's
-``clear`` (``linalg``), in both domains, so its inner loops add and multiply
-these integers with plain operators, and it multiplies each output
-coefficient by the two clearing factors once, which makes it a domain
-scalar.
+The formula runs on a whole target state w, a ``Target``, not on one of its
+monomials: the target keeps its (word, n) results and its derived targets
+a(i) w, so the second branch derives a(i) w once per target and a
+cancellation over the whole state (h(i) W = 0 for a commutant state W) ends
+that branch at once.  element_modes runs all the modes n of one product
+v_n w on one target, which shares its derived targets across the modes.  A
+single-monomial target {mono: 1} is kept on the algebra in ``word_memo``
+(the brackets of the table-driven algebras act on those, and on the vacuum);
+any other target lives as long as the call that made it.
+
+The PBW memo tables and targets hold integers: plain ints at an integer
+level, and ints and ``scalars.IntPoly`` integer polynomials in k over Q(k)
+(the affine central term uses the integer level, or the polynomial k).
+element_modes clears the denominators of v and w on entry with the domain
+carrier's ``clear`` (``linalg``), in both domains, so its inner loops add
+and multiply these integers with plain operators, and it multiplies each
+output coefficient by the two clearing factors once, which makes it a
+domain scalar.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ class NormalOrdering:
 
     def __init__(self):
         self._gen_memo = {}
-        self.word_memo = {}
+        self.word_memo = {}  # monomial -> its single-monomial Target
 
     def top_mode(self, g):
         return -1
@@ -94,77 +104,134 @@ def word_weight(alg, word):
     return sum(alg.gen_weight(g) - t - 1 for g, t in word)
 
 
-def word_apply(alg, word, n, wmono):
-    """State (word . vacuum)_n applied to a single target monomial."""
-    key = (word, n, wmono)
-    memo = alg.word_memo
-    hit = memo.get(key)
+class Target:
+    """A nonzero state w that words act on: its (word, n) results and its
+    derived targets a(i) . w, kept as long as the target is.
+
+    ``label`` names it in truncation errors: the monomial of a
+    single-monomial target, the state otherwise."""
+
+    __slots__ = ("state", "label", "weight", "results", "derived")
+
+    def __init__(self, alg, state, label):
+        self.state = state
+        self.label = label
+        # the largest weight bounds both sums for an inhomogeneous state too
+        self.weight = max(alg.mono_weight(m) for m in state)
+        self.results = {}
+        self.derived = {}
+
+
+def mono_target(alg, mono):
+    """The target {mono: 1}, kept in alg.word_memo."""
+    tgt = alg.word_memo.get(mono)
+    if tgt is None:
+        tgt = alg.word_memo[mono] = Target(alg, {mono: 1}, mono)
+    return tgt
+
+
+def as_target(alg, state):
+    """(c, target) with state == c * target.state, or None for the zero
+    state.  A single monomial gets its kept target; any other state gets a
+    new one, which lives as long as its caller holds it."""
+    if not state:
+        return None
+    if len(state) == 1:
+        (mono, c), = state.items()
+        return c, mono_target(alg, mono)
+    return 1, Target(alg, state, state)
+
+
+def _derived(alg, w, g, i):
+    """as_target of the state a(i) . w for the generator a = g."""
+    key = (g, i)
+    if key not in w.derived:
+        state = {}
+        for m, c in w.state.items():
+            add_into(state, alg.apply_gen(g, i, m), c)
+        w.derived[key] = as_target(alg, state)
+    return w.derived[key]
+
+
+def word_apply(alg, word, n, w):
+    """State (word . vacuum)_n applied to the target w (a Target, or a
+    monomial standing for its kept target)."""
+    if not isinstance(w, Target):
+        w = mono_target(alg, w)
+    if not word:
+        return w.state if n == -1 else {}
+    key = (word, n)
+    hit = w.results.get(key)
     if hit is not None:
         return hit
-    if not word:
-        out = {wmono: 1} if n == -1 else {}
-        memo[key] = out
-        return out
     g, t = word[0]
     rest = word[1:]
     wt_rest = word_weight(alg, rest)
-    wt_w = alg.mono_weight(wmono)
     out = {}
     # branch 1: a(-m-i) (u_{n+i} w); u_{n+i} w dies once its weight drops
     # below the module floor.
-    imax1 = wt_rest + wt_w - n - 1
+    imax1 = wt_rest + w.weight - n - 1
     for i in range(imax1 + 1):
-        sub = word_apply(alg, rest, n + i, wmono)
+        sub = word_apply(alg, rest, n + i, w)
         if not sub:
             continue
         coef = comb_z(t, i) if i % 2 == 0 else -comb_z(t, i)
         for m2, c2 in sub.items():
             add_into(out, alg.apply_gen(g, t - i, m2), coef * c2)
-    if imax1 >= -1 and word_apply(alg, rest, n + imax1 + 1, wmono):
+    if imax1 >= -1 and word_apply(alg, rest, n + imax1 + 1, w):
         raise TruncationError(
-            f"branch-1 truncation bound violated at word={word!r}, n={n}, mono={wmono!r}"
+            f"branch-1 truncation bound violated at word={word!r}, n={n}, mono={w.label!r}"
         )
-    # branch 2: -(-1)^m u_{-m+n-i} (a(i) w)
+    # branch 2: -(-1)^m u_{-m+n-i} (a(i) w), with a(i) w derived once per
+    # target: a whole-state cancellation such as h(i) W = 0 ends it here
     sign_m = -1 if t % 2 else 1
-    imax2 = alg.gen_weight(g) + wt_w - 1
+    imax2 = alg.gen_weight(g) + w.weight - 1
     for i in range(imax2 + 1):
-        gw = alg.apply_gen(g, i, wmono)
-        if not gw:
+        gw = _derived(alg, w, g, i)
+        if gw is None:
             continue
         coef = comb_z(t, i) if i % 2 == 0 else -comb_z(t, i)
-        coef = -sign_m * coef
-        for m2, c2 in gw.items():
-            add_into(out, word_apply(alg, rest, t + n - i, m2), coef * c2)
-    if imax2 >= -1 and alg.apply_gen(g, imax2 + 1, wmono):
+        add_into(out, word_apply(alg, rest, t + n - i, gw[1]), -sign_m * coef * gw[0])
+    if imax2 >= -1 and _derived(alg, w, g, imax2 + 1) is not None:
         raise TruncationError(
-            f"branch-2 truncation bound violated at word={word!r}, n={n}, mono={wmono!r}"
+            f"branch-2 truncation bound violated at word={word!r}, n={n}, mono={w.label!r}"
         )
-    memo[key] = out
+    w.results[key] = out
     return out
 
 
-def element_mode(alg, elem, n, state):
-    """v_n w for an element dict v (word -> coeff) and a state dict w.
+def element_modes(alg, elem, ns, state):
+    """{n: v_n w for n in ns} for an element dict v (word -> coeff) and a
+    state dict w, all modes run on one target.
 
     The coefficients of v and w are cleared on entry by the domain carrier,
-    so the double loop multiplies ints (or IntPolys over Q(k)), and each
-    output coefficient is multiplied once by the two clearing factors.  At
-    a level that multiply is skipped when the factor is 1, since ints are
-    level scalars already; an IntPoly never leaves."""
+    so the target holds ints (or IntPolys over Q(k)) and each output
+    coefficient is multiplied once by the two clearing factors.  At a level
+    that multiply is skipped when the factor is 1, since ints are level
+    scalars already; an IntPoly never leaves."""
     car = carrier_for(alg.domain)
     raws_v, fv = car.clear(list(elem.values()))
     raws_w, fw = car.clear(list(state.values()))
-    rows_w = [(wmono, cw) for wmono, cw in zip(state, raws_w) if cw]
-    out = {}
-    for word, cv in zip(elem, raws_v):
-        if not cv:
-            continue
-        for wmono, cw in rows_w:
-            add_into(out, word_apply(alg, word, n, wmono), cv * cw)
+    tw = as_target(alg, {m: c for m, c in zip(state, raws_w) if c})
+    if tw is None:
+        return {n: {} for n in ns}
+    cw, target = tw
     factor = fv * fw
-    if factor != 1 or alg.domain.is_generic:
-        out = {m: factor * c for m, c in out.items()}
-    return out
+    outs = {}
+    for n in ns:
+        out = {}
+        for word, cv in zip(elem, raws_v):
+            if cv:
+                add_into(out, word_apply(alg, word, n, target), cv * cw)
+        if factor != 1 or alg.domain.is_generic:
+            out = {m: factor * c for m, c in out.items()}
+        outs[n] = out
+    return outs
+
+
+def element_mode(alg, elem, n, state):
+    """v_n w: the one-mode view of element_modes."""
+    return element_modes(alg, elem, (n,), state)[n]
 
 
 def mode_power_apply(alg, v, n, r, w):

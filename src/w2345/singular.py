@@ -10,7 +10,7 @@ analysis.
 from __future__ import annotations
 
 from . import pbw
-from .modes import element_mode, mode_power_apply
+from .modes import element_modes, mode_power_apply
 from .zhu import ZhuC2
 
 
@@ -131,8 +131,9 @@ def ideal_span_membership(ses, targets, max_weight=5):
         for st in frontier:
             d = pbw.weight(st)
             for g_state, gw in zip(gens, (2, 3, 4, 5)):
-                for n in range(gw + d - 1 - max_weight, gw + d - 1):
-                    img = pbw.canonical(dom, element_mode(ses.pbw, g_state, n, st))
+                ns = range(gw + d - 1 - max_weight, gw + d - 1)
+                for n, img in element_modes(ses.pbw, g_state, ns, st).items():
+                    img = pbw.canonical(dom, img)
                     d2 = gw + d - n - 1
                     if img and d2 >= 1 and solvers[d2].insert(img) is None:
                         nxt.append(img)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from . import pbw
 from .linalg import GenericSpan, SpanSolver, clear_vector, exact_sum
-from .modes import NormalOrdering, add_into, element_mode
+from .modes import NormalOrdering, add_into, element_mode, element_modes
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -244,8 +244,8 @@ class Session:
         cols = [
             {
                 (n, m2): c
-                for n in range(2, d + 1)
-                for m2, c in element_mode(self.pbw, omega, n, v).items()
+                for n, img in element_modes(self.pbw, omega, range(2, d + 1), v).items()
+                for m2, c in img.items()
             }
             for v in basis
         ]
@@ -275,12 +275,14 @@ class Session:
 
     def nf_expand(self, mono):
         """PBW expansion of a normal-form monomial, computed once per
-        session; callers must not mutate it."""
+        session from the expansion of its tail; callers must not mutate it."""
         state = self._nf_expansions.get(mono)
         if state is None:
-            state = {(): 1}
-            for g, t in reversed(mono):
-                state = element_mode(self.pbw, self.generator_state(g), t, state)
+            if mono:
+                g, t = mono[0]
+                state = element_mode(self.pbw, self.generator_state(g), t, self.nf_expand(mono[1:]))
+            else:
+                state = {(): 1}
             self._nf_expansions[mono] = state
         return state
 
@@ -346,15 +348,20 @@ class Session:
 
     # -- products ------------------------------------------------------------
 
-    def ope_entry(self, i, j, n):
-        """W^i_n W^j expressed over the normal-form basis."""
-        vi = self.generator_state(i - 2)
-        vj = self.generator_state(j - 2)
-        prod = element_mode(self.pbw, vi, n, vj)
-        prod = pbw.canonical(self.domain, prod)
-        if not prod:
-            return {}
-        return self.express(prod, i + j - 1 - n)
+    def _products(self, x, y):
+        """{n: x_n y expressed over the normal-form basis} for generator ids
+        x, y and 0 <= n < weight(x) + weight(y)."""
+        wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
+        prods = element_modes(self.pbw, self.generator_state(x), range(wt), self.generator_state(y))
+        out = {}
+        for n, prod in prods.items():
+            prod = pbw.canonical(self.domain, prod)
+            out[n] = self.express(prod, wt - 1 - n) if prod else {}
+        return out
+
+    def ope_entry(self, i, j):
+        """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""
+        return self._products(i - 2, j - 2)
 
     def ope_table(self):
         """All products W^i_n W^j, 3 <= i <= j <= 5, 0 <= n <= i+j-1."""
@@ -362,8 +369,8 @@ class Session:
             table = {}
             for i in range(3, 6):
                 for j in range(i, 6):
-                    for n in range(0, i + j):
-                        table[(i, j, n)] = self.ope_entry(i, j, n)
+                    for n, elem in self.ope_entry(i, j).items():
+                        table[(i, j, n)] = elem
             self._ope = table
         return self._ope
 
@@ -371,14 +378,9 @@ class Session:
         """Product table over generator ids, including the omega rows."""
         if self._sc_table is None:
             table = {}
-            omega = self.conformal()[2]
             for y in range(4):
-                vy = self.generator_state(y)
-                for i in range(0, 2 + NF_GEN_WEIGHTS[y]):
-                    prod = element_mode(self.pbw, omega, i, vy)
-                    prod = pbw.canonical(self.domain, prod)
-                    wt = 2 + NF_GEN_WEIGHTS[y] - 1 - i
-                    table[(GW, y, i)] = self.express(prod, wt) if prod else {}
+                for i, elem in self._products(GW, y).items():
+                    table[(GW, y, i)] = elem
             ope = self.ope_table()
             for (i, j, n), elem in ope.items():
                 table[(i - 2, j - 2, n)] = elem

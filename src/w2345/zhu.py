@@ -19,7 +19,7 @@ word containing a mode below -1 and reads off the -1 modes.
 
 from __future__ import annotations
 
-from .modes import element_mode
+from .modes import element_modes
 from .multipoly import MultiPoly
 from .scalars import comb_z
 from .walgebra import GW, NF_GEN_WEIGHTS, nf_weight
@@ -89,11 +89,9 @@ class ZhuC2:
             raise ValueError("star product needs homogeneous left factor")
         wu = wu.pop()
         out = MultiPoly.zero(W_VARS)
-        for i in range(0, wu + 1):
-            c = comb_z(wu, i)
-            term = element_mode(self.walg, u, i - 1, v)
+        for n, term in element_modes(self.walg, u, range(-1, wu), v).items():
             if term:
-                out = out + self.zhu_reduce(term) * c
+                out = out + self.zhu_reduce(term) * comb_z(wu, n + 1)
         return out.map_coeffs(self.dom.scalar)
 
     # -- C2 quotient -----------------------------------------------------------

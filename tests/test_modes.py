@@ -3,11 +3,22 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from w2345 import pbw
-from w2345.modes import TruncationError, add_into, element_mode, mode_power_apply, word_apply
+from w2345.linalg import carrier_for
+from w2345.modes import (
+    TruncationError,
+    add_into,
+    as_target,
+    element_mode,
+    element_modes,
+    mode_power_apply,
+    word_apply,
+)
 from w2345.pbw import E, F, H
-from w2345.scalars import IP_ONE, IntPoly, comb_z
+from w2345.scalars import IP_ONE, IntPoly, RatFunc, comb_z
 from w2345.walgebra import Session, enumerate_nf
 
 
@@ -154,15 +165,46 @@ def test_mode_power(ses3):
         assert got == pbw.canonical(d, pbw.scale(w, Fraction(9)))
 
 
+def _cleared_target(alg, state):
+    """A target over the cleared coefficients of state, as element_modes
+    builds it, held here so that its memos can be inspected."""
+    raws, _ = carrier_for(alg.domain).clear(list(state.values()))
+    return as_target(alg, dict(zip(state, raws)))[1]
+
+
+def _target_scalars(*targets):
+    """Every coefficient the targets hold, and the targets derived from
+    them hold: target states, (word, n) results and derived scales."""
+    seen = set()
+    stack = list(targets)
+    while stack:
+        tgt = stack.pop()
+        if id(tgt) in seen:
+            continue
+        seen.add(id(tgt))
+        yield from tgt.state.values()
+        for state in tgt.results.values():
+            yield from state.values()
+        for derived in tgt.derived.values():
+            if derived is not None:
+                yield derived[0]
+                stack.append(derived[1])
+
+
 def test_level_memo_tables_hold_ints(ses5):
     # the central term uses the integer level, so no Fraction reaches the
-    # PBW memo tables
-    ses5.ope_entry(3, 3, 1)
+    # PBW memo tables or the targets
+    ses5.ope_entry(3, 3)
     alg = ses5.pbw
-    assert alg._gen_memo and alg.word_memo
-    for memo in (alg._gen_memo, alg.word_memo):
-        for state in memo.values():
-            assert all(type(c) is int for c in state.values())
+    w3 = ses5.primaries()[0]
+    target = _cleared_target(alg, w3)
+    for n in range(6):
+        for word in w3:
+            word_apply(alg, word, n, target)
+    assert alg._gen_memo and alg.word_memo and target.results and target.derived
+    for state in alg._gen_memo.values():
+        assert all(type(c) is int for c in state.values())
+    assert all(type(c) is int for c in _target_scalars(target, *alg.word_memo.values()))
 
 
 def test_element_mode_with_fractions_matches_double_loop(ses5):
@@ -200,19 +242,71 @@ def test_element_mode_over_qk_matches_double_loop(gses):
         ((H, -1), (H, -1), (H, -1)): k * k / 9,
         ((E, -3),): d.scalar(7),
     }
+    target = _cleared_target(alg, w)
     for n in range(-2, 5):
         want = {}
         for word, cv in omega.items():
             for mono, cw in w.items():
                 add_into(want, word_apply(alg, word, n, mono), cv * cw)
+            word_apply(alg, word, n, target)
         got = element_mode(alg, omega, n, w)
         assert pbw.canonical(d, got) == pbw.canonical(d, want)
     assert any(c.d != IP_ONE for c in pbw.canonical(d, got).values())
-    # the PBW memo tables hold ints and integer polynomials, never a RatFunc
-    assert alg._gen_memo and alg.word_memo
-    for memo in (alg._gen_memo, alg.word_memo):
-        for state in memo.values():
-            assert all(type(c) in (int, IntPoly) for c in state.values())
+    # the PBW memo tables and the targets hold ints and integer
+    # polynomials, never a RatFunc
+    assert alg._gen_memo and alg.word_memo and target.results and target.derived
+    for state in alg._gen_memo.values():
+        assert all(type(c) in (int, IntPoly) for c in state.values())
+    scalars = list(_target_scalars(target, *alg.word_memo.values()))
+    assert all(type(c) in (int, IntPoly) for c in scalars)
+    assert any(type(c) is IntPoly for c in scalars)
+
+
+# -- composite targets against the per-monomial oracle -------------------------
+
+_MONOS = [m for d in range(4) for m in pbw.enumerate_monomials(d)]
+_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+_ratfunc = st.builds(
+    lambda n, d: RatFunc(n, d),
+    st.lists(st.integers(-4, 4), max_size=3).map(tuple).filter(any),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=2).map(tuple).filter(any),
+)
+
+
+def _states(scalar, max_size):
+    return st.dictionaries(st.sampled_from(_MONOS), scalar, min_size=1, max_size=max_size)
+
+
+def _inhomogeneous(scalar):
+    return _states(scalar, 4).filter(lambda w: len({pbw.mono_weight(m) for m in w}) > 1)
+
+
+def _composite_matches_monomials(ses, v, w, ns):
+    d = ses.domain
+    alg = ses.pbw
+    multi = element_modes(alg, v, ns, w)
+    assert list(multi) == list(ns)
+    for n in ns:
+        want = {}
+        for word, cv in v.items():
+            for mono, cw in w.items():
+                add_into(want, word_apply(alg, word, n, mono), cv * cw)
+        got = pbw.canonical(d, element_mode(alg, v, n, w))
+        assert got == pbw.canonical(d, want)
+        assert pbw.canonical(d, multi[n]) == got
+
+
+_modes = st.lists(st.integers(-3, 4), min_size=1, max_size=4, unique=True)
+
+
+@given(_states(_fraction, 3), _inhomogeneous(_fraction), _modes)
+def test_composite_target_matches_the_monomials_at_a_level(ses5, v, w, ns):
+    _composite_matches_monomials(ses5, v, w, ns)
+
+
+@given(_states(_ratfunc, 2), _inhomogeneous(_ratfunc), _modes)
+def test_composite_target_matches_the_monomials_over_qk(gses, v, w, ns):
+    _composite_matches_monomials(gses, v, w, ns)
 
 
 def test_add_into_skips_explicit_zeros_on_missing_keys():

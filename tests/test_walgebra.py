@@ -1,11 +1,12 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from w2345 import exprs, pbw, reference, scalars, walgebra
 from w2345.linalg import GenericSpan, NotInSpanError, SpanSolver
-from w2345.modes import element_mode
+from w2345.modes import element_mode, element_modes
 from w2345.scalars import ReconstructionError, specialize
 from w2345.walgebra import (
     G3,
@@ -123,7 +124,7 @@ def test_express_expand_identity(gses):
 def test_ope_spot_entries(gses):
     d = gses.domain
     for key in ((3, 4, 3), (3, 5, 2), (5, 5, 9), (3, 3, 1)):
-        got = gses.ope_entry(*key)
+        got = gses.ope_entry(*key[:2])[key[2]]
         want = exprs.parse_nf(reference.OPE_TEXT[key], d)
         assert {m: d.scalar(c) for m, c in got.items() if d.scalar(c)} == want
 
@@ -141,7 +142,7 @@ def test_generation_by_w3(gses):
 def test_w3_m1_u0_matches_table(gses):
     # spec example: the displayed expression for W3_1 W3 term by term
     d = gses.domain
-    got = gses.ope_entry(3, 3, 1)
+    got = gses.ope_entry(3, 3)[1]
     assert got[((GW, -3),)] == d.parse("-(162*k^3*(k-2)*(k+2)*(3*k+4))/(16*k+17)")
     assert got[((GW, -1), (GW, -1))] == d.parse(
         "(288*k^3*(k-2)*(k+2)^2*(3*k+4))/(16*k+17)"
@@ -278,22 +279,39 @@ def test_generic_expansions_match_the_pinned_digest(gses):
     assert h.hexdigest() == GENERIC_EXPANSIONS_SHA256
 
 
+def _table_action_cases():
+    """(g, modes t, w): every generator mode on every word of weight 2..6
+    that lands at weight 0..8."""
+    return [
+        (g, range(gw + d - 9, gw + d), w)
+        for d in range(2, 7)
+        for w in enumerate_nf(d)
+        for g, gw in enumerate(NF_GEN_WEIGHTS)
+    ]
+
+
+def _table_action_matches(ses, cases):
+    walg = ses.walg()
+    count = 0
+    for g, ts, w in cases:
+        wants = element_modes(ses.pbw, ses.generator_state(g), ts, ses.nf_expand(w))
+        for t in ts:
+            got = ses.nf_expand_element(walg.apply_gen(g, t, w))
+            assert got == pbw.canonical(ses.domain, wants[t]), (g, t, w)
+            count += 1
+    return count
+
+
 def test_product_table_action_matches_the_pbw_action(ses7):
-    # the table-driven W-algebra against the mode calculus on PBW states:
-    # every generator mode on every word of weight 2..6 that lands at weight
-    # 0..8, zero results included
-    walg = ses7.walg()
-    cases = 0
-    for d in range(2, 7):
-        for w in enumerate_nf(d):
-            for g, gw in enumerate(NF_GEN_WEIGHTS):
-                gen = ses7.generator_state(g)
-                for t in range(gw + d - 9, gw + d):
-                    got = ses7.nf_expand_element(walg.apply_gen(g, t, w))
-                    want = element_mode(ses7.pbw, gen, t, ses7.nf_expand(w))
-                    assert got == pbw.canonical(ses7.domain, want), (g, t, w)
-                    cases += 1
-    assert cases == 864
+    # the table-driven W-algebra against the mode calculus on PBW states,
+    # zero results included
+    assert _table_action_matches(ses7, _table_action_cases()) == 864
+
+
+def test_product_table_action_matches_the_pbw_action_over_qk(gses):
+    # the generic mirror of the level test, on a seeded sample of its cases
+    cases = [(g, (t,), w) for g, ts, w in _table_action_cases() for t in ts]
+    assert _table_action_matches(gses, random.Random(12).sample(cases, 100)) == 100
 
 
 def test_hw_module_ground_vector(ses5):
