@@ -38,9 +38,11 @@ level, and ints and ``scalars.IntPoly`` integer polynomials in k over Q(k)
 (the affine central term uses the integer level, or the polynomial k).
 element_modes clears the denominators of v and w on entry with the domain
 carrier's ``clear`` (``linalg``), in both domains, so its inner loops add
-and multiply these integers with plain operators, and it multiplies each
-output coefficient by the two clearing factors once, which makes it a
-domain scalar.
+and multiply these integers with plain operators.  It multiplies each
+output coefficient by the two clearing factors once, in both domains, and
+that is where raws become scalars: what element_modes returns holds domain
+scalars only (Fractions at a level, RatFuncs over Q(k)), and nothing
+downstream settles its outputs again.
 """
 
 from __future__ import annotations
@@ -205,10 +207,11 @@ def element_modes(alg, elem, ns, state):
     state dict w, all modes run on one target.
 
     The coefficients of v and w are cleared on entry by the domain carrier,
-    so the target holds ints (or IntPolys over Q(k)) and each output
-    coefficient is multiplied once by the two clearing factors.  At a level
-    that multiply is skipped when the factor is 1, since ints are level
-    scalars already; an IntPoly never leaves."""
+    so the target holds ints (or IntPolys over Q(k)), and each output
+    coefficient is multiplied once by the product of the two clearing
+    factors, a domain scalar.  Every output coefficient is therefore a
+    domain scalar, a Fraction at a level and a RatFunc over Q(k), and no
+    raw int or IntPoly leaves; callers use the outputs as they are."""
     car = carrier_for(alg.domain)
     raws_v, fv = car.clear(list(elem.values()))
     raws_w, fw = car.clear(list(state.values()))
@@ -223,9 +226,7 @@ def element_modes(alg, elem, ns, state):
         for word, cv in zip(elem, raws_v):
             if cv:
                 add_into(out, word_apply(alg, word, n, target), cv * cw)
-        if factor != 1 or alg.domain.is_generic:
-            out = {m: factor * c for m, c in out.items()}
-        outs[n] = out
+        outs[n] = {m: factor * c for m, c in out.items()}
     return outs
 
 

@@ -3,9 +3,16 @@
 A basis monomial is a flat tuple of (generator, mode) pairs with generator
 ids H=0, E=1, F=2 and creation modes <= -1, sorted ascending; this realizes
 the words h(-i1)..h(-ip) e(-j1)..e(-jq) f(-m1)..f(-mr)|0> with weakly
-decreasing indices inside each block.  A state is a dict monomial -> scalar
-(ints may appear mixed with domain scalars inside the engines; canonical()
-settles them).
+decreasing indices inside each block.  A state is a dict monomial -> domain
+scalar: a Fraction at a level, a RatFunc over Q(k).
+
+Inside the engines the coefficients are raw integers: ``apply_gen`` and its
+memo tables hold ints (and IntPolys in k over Q(k)), and so do the targets
+of the mode calculus.  ``modes.element_modes`` turns them into domain
+scalars on the way out, so its outputs, and every state built from them,
+are used as they are.  canonical() settles raw values only where they
+enter from outside that contract: the PBW ints that build u0, and states
+handed to ``Session.express``.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ class PBWAlgebra(NormalOrdering):
 
 
 def canonical(domain, state):
-    """Settle mixed int/scalar coefficients into domain scalars, pruned."""
+    """Settle raw or mixed coefficients into domain scalars, pruned."""
     out = {}
     for m, c in state.items():
         c = domain.scalar(c)
@@ -123,15 +130,15 @@ def theta(alg, state):
 # ---------------------------------------------------------------------------
 
 
-def _partitions(n, maxpart=None):
-    """Weakly decreasing positive partitions of n."""
+def partitions(n, minpart=1, maxpart=None):
+    """Weakly decreasing partitions of n with parts >= minpart."""
     if maxpart is None:
         maxpart = n
     if n == 0:
         yield ()
         return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions(n - first, first):
+    for first in range(min(n, maxpart), minpart - 1, -1):
+        for rest in partitions(n - first, minpart, first):
             yield (first,) + rest
 
 
@@ -141,9 +148,9 @@ def enumerate_monomials(d, h0=None):
     for dh in range(d + 1):
         for de in range(d - dh + 1):
             df = d - dh - de
-            for ph in _partitions(dh):
-                for pe in _partitions(de):
-                    for pf in _partitions(df):
+            for ph in partitions(dh):
+                for pe in partitions(de):
+                    for pf in partitions(df):
                         mono = (
                             tuple((H, -i) for i in ph)
                             + tuple((E, -j) for j in pe)

@@ -640,8 +640,11 @@ def reconstruct(sample, first):
 # ---------------------------------------------------------------------------
 # Computation domains.  A domain fixes the scalar mode for a whole session:
 # generic (rational functions of k) or specialized at an integer level.
-# States produced by the engines may carry plain ints mixed with domain
-# scalars; canonical() settles everything into the domain type.
+# Every state and coefficient the engines return holds the domain's scalar
+# type only: Fractions at a level, RatFuncs over Q(k).  Raw ints and IntPolys
+# stay inside the engines; modes.element_modes and the linalg carriers turn
+# them into domain scalars on the way out, and pbw.canonical() settles raw
+# values only where they enter from outside.
 # ---------------------------------------------------------------------------
 
 

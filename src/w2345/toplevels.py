@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from . import exprs, modes, pbw, reference
+from . import exprs, modes, reference
 from .linalg import NotInSpanError, SpanSolver, nullspace
 from .scalars import domain as make_domain
 from .walgebra import NF_GEN_WEIGHTS, HWModule
@@ -151,7 +151,7 @@ def descendant_matrix(ses, hw):
         vmono = ((s, NF_GEN_WEIGHTS[s] - 2),)
         col = []
         for p in range(4):
-            res = pbw.canonical(dom, mod.apply_gen(p, NF_GEN_WEIGHTS[p], vmono))
+            res = mod.apply_gen(p, NF_GEN_WEIGHTS[p], vmono)
             if set(res) - {()}:
                 raise AssertionError("raising a weight-(h+1) vector left the top")
             col.append(res.get((), dom.zero))
@@ -167,7 +167,6 @@ def descendant_relations(ses, hw, null_elements):
     L(-1)u, W3(-1)u, W4(-1)u, W5(-1)u yields a linear relation among those
     four descendants.  Returns one coordinate vector per element."""
     mod = HWModule(ses.walg(), [Fraction(x) for x in hw])
-    dom = ses.domain
     layer = [((s, NF_GEN_WEIGHTS[s] - 2),) for s in range(4)]
     out = []
     for elem in null_elements:
@@ -176,7 +175,6 @@ def descendant_relations(ses, hw, null_elements):
         img = modes.element_mode(mod, elem, wt - 2, {(): 1})
         vec = [Fraction(0)] * 4
         for mono, c in img.items():
-            c = dom.scalar(c)
             if mono == ():
                 if c:
                     raise AssertionError("relation image has a top component")

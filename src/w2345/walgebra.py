@@ -64,18 +64,6 @@ def nf_parity(mono):
     return -1 if odd % 2 else 1
 
 
-def _partitions_min(n, minpart, maxpart=None):
-    """Weakly decreasing partitions of n with parts >= minpart."""
-    if maxpart is None:
-        maxpart = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), minpart - 1, -1):
-        for rest in _partitions_min(n - first, minpart, first):
-            yield (first,) + rest
-
-
 def enumerate_nf(d):
     """All normal-form monomials of weight d, canonically sorted.
 
@@ -90,7 +78,7 @@ def enumerate_nf(d):
             return
         w0 = NF_GEN_WEIGHTS[gen]
         for dg in range(0, remaining + 1):
-            for parts in _partitions_min(dg, w0):
+            for parts in pbw.partitions(dg, w0):
                 block = tuple((gen, w0 - 1 - p) for p in parts)
                 rec(gen + 1, remaining - dg, acc + list(block))
 
@@ -194,7 +182,7 @@ class Session:
             w_gam = {((pbw.H, -1), (pbw.H, -1)): dom.one / (4 * k)}
             omega = dict(w_aff)
             add_into(omega, w_gam, -1)
-            self._conformal = (w_aff, w_gam, pbw.canonical(dom, omega))
+            self._conformal = (w_aff, w_gam, omega)
         return self._conformal
 
     def primaries(self):
@@ -233,7 +221,7 @@ class Session:
             rel = solver.insert(col)
             if rel is not None:
                 state = {monos[i]: c for i, c in rel.items() if c}
-                basis.append(pbw.canonical(self.domain, state))
+                basis.append(state)
         return basis
 
     def find_primary(self, d):
@@ -262,11 +250,12 @@ class Session:
         state = {}
         for i, c in sols[0].items():
             add_into(state, basis[i], c)
-        state = pbw.canonical(self.domain, state)
         ref = self.generator_state(d - 2)
         mono = next(iter(ref))
+        if mono not in state:
+            raise ValueError(f"weight-{d} primary lacks the generator's monomial {mono}")
         lam = ref[mono] / state[mono]
-        scaled = pbw.canonical(self.domain, pbw.scale(state, lam))
+        scaled = pbw.scale(state, lam)
         if scaled != ref:
             raise ValueError(f"weight-{d} primary is not proportional to the generator")
         return scaled, lam
@@ -282,7 +271,7 @@ class Session:
                 g, t = mono[0]
                 state = element_mode(self.pbw, self.generator_state(g), t, self.nf_expand(mono[1:]))
             else:
-                state = {(): 1}
+                state = {(): self.domain.one}
             self._nf_expansions[mono] = state
         return state
 
@@ -330,18 +319,18 @@ class Session:
         self._nf_bases[d] = nb
         return nb
 
-    def express(self, state, d=None):
-        """Coordinates of a PBW state over the normal-form basis.
+    def express(self, state):
+        """Coordinates of a PBW state over the normal-form basis of its
+        weight; the coefficients may be raw ints or domain scalars.
 
         Raises NotInSpanError when the state is outside the algebra span.
         """
         state = pbw.canonical(self.domain, state)
         if not state:
             return {}
+        d = pbw.weight(state)
         if d is None:
-            d = pbw.weight(state)
-            if d is None:
-                raise ValueError("state is not weight-homogeneous")
+            raise ValueError("state is not weight-homogeneous")
         nb = self._nf_basis(d)
         coords = nb.solver.express(state)
         return {nb.idx2mono[i]: c for i, c in coords.items() if c}
@@ -353,11 +342,7 @@ class Session:
         x, y and 0 <= n < weight(x) + weight(y)."""
         wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
         prods = element_modes(self.pbw, self.generator_state(x), range(wt), self.generator_state(y))
-        out = {}
-        for n, prod in prods.items():
-            prod = pbw.canonical(self.domain, prod)
-            out[n] = self.express(prod, wt - 1 - n) if prod else {}
-        return out
+        return {n: self.express(prod) for n, prod in prods.items()}
 
     def ope_entry(self, i, j):
         """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""

@@ -71,7 +71,6 @@ class ZhuC2:
                     moved = self.walg.apply_gen(g, i - j, rest)
                     if moved:
                         out = out - self.zhu_reduce(moved) * comb_z(wt, i)
-        out = out.map_coeffs(self.dom.scalar)
         self._memo[mono] = out
         return out
 
@@ -80,7 +79,7 @@ class ZhuC2:
         for mono, c in elem.items():
             if c:
                 out = out + self.reduce_word(mono) * c
-        return out.map_coeffs(self.dom.scalar)
+        return out
 
     def zhu_star(self, u, v):
         """Image of the associative product u * v, computed mode-wise."""
@@ -92,7 +91,7 @@ class ZhuC2:
         for n, term in element_modes(self.walg, u, range(-1, wu), v).items():
             if term:
                 out = out + self.zhu_reduce(term) * comb_z(wu, n + 1)
-        return out.map_coeffs(self.dom.scalar)
+        return out
 
     # -- C2 quotient -----------------------------------------------------------
 
@@ -107,7 +106,7 @@ class ZhuC2:
             for g, _ in mono:
                 e[g] += 1
             out = out + MultiPoly(X_VARS, {tuple(e): c})
-        return out.map_coeffs(self.dom.scalar)
+        return out
 
     # -- the pinned kernel polynomials ------------------------------------------
 
@@ -130,9 +129,7 @@ class ZhuC2:
 
         v0 = self.ses.null_field_for(((G3, -2), (G3, -2)))
         v1 = self.ses.null_field_for(((G3, -1), (G4, -3)))
-        q0 = self.zhu_reduce(v0) * self._null_scale()
-        q1 = self.zhu_reduce(v1) * self._null_scale_9()
-        return q0.map_coeffs(self.dom.scalar), q1.map_coeffs(self.dom.scalar)
+        return self.zhu_reduce(v0) * self._null_scale(), self.zhu_reduce(v1) * self._null_scale_9()
 
     def b_polynomials(self):
         """C2-kernel polynomials from the three null fields.
@@ -157,9 +154,4 @@ class ZhuC2:
         b2 = raw2 * scalar
         if b2 != want:
             raise ValueError("weight-10 C2 image is not proportional to the display")
-        return (
-            b0.map_coeffs(self.dom.scalar),
-            b1.map_coeffs(self.dom.scalar),
-            b2.map_coeffs(self.dom.scalar),
-            scalar,
-        )
+        return b0, b1, b2, scalar

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import cli, exprs, report, zhu
+from w2345 import cli, exprs, pbw, report, singular, zhu
 from w2345.groebner import buchberger
 from w2345.scalars import domain as make_domain
 from w2345.walgebra import Session
@@ -249,3 +249,32 @@ def test_null_fields_check_fails_on_a_perturbed_relation(monkeypatch):
     rows = {r.name: r for r in report.check_null_fields(report.Context(), 8)}
     assert rows["null_dimensions_wt8"].status == "pass"
     assert rows["null_fields_expand_to_zero_wt8"].status == "fail"
+
+
+def _with_foreign_first_monomial(monkeypatch):
+    """Put e(-1)e(-1)f(-1)|0>, which no commutant state holds, first in W3."""
+    generator_state = Session.generator_state
+
+    def patched(self, g):
+        state = generator_state(self, g)
+        if g == 1:
+            state = {((pbw.E, -1), (pbw.E, -1), (pbw.F, -1)): self.domain.one, **state}
+        return state
+
+    monkeypatch.setattr(Session, "generator_state", patched)
+
+
+def test_commutant_check_fails_on_a_primary_missing_the_generator_monomial(monkeypatch):
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    _with_foreign_first_monomial(monkeypatch)
+    with pytest.raises(ValueError, match="lacks the generator's monomial"):
+        Session().find_primary(3)
+    rows = {r.name: r for r in report.check_commutant(report.Context())}
+    assert rows["unique_primaries"].status == "fail"
+    assert "lacks the generator's monomial" in rows["unique_primaries"].payload
+
+
+def test_degenerate_identity_fails_on_a_generator_monomial_missing_from_u0(monkeypatch):
+    _with_foreign_first_monomial(monkeypatch)
+    with pytest.raises(singular.SingularCheckError, match="lacks the generator's monomial"):
+        singular.degenerate_identity(Session(2))

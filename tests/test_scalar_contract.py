@@ -1,0 +1,70 @@
+"""The engine contract: what the engines return holds exactly the session
+domain's scalar type, a Fraction at a level and a RatFunc over Q(k).  No raw
+int, IntPoly or float leaves the mode calculus, so no caller settles its
+outputs again."""
+
+from fractions import Fraction
+
+import pytest
+
+from w2345 import singular
+from w2345.linalg import carrier_for
+from w2345.modes import element_modes
+from w2345.pbw import E, F, H
+from w2345.scalars import RatFunc
+from w2345.walgebra import G3, G4, enumerate_nf
+from w2345.zhu import ZhuC2
+
+
+@pytest.fixture(params=["ses5", "gses"])
+def ses(request):
+    return request.getfixturevalue(request.param)
+
+
+def _assert_domain_scalars(dom, coeffs, what):
+    want = RatFunc if dom.is_generic else Fraction
+    coeffs = list(coeffs)
+    assert coeffs, f"{what}: nothing to check"
+    bad = sorted({type(c).__name__ for c in coeffs if type(c) is not want})
+    assert not bad, f"{what}: {bad} coefficients, not {want.__name__}"
+
+
+def _elem_coeffs(elems):
+    return [c for elem in elems for c in elem.values()]
+
+
+def test_element_modes_return_domain_scalars(ses):
+    dom = ses.domain
+    h, ef = {((H, -1),): dom.one}, {((E, -1), (F, -1)): dom.one}
+    # both clearing factors are 1: nothing but the lift makes these scalars
+    assert carrier_for(dom).clear(list(h.values()))[1] == 1
+    outs = element_modes(ses.pbw, h, range(-1, 3), ef)
+    assert outs[-1] and outs[1]
+    _assert_domain_scalars(dom, _elem_coeffs(outs.values()), "h(-1)|0> on e(-1)f(-1)|0>")
+    w3 = ses.generator_state(G3)
+    outs = element_modes(ses.pbw, w3, range(6), w3)
+    _assert_domain_scalars(dom, _elem_coeffs(outs.values()), "W3 on W3")
+
+
+def test_normal_form_outputs_return_domain_scalars(ses):
+    dom = ses.domain
+    words = [w for d in range(7) for w in enumerate_nf(d)]
+    _assert_domain_scalars(dom, _elem_coeffs(ses.nf_expand(w) for w in words), "nf_expand")
+    _assert_domain_scalars(dom, _elem_coeffs(ses.ope_entry(3, 4).values()), "ope_entry(3, 4)")
+    for d in (8, 9):
+        _assert_domain_scalars(dom, _elem_coeffs(ses.null_fields(d)), f"null_fields({d})")
+
+
+def test_ur_normal_forms_return_level_scalars(ses5):
+    nfs = [singular.ur_normal_form(ses5, r) for r in range(4)]
+    _assert_domain_scalars(ses5.domain, _elem_coeffs(nfs), "ur_normal_form")
+
+
+def test_quotient_images_return_domain_scalars(ses):
+    red = ZhuC2(ses)
+    q0, q1 = red.q_polynomials()
+    b0, b1, b2, scalar = red.b_polynomials()
+    coeffs = [c for p in (q0, q1, b0, b1, b2) for c in p.terms.values()]
+    _assert_domain_scalars(ses.domain, [*coeffs, scalar], "Q0, Q1, B0-B2 and the B2 scalar")
+    rel = ses.null_field_for(((G3, -1), (G4, -3)))
+    _assert_domain_scalars(ses.domain, red.zhu_reduce(rel).terms.values(), "zhu_reduce")

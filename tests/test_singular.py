@@ -64,6 +64,16 @@ def test_k6_u0(ses6):
     assert nf[((walgebra.G3, -5),)] == Fraction(2043429304000, 55483)
 
 
+def test_k6_normal_forms_expand_back_to_the_states(ses6):
+    # the k = 6 normal forms of u^0..u^3 have no outside reference value
+    for r in range(4):
+        nf = singular.ur_normal_form(ses6, r)
+        assert ses6.nf_expand_element(nf) == singular.ur_state(ses6, r), f"u{r}"
+    # positive control: one coefficient shifted by 1 breaks the round trip
+    mono, c = next(iter(nf.items()))
+    assert ses6.nf_expand_element({**nf, mono: c + 1}) != singular.ur_state(ses6, 3)
+
+
 def test_p_a_polynomials_k5(ses5):
     d = ses5.domain
     polys, muls = singular.p_polynomials(ses5)

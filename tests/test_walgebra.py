@@ -19,6 +19,7 @@ from w2345.walgebra import (
     nf_parity,
     nf_weight,
 )
+from w2345.zhu import ZhuC2
 
 
 def test_conformal_examples(gses):
@@ -106,18 +107,18 @@ def test_express_examples(gses):
     d = gses.domain
     w3 = gses.primaries()[0]
     prod = element_mode(gses.pbw, w3, 3, w3)
-    got = gses.express(prod, 2)
+    got = gses.express(prod)
     want = exprs.parse_nf(reference.OPE_TEXT[(3, 3, 3)], d)
     assert {m: d.scalar(c) for m, c in got.items()} == want
     with pytest.raises(NotInSpanError):
-        gses.express({((pbw.E, -1),): d.one}, 1)
+        gses.express({((pbw.E, -1),): d.one})
 
 
 def test_express_expand_identity(gses):
     d = gses.domain
     nb = gses._nf_basis(6)
     for mono in nb.monos:
-        coords = gses.express(gses.nf_expand(mono), 6)
+        coords = gses.express(gses.nf_expand(mono))
         assert coords == {mono: d.one}
 
 
@@ -203,7 +204,7 @@ def test_null_fields_reuse_the_relations_insert_found(monkeypatch):
     # oracle: the word minus its coordinates over the basis
     for x, rel in zip(eliminated, rels):
         want = {x: ses.domain.one}
-        for m, c in ses.express(ses.nf_expand(x), 10).items():
+        for m, c in ses.express(ses.nf_expand(x)).items():
             want[m] = -c
         assert rel == want
 
@@ -261,6 +262,13 @@ def test_generic_tables_specialize_to_the_level_sessions(gses, ses7, k0):
     level_table = ses.ope_table()
     for key, elem in gses.ope_table().items():
         assert _specialized(elem, k0) == _specialized(level_table[key], k0), key
+    gred, red = ZhuC2(gses), ZhuC2(ses)
+    gq, q = gred.q_polynomials(), red.q_polynomials()
+    assert [p.specialize_level(k0) for p in gq] == list(q)
+    *gb, gscalar = gred.b_polynomials()
+    *b, scalar = red.b_polynomials()
+    assert [p.specialize_level(k0) for p in gb] == b
+    assert specialize(gscalar, k0) == scalar
 
 
 # sha256 of the canonical generic expansions of the 185 normal-form words of
