@@ -1,13 +1,19 @@
 """Exact linear algebra over the session scalars.
 
+``clear_vector`` turns a sparse vector into its pair (raws, factor): integer
+raws reduced by their content (plain ints at a fixed level, ``IntPoly``
+polynomials in the generic mode) and a domain scalar, vector == factor *
+raws.  The normal-form expansions are kept as such pairs
+(``Session.nf_expand``), and every consumer below takes them as they are.
+
 ``SpanSolver`` is the incremental engine on sparse states.  Its elimination
-is fraction-free: incoming rows are cleared to integer raws (plain ints at a
-fixed level, ``IntPoly`` polynomials in the generic mode), combined by
-cross-multiplication, and re-divided by their content after every step.
+is fraction-free: incoming rows are cleared to integer raws, or come in as
+the raws of a pair, are combined by cross-multiplication, and re-divided by
+their content after every step.
 
 ``GenericSpan`` solves the large systems over Q(k) without eliminating over
-rational functions: it clears each vector once to integer polynomials, runs
-the integer ``SpanSolver`` on their values at several levels, reconstructs
+rational functions: it takes each vector as its pair, runs the integer
+``SpanSolver`` on the values of the raws at several levels, reconstructs
 the coordinates over the cleared vectors as rational functions of k,
 rescales them by the clearing factors, and certifies each result exactly
 over Q(k) before returning it.
@@ -40,8 +46,9 @@ class NotInSpanError(ValueError):
 class _IntCarrier:
     """Rows of plain ints (specialized-level sessions).
 
-    Each carrier's ``clear`` is the one clearing routine of the package
-    (``element_mode``, ``SpanSolver`` and ``exact_sum``).  Its raws are
+    Each carrier's ``clear`` is the one clearing routine of the package,
+    through ``clear_vector``: ``element_modes``, ``SpanSolver`` and the
+    pairs ``Session.nf_expand`` keeps all start from it.  Its raws are
     numbers the engines add, negate and multiply with plain operators:
     ints here, ``scalars.IntPoly`` over Q(k).  They become domain scalars
     only when multiplied or divided by a clearing factor."""
@@ -190,10 +197,11 @@ def _combine(rowa, ca, rowb, cb):
 class SpanSolver:
     """Incremental triangular span with relation tags.
 
-    Vectors are sparse mappings key -> scalar with totally ordered keys.
-    Inserting a vector either creates a new pivot or yields the exact linear
-    relation with the previously inserted vectors.  All stored rows carry
-    integer raws reduced by their content.
+    Vectors are sparse mappings key -> scalar with totally ordered keys, or
+    the clear_vector pairs of such vectors.  Inserting a vector either
+    creates a new pivot or yields the exact linear relation with the
+    previously inserted vectors.  All stored rows carry integer raws reduced
+    by their content.
     """
 
     def __init__(self, domain):
@@ -236,19 +244,23 @@ class SpanSolver:
                 tags = dict(zip(tags.keys(), red[n:]))
         return row, tags
 
-    def _to_row(self, vec):
-        items = sorted(vec.items())
-        raws, factor = self.car.clear([v for _, v in items])
-        return [(k, r) for (k, _), r in zip(items, raws) if r], factor
+    def _to_row(self, vec, factor=None):
+        """The sorted row of raws and the clearing factor of a vector, or of
+        the raws of a clear_vector pair when its factor is given."""
+        if factor is None:
+            vec, factor = clear_vector(self.domain, vec)
+        return sorted((k, r) for k, r in vec.items() if r), factor
 
-    def insert(self, vec):
-        """Insert a vector; returns None when independent, else the relation
-        as a dict index -> scalar over previously inserted vectors together
-        with this one (index == current count).  The relation annihilates the
+    def insert(self, vec, factor=None):
+        """Insert a vector: a mapping of scalars, or with factor given the
+        raws of its clear_vector pair (vector == factor * raws), which go in
+        as they are.  Returns None when independent, else the relation as a
+        dict index -> scalar over previously inserted vectors together with
+        this one (index == current count).  The relation annihilates the
         original (uncleared) vectors."""
         idx = self.count
         self.count += 1
-        row, factor = self._to_row(vec)
+        row, factor = self._to_row(vec, factor)
         self.factors[idx] = factor
         tags = {idx: self.car.one}
         row, tags = self._reduce(row, tags)
@@ -301,14 +313,15 @@ def _evaluate(raws, level, keys=None):
 class GenericSpan:
     """Greedy span of sparse vectors over Q(k), solved at integer levels.
 
-    Each vector v_i is cleared once, v_i = F_i * R_i with R_i a vector of
-    integer polynomials (``clear_vector``), and every level works on the
-    values R_i(k) in plain ints.  The vectors are inserted, in order, into
-    an integer SpanSolver at the first level k0 >= FIRST_LEVEL where no
-    entry of any v_i has a pole.  That fixes the independent vectors and the
-    kept keys: the pivot keys at k0.  A coordinate problem R_t = sum c'_i R_i
-    is then solved at the levels k0, k0 + 1, ... on the kept keys only (a
-    level where the kept rows lose rank is skipped) and fitted by
+    Each vector v_i comes as its ``clear_vector`` pair (R_i, F_i), v_i =
+    F_i * R_i with R_i a vector of integer polynomials reduced by their
+    content, and every level works on the values R_i(k) in plain ints.  The
+    vectors are inserted, in order, into an integer SpanSolver at the first
+    level k0 >= FIRST_LEVEL where no entry of any v_i has a pole.  That
+    fixes the independent vectors and the kept keys: the pivot keys at k0.
+    A coordinate problem R_t = sum c'_i R_i is then solved at the levels k0,
+    k0 + 1, ... on the kept keys only (a level where the kept rows lose rank
+    is skipped) and fitted by
     ``scalars.reconstruct``; the cleared problem has polynomial data, so its
     coordinates have lower degree and need fewer levels than those of the
     original vectors.  The fits are rescaled exactly over Q(k), c_i = c'_i *
@@ -320,8 +333,8 @@ class GenericSpan:
     the independent vectors are those a greedy insert over Q(k) would keep.
     """
 
-    def __init__(self, vecs):
-        self._cleared = [clear_vector(_GENERIC, v) for v in vecs]  # (R_i, F_i) per vector
+    def __init__(self, cleared):
+        self._cleared = list(cleared)  # (R_i, F_i) per vector
         self.level, self.full, self.independent, self.keys = self._first_level()
         self._solvers = {}  # level -> SpanSolver on the kept keys, or None
         kept = set(self.independent)

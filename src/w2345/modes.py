@@ -36,18 +36,28 @@ any other target lives as long as the call that made it.
 The PBW memo tables and targets hold integers: plain ints at an integer
 level, and ints and ``scalars.IntPoly`` integer polynomials in k over Q(k)
 (the affine central term uses the integer level, or the polynomial k).
-element_modes clears the denominators of v and w on entry with the domain
-carrier's ``clear`` (``linalg``), in both domains, so its inner loops add
-and multiply these integers with plain operators.  It multiplies each
-output coefficient by the two clearing factors once, in both domains, and
-that is where raws become scalars: what element_modes returns holds domain
-scalars only (Fractions at a level, RatFuncs over Q(k)), and nothing
-downstream settles its outputs again.
+The core, raw_modes, runs on these raws: its v and w are the raws of
+``linalg.clear_vector`` pairs (raws, factor), and its outputs are raws, so
+its inner loops add and multiply integers with plain operators.
+element_modes is clear_vector on v and w, then raw_modes, then one
+multiplication of each output coefficient by the two clearing factors, in
+both domains, and that is where raws become scalars: what element_modes
+returns holds domain scalars only (Fractions at a level, RatFuncs over
+Q(k)), and nothing downstream settles its outputs again.
+``Session.nf_expand`` keeps each normal-form expansion as its pair and
+calls raw_modes on the pair of the word's tail, so no expansion is lifted
+to scalars and cleared again.
+
+apply_gen returns its memo's values unsettled: raws for the PBW algebra,
+and for the table-driven algebras plain ints where the mode only reorders
+the word, next to domain scalars where a bracket or an eigenvalue enters.
+Its callers multiply them by domain scalars or settle them
+(``pbw.canonical``, ``ZhuC2.c2_reduce``).
 """
 
 from __future__ import annotations
 
-from .linalg import carrier_for
+from .linalg import clear_vector
 from .scalars import comb_z
 
 
@@ -69,7 +79,8 @@ def add_into(acc, state, coeff=1):
 
 
 class NormalOrdering:
-    """Memoised normal ordering of one generator mode into a word."""
+    """Memoised normal ordering of one generator mode into a word; apply_gen
+    returns unsettled values (see the module docstring)."""
 
     def __init__(self):
         self._gen_memo = {}
@@ -202,32 +213,43 @@ def word_apply(alg, word, n, w):
     return out
 
 
+def raw_modes(alg, raws_v, ns, raws_w):
+    """{n: v_n w for n in ns} on carrier raws, all modes run on one target:
+    v (word -> raw) and w (mono -> raw) are the raws of clear_vector pairs,
+    and each output holds raws too, not reduced by their content.  The
+    core of element_modes; Session.nf_expand calls it on the pair of a
+    word's tail."""
+    tw = as_target(alg, {m: c for m, c in raws_w.items() if c})
+    if tw is None:
+        return {n: {} for n in ns}
+    cw, target = tw
+    outs = {}
+    for n in ns:
+        out = {}
+        for word, cv in raws_v.items():
+            if cv:
+                add_into(out, word_apply(alg, word, n, target), cv * cw)
+        outs[n] = out
+    return outs
+
+
 def element_modes(alg, elem, ns, state):
     """{n: v_n w for n in ns} for an element dict v (word -> coeff) and a
-    state dict w, all modes run on one target.
+    state dict w: clear both, raw_modes, lift.
 
-    The coefficients of v and w are cleared on entry by the domain carrier,
-    so the target holds ints (or IntPolys over Q(k)), and each output
+    The coefficients of v and w are cleared on entry by clear_vector, so
+    the target holds ints (or IntPolys over Q(k)), and each output
     coefficient is multiplied once by the product of the two clearing
     factors, a domain scalar.  Every output coefficient is therefore a
     domain scalar, a Fraction at a level and a RatFunc over Q(k), and no
     raw int or IntPoly leaves; callers use the outputs as they are."""
-    car = carrier_for(alg.domain)
-    raws_v, fv = car.clear(list(elem.values()))
-    raws_w, fw = car.clear(list(state.values()))
-    tw = as_target(alg, {m: c for m, c in zip(state, raws_w) if c})
-    if tw is None:
-        return {n: {} for n in ns}
-    cw, target = tw
+    raws_v, fv = clear_vector(alg.domain, elem)
+    raws_w, fw = clear_vector(alg.domain, state)
     factor = fv * fw
-    outs = {}
-    for n in ns:
-        out = {}
-        for word, cv in zip(elem, raws_v):
-            if cv:
-                add_into(out, word_apply(alg, word, n, target), cv * cw)
-        outs[n] = {m: factor * c for m, c in out.items()}
-    return outs
+    return {
+        n: {m: factor * c for m, c in out.items()}
+        for n, out in raw_modes(alg, raws_v, ns, raws_w).items()
+    }
 
 
 def element_mode(alg, elem, n, state):

@@ -644,7 +644,9 @@ def reconstruct(sample, first):
 # type only: Fractions at a level, RatFuncs over Q(k).  Raw ints and IntPolys
 # stay inside the engines; modes.element_modes and the linalg carriers turn
 # them into domain scalars on the way out, and pbw.canonical() settles raw
-# values only where they enter from outside.
+# values only where they enter from outside.  The engine-level values that
+# carry raws are named so: apply_gen's memo states and the clear_vector
+# pairs (raws, factor) that Session.nf_expand returns.
 # ---------------------------------------------------------------------------
 
 

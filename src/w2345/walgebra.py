@@ -18,13 +18,20 @@ the levels k = 7, 8, ..., rational reconstruction of the coordinates, and an
 exact certificate over Q(k) of every relation and every expressed state.
 Expanding a normal-form element back to PBW states uses the certificate's
 exact sum, at a level and over Q(k) alike.
+
+Each normal-form expansion is computed once and kept as its
+``linalg.clear_vector`` pair (raws, factor): ``modes.raw_modes`` builds a
+word's pair from the pair of its tail, and the pairs go as they are into
+the span (``SpanSolver.insert`` at a level, ``GenericSpan`` over Q(k)) and
+into ``exact_sum``.  No expansion is lifted to domain scalars and cleared
+again.
 """
 
 from __future__ import annotations
 
 from . import pbw
-from .linalg import GenericSpan, SpanSolver, clear_vector, exact_sum
-from .modes import NormalOrdering, add_into, element_mode, element_modes
+from .linalg import GenericSpan, SpanSolver, carrier_for, clear_vector, exact_sum
+from .modes import NormalOrdering, add_into, element_mode, element_modes, raw_modes
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -160,7 +167,7 @@ class Session:
         self.pbw = pbw.PBWAlgebra(self.domain)
         self._gen_states = None
         self._conformal = None
-        self._nf_expansions = {}
+        self._nf_expansions = {}  # normal-form monomial -> clear_vector pair
         self._nf_bases = {}
         self._ope = None
         self._sc_table = None
@@ -263,23 +270,31 @@ class Session:
     # -- normal form ---------------------------------------------------------
 
     def nf_expand(self, mono):
-        """PBW expansion of a normal-form monomial, computed once per
-        session from the expansion of its tail; callers must not mutate it."""
-        state = self._nf_expansions.get(mono)
-        if state is None:
+        """PBW expansion of a normal-form monomial as its clear_vector pair
+        (raws, factor), expansion == factor * raws: computed once per
+        session by modes.raw_modes on the pair of its tail, and kept so.
+        An engine-level value, like clear_vector's; callers must not mutate
+        it.  nf_expand_element gives the expansion in domain scalars."""
+        pair = self._nf_expansions.get(mono)
+        if pair is None:
+            car = carrier_for(self.domain)
             if mono:
                 g, t = mono[0]
-                state = element_mode(self.pbw, self.generator_state(g), t, self.nf_expand(mono[1:]))
+                gen, f_gen = clear_vector(self.domain, self.generator_state(g))
+                tail, f_tail = self.nf_expand(mono[1:])
+                out = raw_modes(self.pbw, gen, (t,), tail)[t]
+                raws, content = car.content_reduce(list(out.values()))
+                pair = dict(zip(out, raws)), f_gen * f_tail * car.ratio(content)
             else:
-                state = {(): self.domain.one}
-            self._nf_expansions[mono] = state
-        return state
+                pair = {(): car.one}, self.domain.one
+            self._nf_expansions[mono] = pair
+        return pair
 
     def nf_expand_element(self, elem):
-        """PBW expansion of a normal-form element, summed exactly by
-        ``linalg.exact_sum``: domain scalars, zero entries dropped."""
-        dom = self.domain
-        return exact_sum(dom, [(c, clear_vector(dom, self.nf_expand(m))) for m, c in elem.items()])
+        """PBW expansion of a normal-form element, summed exactly from the
+        stored pairs by ``linalg.exact_sum``: domain scalars, zero entries
+        dropped."""
+        return exact_sum(self.domain, [(c, self.nf_expand(m)) for m, c in elem.items()])
 
     def _nf_basis(self, d):
         nb = self._nf_bases.get(d)
@@ -290,14 +305,15 @@ class Session:
         words = [m for m in monos if m not in fixed]
         nfree = len(words)
         words += fixed  # last, so each table word is tested against all free words
+        pairs = [self.nf_expand(m) for m in words]
         if self.domain.is_generic:
-            solver = GenericSpan([self.nf_expand(m) for m in words])
+            solver = GenericSpan(pairs)
             rels = solver.relations
         else:
             solver = SpanSolver(self.domain)
             rels = {}
-            for i, mono in enumerate(words):
-                rel = solver.insert(self.nf_expand(mono))
+            for i, (raws, factor) in enumerate(pairs):
+                rel = solver.insert(raws, factor)
                 if rel is not None:
                     rels[i] = rel
         found = sorted(i for i in rels if i < nfree)

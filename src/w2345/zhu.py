@@ -96,6 +96,8 @@ class ZhuC2:
     # -- C2 quotient -----------------------------------------------------------
 
     def c2_reduce(self, elem):
+        """The C2 image of an element or state; its coefficients may be raw
+        ints, as apply_gen leaves them, and come out as domain scalars."""
         out = MultiPoly.zero(X_VARS)
         for mono, c in elem.items():
             if not c:
@@ -105,7 +107,7 @@ class ZhuC2:
             e = [0, 0, 0, 0]
             for g, _ in mono:
                 e[g] += 1
-            out = out + MultiPoly(X_VARS, {tuple(e): c})
+            out = out + MultiPoly(X_VARS, {tuple(e): self.dom.scalar(c)})
         return out
 
     # -- the pinned kernel polynomials ------------------------------------------

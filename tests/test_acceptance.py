@@ -38,7 +38,6 @@ def test_criterion_1_ope_table(gses):
     bad = []
     for key, got in table.items():
         want = exprs.parse_nf(reference.OPE_TEXT[key], d)
-        got = {m: d.scalar(c) for m, c in got.items() if d.scalar(c)}
         if got != want:
             bad.append(key)
     _line("criterion 1: 33 products match the reference table exactly", not bad)
@@ -78,12 +77,11 @@ def test_criterion_3_null_fields(gses):
         (((G3, -1), (G4, -3)), reference.REL_W3m1_W4m3),
     ):
         rel = gses.null_field_for(mono)
-        got = {m: d.scalar(-c) for m, c in rel.items() if m != mono}
+        got = {m: -c for m, c in rel.items() if m != mono}
         ok = ok and got == exprs.parse_nf(text, d)
     for w in (8, 9, 10):
         for rel in gses.null_fields(w):
-            exp = pbw.canonical(d, gses.nf_expand_element(rel))
-            ok = ok and not exp
+            ok = ok and not gses.nf_expand_element(rel)
         # positive control: the same sum with one coefficient shifted by 1
         # is that word's expansion, so an empty result means a vanishing sum
         mono, c = next(iter(rel.items()))
@@ -130,12 +128,10 @@ def test_criterion_5_singular(ses5, ses6):
         )
     ):
         nf = singular.ur_normal_form(ses5, r)
-        got = {m: d5.scalar(c) for m, c in nf.items() if d5.scalar(c)}
-        ok = ok and got == exprs.parse_nf(text, d5)
+        ok = ok and nf == exprs.parse_nf(text, d5)
     d6 = ses6.domain
     nf6 = singular.ur_normal_form(ses6, 0)
-    got6 = {m: d6.scalar(c) for m, c in nf6.items() if d6.scalar(c)}
-    ok = ok and got6 == exprs.parse_nf(reference.U0_K6_TEXT, d6)
+    ok = ok and nf6 == exprs.parse_nf(reference.U0_K6_TEXT, d6)
     for k, ses in ((5, ses5), (6, ses6)):
         ok = ok and singular.theta_parity_u0(ses) == (-1) ** (k + 1)
     _line("criterion 5: singular vectors u^r at levels 2..6", ok)
@@ -320,7 +316,6 @@ def test_criterion_10a_affine_commutation(ses3):
 
 
 def test_criterion_10b_mode_commutator(ses3):
-    d = ses3.domain
     alg = ses3.pbw
     monos = [m for dd in range(0, 3) for m in pbw.enumerate_monomials(dd)]
     rng = random.Random(103)
@@ -341,13 +336,12 @@ def test_criterion_10b_mode_commutator(ses3):
             uiv = element_mode(alg, u, i, v)
             if uiv:
                 pbw.add_into(rhs, element_mode(alg, uiv, m + n - i, w), c)
-        if pbw.canonical(d, lhs) != pbw.canonical(d, rhs):
+        if lhs != rhs:
             failures += 1
     _line(f"criterion 10b: mode commutator identity, {N_CASES} cases", failures == 0)
 
 
 def test_criterion_10c_weight_additivity(ses3):
-    d = ses3.domain
     alg = ses3.pbw
     monos = [m for dd in range(0, 4) for m in pbw.enumerate_monomials(dd)]
     rng = random.Random(107)
@@ -356,7 +350,7 @@ def test_criterion_10c_weight_additivity(ses3):
         v = {rng.choice(monos): rng.randint(1, 4)}
         w = {rng.choice(monos): rng.randint(1, 4)}
         n = rng.randint(-3, 3)
-        out = pbw.canonical(d, element_mode(alg, v, n, w))
+        out = element_mode(alg, v, n, w)
         if out and pbw.weight(out) != pbw.weight(v) + pbw.weight(w) - n - 1:
             failures += 1
     _line(f"criterion 10c: weight additivity, {N_CASES} cases", failures == 0)

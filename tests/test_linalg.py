@@ -215,6 +215,32 @@ def test_span_solver_insert_express_round_trip_over_qk(vecs, coeffs):
     _span_round_trip(GEN, vecs, coeffs)
 
 
+def _pair_inserts_match_vector_inserts(dom, vecs):
+    """A clear_vector pair goes in as it is: with raws and factor both
+    negated, which clear_vector never returns, it gives the relations of
+    the vector itself, scaled to 1 on the inserted index."""
+    by_vec, by_pair = SpanSolver(dom), SpanSolver(dom)
+    for i, v in enumerate(vecs):
+        raws, factor = clear_vector(dom, v)
+        want = by_vec.insert(v)
+        got = by_pair.insert({m: -r for m, r in raws.items()}, -factor)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert {j: c / got[i] for j, c in got.items()} == {
+                j: c / want[i] for j, c in want.items()
+            }
+
+
+@given(_vectors(rational))
+def test_span_solver_inserts_pairs_over_q(vecs):
+    _pair_inserts_match_vector_inserts(QQ, vecs)
+
+
+@given(_vectors(ratfunc))
+def test_span_solver_inserts_pairs_over_qk(vecs):
+    _pair_inserts_match_vector_inserts(GEN, vecs)
+
+
 @given(st.lists(st.one_of(rational, st.integers(-9, 9)), max_size=6))
 def test_int_carrier_clear_is_exact(vals):
     raws, factor = _IntCarrier.clear(vals)
@@ -271,7 +297,7 @@ def test_generic_span_relations_and_express():
     v1 = {0: k, 2: 1 / (k - 8)}
     v2 = {0: (k + 1) / (k - 3), 1: k * k}
     v3 = _combination(GEN, [(k + 1) / (k - 3), k * k, GEN.zero], [v0, v1, v2])
-    span = GenericSpan([v0, v1, v2, v3])
+    span = GenericSpan([clear_vector(GEN, v) for v in (v0, v1, v2, v3)])
     assert span.independent == [0, 1, 2]
     assert span.relations == {3: {3: GEN.one, 0: -(k + 1) / (k - 3), 1: -k * k}}
     coeffs = [k**3 - 2, 5 / (2 * k + 1), (k - 1) / (k + 4)]
@@ -296,7 +322,7 @@ def test_generic_span_fits_over_the_cleared_vectors():
         (k + 3) / (k - 2),
     ]
     v3 = _combination(GEN, [(k + 1) / (k + 5), GEN.zero, k * k], [v0, v1, v2])
-    span = GenericSpan([v0, v1, v2, v3])
+    span = GenericSpan([clear_vector(GEN, v) for v in (v0, v1, v2, v3)])
     assert span.level == 8
     assert span.independent == [0, 1, 2]
     assert span.relations == {3: {3: GEN.one, 0: -(k + 1) / (k + 5), 2: -k * k}}
@@ -311,7 +337,7 @@ def test_generic_span_skips_a_level_where_the_kept_rows_lose_rank():
     k = GEN.k
     v0 = {0: GEN.one, 1: GEN.one}
     v1 = {0: GEN.one, 1: k - 8}
-    span = GenericSpan([v0, v1])
+    span = GenericSpan([clear_vector(GEN, v) for v in (v0, v1)])
     assert span.express(_combination(GEN, [2, 3], [v0, v1])) == {0: 2, 1: 3}
     assert span._solvers[9] is None
 
@@ -321,8 +347,10 @@ def test_generic_span_certificate_rejects_a_degenerate_first_level():
     # relation that does not hold over Q(k): the certificate must refuse it
     k = GEN.k
     with pytest.raises(ReconstructionError):
-        GenericSpan([{0: GEN.one}, {0: GEN.one, 1: k - 7}])
+        GenericSpan([clear_vector(GEN, v) for v in ({0: GEN.one}, {0: GEN.one, 1: k - 7})])
     # here the relation over Q(k), v1 = v0 + (k - 7) v2, holds but needs the
     # later v2, so a greedy insert over Q(k) keeps v1: refused as well
     with pytest.raises(ReconstructionError):
-        GenericSpan([{0: GEN.one}, {0: GEN.one, 1: k - 7}, {1: GEN.one}])
+        GenericSpan(
+            [clear_vector(GEN, v) for v in ({0: GEN.one}, {0: GEN.one, 1: k - 7}, {1: GEN.one})]
+        )

@@ -12,7 +12,7 @@ from w2345.linalg import carrier_for
 from w2345.modes import element_modes
 from w2345.pbw import E, F, H
 from w2345.scalars import RatFunc
-from w2345.walgebra import G3, G4, enumerate_nf
+from w2345.walgebra import G3, G4, GW, enumerate_nf
 from w2345.zhu import ZhuC2
 
 
@@ -49,7 +49,8 @@ def test_element_modes_return_domain_scalars(ses):
 def test_normal_form_outputs_return_domain_scalars(ses):
     dom = ses.domain
     words = [w for d in range(7) for w in enumerate_nf(d)]
-    _assert_domain_scalars(dom, _elem_coeffs(ses.nf_expand(w) for w in words), "nf_expand")
+    expansions = (ses.nf_expand_element({w: dom.one}) for w in words)
+    _assert_domain_scalars(dom, _elem_coeffs(expansions), "nf_expand_element")
     _assert_domain_scalars(dom, _elem_coeffs(ses.ope_entry(3, 4).values()), "ope_entry(3, 4)")
     for d in (8, 9):
         _assert_domain_scalars(dom, _elem_coeffs(ses.null_fields(d)), f"null_fields({d})")
@@ -68,3 +69,11 @@ def test_quotient_images_return_domain_scalars(ses):
     _assert_domain_scalars(ses.domain, [*coeffs, scalar], "Q0, Q1, B0-B2 and the B2 scalar")
     rel = ses.null_field_for(((G3, -1), (G4, -3)))
     _assert_domain_scalars(ses.domain, red.zhu_reduce(rel).terms.values(), "zhu_reduce")
+
+
+def test_c2_reduce_settles_raw_states(ses):
+    # apply_gen leaves a creating mode's coefficient a raw int
+    red = ZhuC2(ses)
+    state = ses.walg().apply_gen(GW, -1, ((G3, -1),))
+    assert [type(c) for c in state.values()] == [int]
+    _assert_domain_scalars(ses.domain, red.c2_reduce(state).terms.values(), "c2_reduce")
