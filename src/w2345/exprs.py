@@ -294,7 +294,8 @@ def _parse_element(text, domain, kind):
         if v == 0:
             return {}
         raise ParseError("an element must be a combination of words ending in |0>")
-    return {m: domain.scalar(c) for m, c in v[1].items() if domain.scalar(c)}
+    settled = ((m, domain.scalar(c)) for m, c in v[1].items())
+    return {m: c for m, c in settled if c}
 
 
 def parse_pbw(text, domain):

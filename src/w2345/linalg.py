@@ -9,7 +9,8 @@ raws.  The normal-form expansions are kept as such pairs
 ``SpanSolver`` is the incremental engine on sparse states.  Its elimination
 is fraction-free: incoming rows are cleared to integer raws, or come in as
 the raws of a pair, are combined by cross-multiplication, and re-divided by
-their content after every step.
+their content after every step.  Like ``GenericSpan``, it keeps the
+relation of every dependent vector in ``relations``, keyed by insert index.
 
 ``GenericSpan`` solves the large systems over Q(k) without eliminating over
 rational functions: it takes each vector as its pair, runs the integer
@@ -200,8 +201,9 @@ class SpanSolver:
     Vectors are sparse mappings key -> scalar with totally ordered keys, or
     the clear_vector pairs of such vectors.  Inserting a vector either
     creates a new pivot or yields the exact linear relation with the
-    previously inserted vectors.  All stored rows carry integer raws reduced
-    by their content.
+    previously inserted vectors; the relation is also kept in
+    ``relations`` under the insert index of the dependent vector.  All
+    stored rows carry integer raws reduced by their content.
     """
 
     def __init__(self, domain):
@@ -210,6 +212,7 @@ class SpanSolver:
         self.pivots = {}  # lead key -> (row, tags) with tags: dict index -> raw
         self.count = 0
         self.factors = {}  # insert index -> clearing factor (original = f * raw)
+        self.relations = {}  # dependent insert index -> its relation, as insert returned it
 
     @property
     def rank(self):
@@ -267,7 +270,8 @@ class SpanSolver:
         if row:
             self.pivots[row[0][0]] = (row, tags)
             return None
-        return self._tags_to_relation(tags)
+        rel = self.relations[idx] = self._tags_to_relation(tags)
+        return rel
 
     def probe(self, vec):
         """Reduce without inserting; returns (residual_nonzero, tags, factor).
@@ -354,8 +358,9 @@ class GenericSpan:
             if any(sc.ip_eval(f.d, level) == 0 for _, f in self._cleared):
                 continue
             full = SpanSolver(sc.domain(level))
-            rows = [_evaluate(raws, level) for raws, _ in self._cleared]
-            independent = [i for i, row in enumerate(rows) if full.insert(row) is None]
+            for raws, _ in self._cleared:
+                full.insert(_evaluate(raws, level))
+            independent = [i for i in range(len(self._cleared)) if i not in full.relations]
             return level, full, independent, frozenset(full.pivots)
         raise ReconstructionError("no level specializes every vector")
 
@@ -424,14 +429,12 @@ def nullspace(matrix, domain):
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     solver = SpanSolver(domain)
-    basis = []
     for j in range(ncols):
-        rel = solver.insert({i: matrix[i][j] for i in range(nrows) if matrix[i][j]})
-        if rel is not None:
-            vec = [rel.get(i, domain.zero) for i in range(j + 1)]
-            vec += [domain.zero] * (ncols - j - 1)
-            basis.append(_normalize_vector(vec, domain))
-    return basis
+        solver.insert({i: matrix[i][j] for i in range(nrows) if matrix[i][j]})
+    return [
+        _normalize_vector([rel.get(i, domain.zero) for i in range(ncols)], domain)
+        for rel in solver.relations.values()
+    ]
 
 
 def _normalize_vector(vec, domain):

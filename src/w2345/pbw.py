@@ -142,24 +142,32 @@ def partitions(n, minpart=1, maxpart=None):
             yield (first,) + rest
 
 
+def enumerate_words(gen_weights, d):
+    """All PBW-ordered words of weight d in the generators 0, 1, ... of the
+    given weights, canonically sorted.
+
+    A factor (g, t) of a weight-w generator contributes w - t - 1, so the
+    block of g is a partition of its share of d into parts >= w."""
+    out = []
+
+    def rec(gen, remaining, acc):
+        if gen == len(gen_weights):
+            if remaining == 0:
+                out.append(acc)
+            return
+        w0 = gen_weights[gen]
+        for dg in range(remaining + 1):
+            for parts in partitions(dg, w0):
+                rec(gen + 1, remaining - dg, acc + tuple((gen, w0 - 1 - p) for p in parts))
+
+    rec(0, d, ())
+    return sorted(out)
+
+
 def enumerate_monomials(d, h0=None):
     """All PBW monomials of weight d, canonically sorted; optional h(0) filter."""
-    out = []
-    for dh in range(d + 1):
-        for de in range(d - dh + 1):
-            df = d - dh - de
-            for ph in partitions(dh):
-                for pe in partitions(de):
-                    for pf in partitions(df):
-                        mono = (
-                            tuple((H, -i) for i in ph)
-                            + tuple((E, -j) for j in pe)
-                            + tuple((F, -m) for m in pf)
-                        )
-                        if h0 is None or mono_h0(mono) == h0:
-                            out.append(mono)
-    out.sort()
-    return out
+    words = enumerate_words((1, 1, 1), d)
+    return words if h0 is None else [m for m in words if mono_h0(m) == h0]
 
 
 # ---------------------------------------------------------------------------

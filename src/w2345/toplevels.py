@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import exprs, modes, reference
 from .linalg import NotInSpanError, SpanSolver, nullspace
 from .scalars import domain as make_domain
-from .walgebra import NF_GEN_WEIGHTS, HWModule
+from .walgebra import NF_GEN_WEIGHTS, HWModule, nf_weight
 
 
 @functools.cache
@@ -170,7 +170,7 @@ def descendant_relations(ses, hw, null_elements):
     layer = [((s, NF_GEN_WEIGHTS[s] - 2),) for s in range(4)]
     out = []
     for elem in null_elements:
-        wt = {sum(NF_GEN_WEIGHTS[g] - t - 1 for g, t in m) for m in elem}
+        wt = {nf_weight(m) for m in elem}
         wt = wt.pop()
         img = modes.element_mode(mod, elem, wt - 2, {(): 1})
         vec = [Fraction(0)] * 4

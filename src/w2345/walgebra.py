@@ -29,9 +29,9 @@ again.
 
 from __future__ import annotations
 
-from . import pbw
+from . import modes, pbw
 from .linalg import GenericSpan, SpanSolver, carrier_for, clear_vector, exact_sum
-from .modes import NormalOrdering, add_into, element_mode, element_modes, raw_modes
+from .modes import NormalOrdering, add_into, element_modes, raw_modes
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -72,25 +72,8 @@ def nf_parity(mono):
 
 
 def enumerate_nf(d):
-    """All normal-form monomials of weight d, canonically sorted.
-
-    A factor x_{-j} of the weight-w generator x contributes w + j - 1, so a
-    generator block is a partition into parts >= w."""
-    out = []
-
-    def rec(gen, remaining, acc):
-        if gen == 4:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        w0 = NF_GEN_WEIGHTS[gen]
-        for dg in range(0, remaining + 1):
-            for parts in pbw.partitions(dg, w0):
-                block = tuple((gen, w0 - 1 - p) for p in parts)
-                rec(gen + 1, remaining - dg, acc + list(block))
-
-    rec(0, d, [])
-    return sorted(out)
+    """All normal-form monomials of weight d, canonically sorted."""
+    return pbw.enumerate_words(NF_GEN_WEIGHTS, d)
 
 
 class WAlgebra(NormalOrdering):
@@ -110,7 +93,11 @@ class WAlgebra(NormalOrdering):
     def bracket(self, g, t, b, s, rest):
         """[g_t, b_s] applied to the monomial rest, modes expanded from the
         product table through the commutator formula
-        [u_m, v_n] = sum_i C(m, i) (u_i v)_{m+n-i}."""
+        [u_m, v_n] = sum_i C(m, i) (u_i v)_{m+n-i}.
+
+        Each word of a table entry u_i v acts on rest through
+        ``modes.word_apply`` directly, on the target of rest kept in
+        ``word_memo``; the entry's domain scalars multiply the results."""
         out = {}
         if g <= b:
             x, y, tm, sign = g, b, t, 1
@@ -122,7 +109,8 @@ class WAlgebra(NormalOrdering):
                 continue
             c = comb_z(tm, i) * sign
             if c:
-                add_into(out, element_mode(self, prod, t + s - i, {rest: 1}), c)
+                for word, coef in prod.items():
+                    add_into(out, modes.word_apply(self, word, t + s - i, rest), c * coef)
         return out
 
 
@@ -147,10 +135,9 @@ class HWModule(WAlgebra):
 
 
 class _NFBasis:
-    __slots__ = ("weight", "monos", "solver", "idx2mono", "rank", "relations")
+    __slots__ = ("monos", "solver", "idx2mono", "rank", "relations")
 
-    def __init__(self, weight, monos, solver, idx2mono, relations):
-        self.weight = weight
+    def __init__(self, monos, solver, idx2mono, relations):
         self.monos = monos
         self.solver = solver
         self.idx2mono = idx2mono
@@ -223,13 +210,9 @@ class Session:
             for mono in monos
         ]
         solver = SpanSolver(self.domain)
-        basis = []
-        for j, col in enumerate(cols):
-            rel = solver.insert(col)
-            if rel is not None:
-                state = {monos[i]: c for i, c in rel.items() if c}
-                basis.append(state)
-        return basis
+        for col in cols:
+            solver.insert(col)
+        return [{monos[i]: c for i, c in rel.items() if c} for rel in solver.relations.values()]
 
     def find_primary(self, d):
         """The unique primary state of weight d in the commutant, scaled to
@@ -245,11 +228,9 @@ class Session:
             for v in basis
         ]
         solver = SpanSolver(self.domain)
-        sols = []
-        for j, col in enumerate(cols):
-            rel = solver.insert(col)
-            if rel is not None:
-                sols.append(rel)
+        for col in cols:
+            solver.insert(col)
+        sols = list(solver.relations.values())
         if len(sols) != 1:
             raise ValueError(
                 f"primary space at weight {d} has dimension {len(sols)}, not 1"
@@ -308,14 +289,11 @@ class Session:
         pairs = [self.nf_expand(m) for m in words]
         if self.domain.is_generic:
             solver = GenericSpan(pairs)
-            rels = solver.relations
         else:
             solver = SpanSolver(self.domain)
-            rels = {}
-            for i, (raws, factor) in enumerate(pairs):
-                rel = solver.insert(raws, factor)
-                if rel is not None:
-                    rels[i] = rel
+            for raws, factor in pairs:
+                solver.insert(raws, factor)
+        rels = solver.relations
         found = sorted(i for i in rels if i < nfree)
         if d <= 9 and found:
             raise AssertionError(f"unexpected dependency at weight {d}: {words[found[0]]}")
@@ -331,7 +309,7 @@ class Session:
                 **{words[j]: c / lam for j, c in rel.items() if j != i},
             }
         idx2mono = {i: m for i, m in enumerate(words) if i not in rels}
-        nb = _NFBasis(d, monos, solver, idx2mono, relations)
+        nb = _NFBasis(monos, solver, idx2mono, relations)
         self._nf_bases[d] = nb
         return nb
 

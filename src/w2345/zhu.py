@@ -59,18 +59,11 @@ class ZhuC2:
                 out = -out
         else:
             wt = NF_GEN_WEIGHTS[g]
-            if j == 1:
-                out = self._var(g) * self.reduce_word(rest)
-                for i in range(1, wt + 1):
-                    moved = self.walg.apply_gen(g, i - 1, rest)
-                    if moved:
-                        out = out - self.zhu_reduce(moved) * comb_z(wt, i)
-            else:
-                out = MultiPoly.zero(W_VARS)
-                for i in range(1, wt + 1):
-                    moved = self.walg.apply_gen(g, i - j, rest)
-                    if moved:
-                        out = out - self.zhu_reduce(moved) * comb_z(wt, i)
+            out = self._var(g) * self.reduce_word(rest) if j == 1 else MultiPoly.zero(W_VARS)
+            for i in range(1, wt + 1):
+                moved = self.walg.apply_gen(g, i - j, rest)
+                if moved:
+                    out = out - self.zhu_reduce(moved) * comb_z(wt, i)
         self._memo[mono] = out
         return out
 

@@ -192,6 +192,7 @@ def _combination(dom, coeffs, vecs):
 
 def _span_round_trip(dom, vecs, coeffs):
     solver = SpanSolver(dom)
+    returned = {}
     for i, v in enumerate(vecs):
         rel = solver.insert(v)
         if rel is None:
@@ -200,6 +201,9 @@ def _span_round_trip(dom, vecs, coeffs):
             # the relation annihilates the inserted vectors and involves this one
             assert rel.get(i)
             assert not _combination(dom, [rel.get(j, 0) for j in range(i + 1)], vecs)
+            returned[i] = rel
+    # the solver keeps exactly the relations insert returned, by insert index
+    assert solver.relations == returned
     target = _combination(dom, coeffs, vecs)
     coords = solver.express(target)
     assert _combination(dom, [coords.get(j, 0) for j in range(len(vecs))], vecs) == target

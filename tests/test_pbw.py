@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -84,6 +85,21 @@ def test_dim_weight_space():
     for d in range(0, 9):
         assert len(pbw.enumerate_monomials(d)) == dim_weight_space(d)
     assert dim_weight_space(10) == 2640
+
+
+# sha256 of repr([enumerate_monomials(d) for d in range(9)]) and of the same
+# list with the h(0) = 0 filter: the word order fixes the order of the
+# commutant weight spaces
+MONOMIALS_SHA256 = "093f86bcdd1b294654c07efdc657c374c69fe1e6245519ed2f0e0e85ef2dbcb2"
+MONOMIALS_H0_SHA256 = "7cbcb45156fd865d7914c9d3511904753d5f7a5e453673e13295024f0ea59bec"
+
+
+def test_enumerate_monomials_matches_the_pinned_digests():
+    def digest(words):
+        return hashlib.sha256(repr(words).encode()).hexdigest()
+
+    assert digest([pbw.enumerate_monomials(d) for d in range(9)]) == MONOMIALS_SHA256
+    assert digest([pbw.enumerate_monomials(d, 0) for d in range(9)]) == MONOMIALS_H0_SHA256
 
 
 def test_h0_grading():

@@ -66,6 +66,16 @@ def test_enumerate_nf_counts():
         assert len(enumerate_nf(d)) == n, d
 
 
+# sha256 of repr([enumerate_nf(d) for d in range(13)]): the word order fixes
+# the insert order, hence the basis and relations, of _nf_basis
+NF_WORDS_SHA256 = "a3da10f8c96e01ae0a5e8ff17e788c199db07d90f3222e95ebe40f669f1aa8a4"
+
+
+def test_enumerate_nf_matches_the_pinned_digest():
+    words = [enumerate_nf(d) for d in range(13)]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == NF_WORDS_SHA256
+
+
 def test_nf_weight_and_parity():
     mono = ((GW, -1), (G3, -2), (G5, -1))
     assert nf_weight(mono) == 2 + 4 + 5

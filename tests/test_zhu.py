@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from w2345 import exprs, reference, zhu
-from w2345.walgebra import G3, G4, G5, GW, enumerate_nf, nf_weight
+from w2345 import exprs, modes, reference, zhu
+from w2345.walgebra import G3, G4, G5, GW, Session, enumerate_nf, nf_weight
 from w2345.zhu import W_VARS, X_VARS, ZhuC2
 
 
@@ -91,6 +91,28 @@ def test_star_commutators_specialized(ses7):
     e3, e4, e5 = ({((G3, -1),): d.one}, {((G4, -1),): d.one}, {((G5, -1),): d.one})
     for a, b in ((e3, e4), (e3, e5), (e4, e5)):
         assert not (red.zhu_star(a, b) - red.zhu_star(b, a))
+
+
+def test_star_commutators_word_apply_calls(monkeypatch):
+    """The level-5 product table and the three star commutators on a fresh
+    session make 62269 word_apply calls, counted through the modes global
+    as the benchmark tracer counts them: the table bracket runs the mode
+    calculus on the kept word targets, with no extra work."""
+    calls = 0
+    word_apply = modes.word_apply
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return word_apply(*args)
+
+    monkeypatch.setattr(modes, "word_apply", counted)
+    red = ZhuC2(Session(5))
+    d = red.dom
+    e3, e4, e5 = ({((G3, -1),): d.one}, {((G4, -1),): d.one}, {((G5, -1),): d.one})
+    for a, b in ((e3, e4), (e3, e5), (e4, e5)):
+        assert not (red.zhu_star(a, b) - red.zhu_star(b, a))
+    assert calls == 62269
 
 
 def test_q_polynomials_generic(gses):
