@@ -57,19 +57,18 @@ def _lcm(a, b):
 
 
 def _reduce_full(terms, basis, key):
-    """Fully reduce a term dict against a list of (lt, lc, terms) entries."""
+    """Fully reduce a term dict against a list of monic (lead, terms) entries."""
     out = {}
     work = dict(terms)
     while work:
         m = _lead(work, key)
         c = work[m]
-        for lt, lc, g in basis:
+        for lt, g in basis:
             if _divides(lt, m):
                 q = _quot(m, lt)
-                f = c / lc
                 for m2, c2 in g.items():
                     mm = tuple(x + y for x, y in zip(m2, q))
-                    s = work.get(mm, Fraction(0)) - f * c2
+                    s = work.get(mm, 0) - c * c2
                     if s:
                         work[mm] = s
                     else:
@@ -81,27 +80,49 @@ def _reduce_full(terms, basis, key):
     return out
 
 
+def _spoly(a, b):
+    """S-polynomial of two monic (lead, terms) entries, as a term dict."""
+    (lta, ga), (ltb, gb) = a, b
+    lcm = _lcm(lta, ltb)
+    qa, qb = _quot(lcm, lta), _quot(lcm, ltb)
+    s = {tuple(x + y for x, y in zip(m, qa)): c for m, c in ga.items()}
+    for m, c in gb.items():
+        mm = tuple(x + y for x, y in zip(m, qb))
+        v = s.get(mm, 0) - c
+        if v:
+            s[mm] = v
+        else:
+            s.pop(mm, None)
+    return s
+
+
+def normalized(poly, key):
+    """The integer-primitive multiple of a nonzero polynomial whose leading
+    coefficient in the order ``key`` is positive."""
+    poly, _ = poly.primitive_integer()
+    if poly.terms[_lead(poly.terms, key)] < 0:
+        poly = -poly
+    return poly
+
+
 class GroebnerBasis:
-    """Reduced basis; elements are integer-primitive with positive leading
-    coefficient, sorted by increasing leading term.  The leading exponent of
-    each element is found once, here, and kept in ``leads``."""
+    """Reduced basis; elements are ``normalized``, sorted by increasing
+    leading term.  The leading exponents ``leads`` and the monic
+    (lead, terms) ``entries`` that ``normal_form`` and the S-polynomial check
+    reduce against are derived once, here, from the elements."""
 
     def __init__(self, vars, order, elements):
         self.vars = vars
-        self.order = order
         self.elements = elements
-        self._key = order.for_vars(vars)
-        self.leads = [_lead(g.terms, self._key) for g in elements]
-
-    def key(self):
-        return self._key
-
-    def leading_terms(self):
-        return list(self.leads)
+        self.key = order.for_vars(vars)
+        self.leads = [_lead(g.terms, self.key) for g in elements]
+        self.entries = [
+            (m, {e: Fraction(c) / g.terms[m] for e, c in g.terms.items()})
+            for m, g in zip(self.leads, elements)
+        ]
 
     def normal_form(self, poly):
-        basis = [(m, g.terms[m], g.terms) for m, g in zip(self.leads, self.elements)]
-        return MultiPoly(self.vars, _reduce_full(poly.terms, basis, self._key))
+        return MultiPoly(self.vars, _reduce_full(poly.terms, self.entries, self.key))
 
 
 def buchberger(gens, order):
@@ -112,20 +133,18 @@ def buchberger(gens, order):
     vars = gens[0].vars
     key = order.for_vars(vars)
 
-    # monic term dicts, each entry (leading exponent, 1, terms) as
-    # _reduce_full takes it
+    # monic (leading exponent, terms) entries, as _reduce_full takes them
     basis = []
-    one = Fraction(1)
 
-    def add(terms):
+    def monic(terms):
         m = _lead(terms, key)
         lc = terms[m]
-        basis.append((m, one, {e: c / lc for e, c in terms.items()}))
+        return m, {e: c / lc for e, c in terms.items()}
 
     for g in gens:
         red = _reduce_full({e: Fraction(c) for e, c in g.terms.items()}, basis, key)
         if red:
-            add(red)
+            basis.append(monic(red))
 
     # Pending pairs in a heap ordered by (key of lcm, insertion number): the
     # smallest lcm first (normal selection), ties in insertion order.
@@ -144,7 +163,7 @@ def buchberger(gens, order):
     while heap:
         _, _, i, j = heapq.heappop(heap)
         pending.remove((i, j))
-        (lti, _, gi), (ltj, _, gj) = basis[i], basis[j]
+        lti, ltj = basis[i][0], basis[j][0]
         lcm = _lcm(lti, ltj)
         if all(a + b == c for a, b, c in zip(lti, ltj, lcm)):
             continue  # coprime leading terms
@@ -155,24 +174,12 @@ def buchberger(gens, order):
             and _divides(ltl, lcm)
             and (min(i, l), max(i, l)) not in pending
             and (min(j, l), max(j, l)) not in pending
-            for l, (ltl, _, _) in enumerate(basis)
+            for l, (ltl, _) in enumerate(basis)
         ):
             continue
-        qi, qj = _quot(lcm, lti), _quot(lcm, ltj)
-        s = {}
-        for m, c in gi.items():
-            mm = tuple(x + y for x, y in zip(m, qi))
-            s[mm] = s.get(mm, Fraction(0)) + c
-        for m, c in gj.items():
-            mm = tuple(x + y for x, y in zip(m, qj))
-            v = s.get(mm, Fraction(0)) - c
-            if v:
-                s[mm] = v
-            else:
-                s.pop(mm, None)
-        red = _reduce_full(s, basis, key)
+        red = _reduce_full(_spoly(basis[i], basis[j]), basis, key)
         if red:
-            add(red)
+            basis.append(monic(red))
             new = len(basis) - 1
             for i2 in range(new):
                 push(i2, new)
@@ -182,30 +189,25 @@ def buchberger(gens, order):
     while changed:
         changed = False
         for i in range(len(basis)):
-            red = _reduce_full(basis[i][2], basis[:i] + basis[i + 1 :], key)
+            red = _reduce_full(basis[i][1], basis[:i] + basis[i + 1 :], key)
             if not red:
                 basis.pop(i)
                 changed = True
                 break
-            m = _lead(red, key)
-            red = {e: c / red[m] for e, c in red.items()}
-            if red != basis[i][2]:
-                basis[i] = (m, one, red)
+            entry = monic(red)
+            if entry[1] != basis[i][1]:
+                basis[i] = entry
                 changed = True
 
-    out = []
-    for m, _, b in sorted(basis, key=lambda entry: key(entry[0])):
-        poly, _ = MultiPoly(vars, dict(b)).primitive_integer()
-        if poly.terms[m] < 0:
-            poly = -poly
-        out.append(poly)
+    basis.sort(key=lambda entry: key(entry[0]))
+    out = [normalized(MultiPoly(vars, terms), key) for _, terms in basis]
     return GroebnerBasis(vars, order, out)
 
 
 def _staircase(gb):
     """Sorted exponents of the monomials outside the leading-term ideal, or
     None when there are infinitely many."""
-    lts = gb.leading_terms()
+    lts = gb.leads
     maxdeg = []
     for v in range(len(gb.vars)):
         pures = [e[v] for e in lts if sum(e) == e[v]]
@@ -254,26 +256,11 @@ def radical_multiplicity_check(gb, points):
 
 
 def spoly_reductions_vanish(gb):
-    """Buchberger criterion on the finished basis."""
-    els, leads = gb.elements, gb.leads
-    for j in range(len(els)):
-        for i in range(j):
-            ti, tj = leads[i], leads[j]
-            lcm = _lcm(ti, tj)
-            qi, qj = _quot(lcm, ti), _quot(lcm, tj)
-            ci = els[i].terms[ti]
-            cj = els[j].terms[tj]
-            s = {}
-            for m, c in els[i].terms.items():
-                mm = tuple(x + y for x, y in zip(m, qi))
-                s[mm] = s.get(mm, Fraction(0)) + Fraction(c) / ci
-            for m, c in els[j].terms.items():
-                mm = tuple(x + y for x, y in zip(m, qj))
-                v = s.get(mm, Fraction(0)) - Fraction(c) / cj
-                if v:
-                    s[mm] = v
-                else:
-                    s.pop(mm, None)
-            if gb.normal_form(MultiPoly(gb.vars, s)):
-                return False
-    return True
+    """Buchberger criterion on the finished basis: every S-polynomial of its
+    entries, coprime pairs included, has normal form zero."""
+    ents = gb.entries
+    return not any(
+        gb.normal_form(MultiPoly(gb.vars, _spoly(ents[i], ents[j])))
+        for j in range(len(ents))
+        for i in range(j)
+    )

@@ -28,6 +28,7 @@ from . import exprs, reference, singular, toplevels, zhu
 from .groebner import (
     buchberger,
     lex_order,
+    normalized,
     point_membership,
     quotient_dimension,
     radical_multiplicity_check,
@@ -456,7 +457,7 @@ def check_groebner(ctx, level, which):
             exprs.parse_multipoly(t, zhu.X_VARS, make_domain(level))
             for t in reference.S_K5_TEXT
         ]
-        wants = [_sign_normalized(p, gb) for p in wants]
+        wants = [normalized(p, gb.key) for p in wants]
         out = [
             _result(
                 "GB_A_k5",
@@ -482,16 +483,6 @@ def check_groebner(ctx, level, which):
         )
     )
     return out
-
-
-def _sign_normalized(poly, gb):
-    """A reference polynomial under the basis convention: integer-primitive
-    with positive leading coefficient in the basis order."""
-    poly, _ = poly.primitive_integer()
-    lead = max(poly.terms, key=gb.key())
-    if Fraction(poly.terms[lead]) < 0:
-        poly = -poly
-    return poly
 
 
 def _same_basis(got, wants):

@@ -403,11 +403,6 @@ class Session:
 
     # -- text ------------------------------------------------------------------
 
-    def parse_nf(self, text):
-        from . import exprs
-
-        return exprs.parse_nf(text, self.domain)
-
     def format_nf(self, elem):
         from . import exprs
 

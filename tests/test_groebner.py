@@ -9,6 +9,7 @@ from w2345.groebner import (
     MonomialOrder,
     buchberger,
     lex_order,
+    normalized,
     point_membership,
     quotient_dimension,
     radical_multiplicity_check,
@@ -132,9 +133,21 @@ def test_stored_leading_terms_match_the_order():
     gens = [poly(t) for t in PINNED]
     for kind in ("lex", "grlex", "grevlex"):
         gb = buchberger(gens, MonomialOrder(kind, ("w5", "w4", "w3", "w2")))
-        key = gb.key()
-        assert gb.leading_terms() == [max(g.terms, key=key) for g in gb.elements]
-        assert all(gb.elements[i].terms[m] > 0 for i, m in enumerate(gb.leading_terms()))
+        assert gb.leads == [max(g.terms, key=gb.key) for g in gb.elements]
+        assert all(g.terms[m] > 0 for g, m in zip(gb.elements, gb.leads))
+        assert [m for m, _ in gb.entries] == gb.leads
+        for (m, terms), g in zip(gb.entries, gb.elements):
+            assert terms[m] == 1
+            assert normalized(MultiPoly(VARS, terms), gb.key) == g
+
+
+def test_spoly_check_rejects_a_set_that_is_not_a_basis():
+    # the PINNED generators before completion: some S-polynomial of them does
+    # not reduce to zero against them, so the certificate must fail
+    order = lex_order(("w5", "w4", "w3", "w2"))
+    gens = [poly(t) for t in PINNED]
+    assert not spoly_reductions_vanish(groebner.GroebnerBasis(VARS, order, gens))
+    assert spoly_reductions_vanish(buchberger(gens, order))
 
 
 def test_buchberger_reduction_count_is_pinned(monkeypatch):

@@ -6,7 +6,9 @@ package outside its own definition, or is part of the public API
 A top-level name counts as used when its own module loads it, when another
 module imports it from that module, or when any module reads an attribute
 of that name; so a constant duplicated in a second module is found even
-though the first copy is in use."""
+though the first copy is in use.  A read ``module.name`` whose receiver is
+an imported package module counts only toward that module's top-level
+``name``, so ``exprs.parse_nf`` does not keep a method ``parse_nf`` alive."""
 
 import ast
 import pathlib
@@ -49,17 +51,34 @@ def _definitions(tree):
                     yield f"{node.name}.{name}", name, defn, node
 
 
-def _references(module, tree):
+def _module_aliases(tree, modules):
+    """Local name -> package module for every ``from . import module``."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and not node.module
+        for alias in node.names
+        if alias.name in modules
+    }
+
+
+def _references(module, tree, modules):
     """(kind, module or None, identifier, enclosing definitions) for every
-    loaded name, attribute and imported name of a module.  An imported name
-    carries the module it is imported from."""
+    loaded name, attribute and imported name of a module.  An imported name,
+    and an attribute read on an imported package module, carries the module
+    it comes from."""
+    aliases = _module_aliases(tree, modules)
     out = []
 
     def visit(node, inside):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.append(("name", module, node.id, inside))
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            out.append(("attr", None, node.attr, inside))
+            receiver = node.value.id if isinstance(node.value, ast.Name) else None
+            if receiver in aliases:
+                out.append(("module", aliases[receiver], node.attr, inside))
+            else:
+                out.append(("attr", None, node.attr, inside))
         elif isinstance(node, ast.ImportFrom):
             source = (node.module or "").rsplit(".", 1)[-1]
             for alias in node.names:
@@ -75,8 +94,9 @@ def _references(module, tree):
 
 def _used(module, name, node, cls, refs):
     """A top-level name is used by an attribute read anywhere, a load in its
-    own module or an import from it; a class member by an attribute read
-    anywhere or a load inside its class."""
+    own module, an import from it or a read on it as a module; a class member
+    by an attribute read on anything but a package module, or a load inside
+    its class."""
     for kind, where, ident, inside in refs:
         if ident != name or id(node) in inside:
             continue
@@ -94,7 +114,7 @@ def unreferenced_names(pkg=PKG):
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(pkg.glob("*.py"))
     }
-    refs = [ref for module, tree in trees.items() for ref in _references(module, tree)]
+    refs = [ref for module, tree in trees.items() for ref in _references(module, tree, trees)]
     dead = []
     for module, tree in trees.items():
         for qualname, name, node, cls in _definitions(tree):

@@ -255,12 +255,20 @@ def _specialized(elem, k0):
     return {m: specialize(c, k0) for m, c in elem.items() if specialize(c, k0)}
 
 
+def _assert_relations_specialize(generic, level, k0):
+    """Generic relations of one weight (anchor -> relation), specialized at
+    k0, against a level session's: the same anchors in the same order, and
+    the same relations."""
+    assert list(generic) == list(level)
+    got = [_specialized(rel, k0) for rel in generic.values()]
+    assert got == [_specialized(rel, k0) for rel in level.values()]
+
+
 @pytest.mark.parametrize("k0", [7, 11])
 def test_generic_tables_specialize_to_the_level_sessions(gses, ses7, k0):
     ses = ses7 if k0 == 7 else Session(k0)
-    for w in (8, 9):
-        got = [_specialized(rel, k0) for rel in gses.null_fields(w)]
-        assert got == [_specialized(rel, k0) for rel in ses.null_fields(w)]
+    for w in (8, 9, 10):
+        _assert_relations_specialize(gses._nf_basis(w).relations, ses._nf_basis(w).relations, k0)
     level_table = ses.ope_table()
     for key, elem in gses.ope_table().items():
         assert _specialized(elem, k0) == _specialized(level_table[key], k0), key
@@ -271,6 +279,21 @@ def test_generic_tables_specialize_to_the_level_sessions(gses, ses7, k0):
     *b, scalar = red.b_polynomials()
     assert [p.specialize_level(k0) for p in gb] == b
     assert specialize(gscalar, k0) == scalar
+
+
+def test_weight10_guard_fails_on_planted_faults(gses, ses7):
+    generic = gses._nf_basis(10).relations
+    level = ses7._nf_basis(10).relations
+    a, b = [x for x in generic if nf_parity(x) == -1][:2]
+    # one odd-sector coefficient shifted by 1
+    rel = generic[a]
+    m = next(m for m in rel if m != a)
+    shifted = {**generic, a: {**rel, m: rel[m] + gses.domain.one}}
+    # two odd-sector anchors swapped, each relation left in its place
+    swapped = {(b if x == a else a if x == b else x): r for x, r in generic.items()}
+    for fault in (shifted, swapped):
+        with pytest.raises(AssertionError):
+            _assert_relations_specialize(fault, level, 7)
 
 
 # -- the stored expansions: clear_vector pairs --------------------------------
