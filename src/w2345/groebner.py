@@ -1,15 +1,22 @@
 """Buchberger Groebner bases over exact rationals in few variables.
 
 Plain Buchberger with the coprime-leading-term and chain criteria, full
-reduction, and a final inter-reduction; no modular shortcuts.  Coefficients
-are Fractions throughout (the ideals of interest live at a fixed level).
+reduction, and a final inter-reduction; no modular shortcuts.  The ideals of
+interest live at a fixed level, so the inputs and outputs carry Fractions:
+the generators, the basis elements and the normal forms.  Inside, the work is
+fraction-free over the integers: each basis entry is a primitive integer
+polynomial with a positive leading coefficient, and reduction
+cross-multiplies by leading coefficients and divides out the content once at
+the end.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from itertools import count, product
+from operator import add, le, sub
 
 from .multipoly import MultiPoly
 
@@ -45,50 +52,121 @@ def _lead(terms, key):
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _quot(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _reduce_full(terms, basis, key):
-    """Fully reduce a term dict against a list of monic (lead, terms) entries."""
-    out = {}
+class _NegatedKeys(dict):
+    """Memo of negated order keys, monomial -> tuple: the smallest negated
+    key belongs to the leading monomial.  One memo serves one ``buchberger``
+    call or one ``GroebnerBasis``."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, m):
+        neg = self[m] = tuple(-x for x in self.key(m))
+        return neg
+
+
+class _Remainder(dict):
+    """A primitive integer remainder with a positive leading coefficient, its
+    leading monomial, and the Fraction ``scale`` that turns it back into the
+    exact remainder of the reduced polynomial."""
+
+    __slots__ = ("lead", "scale")
+
+
+def _cleared(terms):
+    """(den, integer terms): the term dict times the lcm of its
+    denominators."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _primitive(terms, lead):
+    """Integer terms divided by their content, signed so that the coefficient
+    of ``lead`` is positive; returns (divisor, terms)."""
+    g = math.gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return g, {m: c // g for m, c in terms.items()}
+
+
+def _reduce_full(terms, basis, neg):
+    """Fully reduce an integer term dict against primitive (lead, terms)
+    entries with positive leading coefficients, fraction-free.
+
+    The leading term c*m of the work, taken from a heap of negated keys, is
+    eliminated by the first entry (lt, g) whose lead divides m:
+    work = (lc/d)*work - (c/d)*(m/lt)*g with lc = g[lt] and d = gcd(c, lc).
+    Added terms lie below m, so the heap holds exactly the keys of the work
+    and a cancelled term stays as a zero until it is popped.  Irreducible
+    terms stay in the work (they are scaled with it); the content is divided
+    out once, at the end.  Returns a ``_Remainder``, empty (falsy) exactly
+    when the remainder is zero."""
     work = dict(terms)
-    while work:
-        m = _lead(work, key)
+    heap = [(neg[m], m) for m in work]
+    heapq.heapify(heap)
+    mult = 1
+    lead = None
+    while heap:
+        m = heapq.heappop(heap)[1]
         c = work[m]
+        if not c:
+            continue
         for lt, g in basis:
             if _divides(lt, m):
+                lc = g[lt]
+                d = math.gcd(c, lc)
+                if d != lc:
+                    a = lc // d
+                    mult *= a
+                    for e in work:
+                        work[e] *= a
+                b = c // d
                 q = _quot(m, lt)
                 for m2, c2 in g.items():
-                    mm = tuple(x + y for x, y in zip(m2, q))
-                    s = work.get(mm, 0) - c * c2
-                    if s:
-                        work[mm] = s
+                    mm = tuple(map(add, m2, q))
+                    if mm in work:
+                        work[mm] -= b * c2
                     else:
-                        work.pop(mm, None)
+                        work[mm] = -b * c2
+                        heapq.heappush(heap, (neg[mm], mm))
                 break
         else:
-            out[m] = c
-            del work[m]
+            if lead is None:
+                lead = m
+    if lead is None:
+        return _Remainder()
+    g, terms = _primitive({e: c for e, c in work.items() if c}, lead)
+    out = _Remainder(terms)
+    out.lead, out.scale = lead, Fraction(g, mult)
     return out
 
 
 def _spoly(a, b):
-    """S-polynomial of two monic (lead, terms) entries, as a term dict."""
+    """S-polynomial of two primitive (lead, terms) entries, as an integer
+    term dict: (lc_b/g)*(lcm/lt_a)*a - (lc_a/g)*(lcm/lt_b)*b with
+    g = gcd(lc_a, lc_b), a positive multiple of the monic S-polynomial."""
     (lta, ga), (ltb, gb) = a, b
+    lca, lcb = ga[lta], gb[ltb]
+    g = math.gcd(lca, lcb)
+    fa, fb = lcb // g, lca // g
     lcm = _lcm(lta, ltb)
     qa, qb = _quot(lcm, lta), _quot(lcm, ltb)
-    s = {tuple(x + y for x, y in zip(m, qa)): c for m, c in ga.items()}
+    s = {tuple(map(add, m, qa)): fa * c for m, c in ga.items()}
     for m, c in gb.items():
-        mm = tuple(x + y for x, y in zip(m, qb))
-        v = s.get(mm, 0) - c
+        mm = tuple(map(add, m, qb))
+        v = s.get(mm, 0) - fb * c
         if v:
             s[mm] = v
         else:
@@ -107,7 +185,7 @@ def normalized(poly, key):
 
 class GroebnerBasis:
     """Reduced basis; elements are ``normalized``, sorted by increasing
-    leading term.  The leading exponents ``leads`` and the monic
+    leading term.  The leading exponents ``leads`` and the primitive integer
     (lead, terms) ``entries`` that ``normal_form`` and the S-polynomial check
     reduce against are derived once, here, from the elements."""
 
@@ -115,14 +193,20 @@ class GroebnerBasis:
         self.vars = vars
         self.elements = elements
         self.key = order.for_vars(vars)
+        self._neg = _NegatedKeys(self.key)
         self.leads = [_lead(g.terms, self.key) for g in elements]
         self.entries = [
-            (m, {e: Fraction(c) / g.terms[m] for e, c in g.terms.items()})
-            for m, g in zip(self.leads, elements)
+            (m, _primitive(_cleared(g.terms)[1], m)[1]) for m, g in zip(self.leads, elements)
         ]
 
     def normal_form(self, poly):
-        return MultiPoly(self.vars, _reduce_full(poly.terms, self.entries, self.key))
+        """The exact remainder of ``poly``, Fraction coefficients."""
+        den, terms = _cleared(poly.terms)
+        red = _reduce_full(terms, self.entries, self._neg)
+        if not red:
+            return MultiPoly(self.vars)
+        scale = red.scale / den
+        return MultiPoly(self.vars, {m: scale * c for m, c in red.items()})
 
 
 def buchberger(gens, order):
@@ -132,19 +216,15 @@ def buchberger(gens, order):
         raise ValueError("empty generator list")
     vars = gens[0].vars
     key = order.for_vars(vars)
+    neg = _NegatedKeys(key)
 
-    # monic (leading exponent, terms) entries, as _reduce_full takes them
+    # primitive integer (leading exponent, terms) entries, as _reduce_full
+    # takes them
     basis = []
-
-    def monic(terms):
-        m = _lead(terms, key)
-        lc = terms[m]
-        return m, {e: c / lc for e, c in terms.items()}
-
     for g in gens:
-        red = _reduce_full({e: Fraction(c) for e, c in g.terms.items()}, basis, key)
+        red = _reduce_full(_cleared(g.terms)[1], basis, neg)
         if red:
-            basis.append(monic(red))
+            basis.append((red.lead, red))
 
     # Pending pairs in a heap ordered by (key of lcm, insertion number): the
     # smallest lcm first (normal selection), ties in insertion order.
@@ -177,9 +257,9 @@ def buchberger(gens, order):
             for l, (ltl, _) in enumerate(basis)
         ):
             continue
-        red = _reduce_full(_spoly(basis[i], basis[j]), basis, key)
+        red = _reduce_full(_spoly(basis[i], basis[j]), basis, neg)
         if red:
-            basis.append(monic(red))
+            basis.append((red.lead, red))
             new = len(basis) - 1
             for i2 in range(new):
                 push(i2, new)
@@ -189,18 +269,17 @@ def buchberger(gens, order):
     while changed:
         changed = False
         for i in range(len(basis)):
-            red = _reduce_full(basis[i][1], basis[:i] + basis[i + 1 :], key)
+            red = _reduce_full(basis[i][1], basis[:i] + basis[i + 1 :], neg)
             if not red:
                 basis.pop(i)
                 changed = True
                 break
-            entry = monic(red)
-            if entry[1] != basis[i][1]:
-                basis[i] = entry
+            if red != basis[i][1]:
+                basis[i] = (red.lead, red)
                 changed = True
 
     basis.sort(key=lambda entry: key(entry[0]))
-    out = [normalized(MultiPoly(vars, terms), key) for _, terms in basis]
+    out = [MultiPoly(vars, {m: Fraction(c) for m, c in terms.items()}) for _, terms in basis]
     return GroebnerBasis(vars, order, out)
 
 

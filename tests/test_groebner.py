@@ -130,14 +130,18 @@ def test_reduced_basis_independent_of_generator_order():
 
 
 def test_stored_leading_terms_match_the_order():
+    # each entry is its output element itself: the same lead, the same
+    # terms as plain ints, primitive with a positive leading coefficient
     gens = [poly(t) for t in PINNED]
     for kind in ("lex", "grlex", "grevlex"):
         gb = buchberger(gens, MonomialOrder(kind, ("w5", "w4", "w3", "w2")))
         assert gb.leads == [max(g.terms, key=gb.key) for g in gb.elements]
-        assert all(g.terms[m] > 0 for g, m in zip(gb.elements, gb.leads))
-        assert [m for m, _ in gb.entries] == gb.leads
-        for (m, terms), g in zip(gb.entries, gb.elements):
-            assert terms[m] == 1
+        assert len(gb.entries) == len(gb.elements)
+        for i, ((m, terms), g) in enumerate(zip(gb.entries, gb.elements)):
+            assert m == gb.leads[i]
+            assert all(type(c) is int for c in terms.values())
+            assert terms == g.terms
+            assert terms[m] > 0
             assert normalized(MultiPoly(VARS, terms), gb.key) == g
 
 
@@ -166,14 +170,59 @@ def test_buchberger_reduction_count_is_pinned(monkeypatch):
     assert len(calls) == 89
 
 
-# -- outside oracle: sympy's lex Groebner bases of the C2 ideals ----------------
+# -- outside oracle: sympy's Groebner bases and remainders ----------------------
+
+PRECEDENCE = ("w5", "w4", "w3", "w2")
 
 
-def _monic(terms):
-    """A polynomial as a set of (exponent, coefficient) pairs divided by its
-    lex-leading coefficient, exponents in X_VARS order."""
-    lc = terms[max(terms, key=lambda e: e[::-1])]
+def _monic(terms, lead):
+    """A polynomial as a set of (exponent, coefficient) pairs divided by the
+    coefficient of its leading exponent ``lead``."""
+    lc = terms[lead]
     return frozenset((e, Fraction(c) / lc) for e, c in terms.items())
+
+
+def _to_sympy(p, syms):
+    """A polynomial as a sympy expression in ``syms``, its variables in
+    reverse order."""
+    terms = {e[::-1]: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *syms).as_expr()
+
+
+def _from_sympy(p):
+    """The terms of a sympy Poly, exponents in reverse generator order."""
+    return {e[::-1]: Fraction(int(c.p), int(c.q)) for e, c in p.terms()}
+
+
+def _random_poly(rng):
+    terms = {}
+    for _ in range(5):
+        e = tuple(rng.randint(0, 4) for _ in VARS)
+        terms[e] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+    return MultiPoly(VARS, terms)
+
+
+@pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+def test_pinned_basis_and_normal_forms_match_sympy(kind):
+    # the reduced basis is unique, and so is the remainder of a polynomial by
+    # it, whatever the division order: both must agree with sympy's, the
+    # remainders on polynomials with non-integer coefficients
+    gens = [poly(t) for t in PINNED]
+    gb = buchberger(gens, MonomialOrder(kind, PRECEDENCE))
+    syms = sympy.symbols(PRECEDENCE)
+    sym_gb = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order=kind, domain="QQ")
+    want = {_monic(_from_sympy(g), g.monoms(order=kind)[0][::-1]) for g in sym_gb.polys}
+    assert {_monic(g.terms, m) for g, m in zip(gb.elements, gb.leads)} == want
+    rng = random.Random(17)
+    nonzero = 0
+    for _ in range(5):
+        p = _random_poly(rng)
+        _, rem = sympy.reduced(_to_sympy(p, syms), sym_gb.exprs, *syms, order=kind, domain="QQ")
+        nf = gb.normal_form(p)
+        assert nf.terms == _from_sympy(sympy.Poly(rem, *syms))
+        assert all(type(c) is Fraction for c in nf.terms.values())
+        nonzero += bool(nf)
+    assert nonzero == 5
 
 
 @pytest.mark.parametrize("level", [5, 6])
@@ -183,16 +232,7 @@ def test_lex_buchberger_matches_sympy_on_the_a_ideals(gses, ses5, ses6, level):
     gens = _a_ideal(gses, ses5 if level == 5 else ses6)
     gb = buchberger(gens, lex_order(("x5", "x4", "x3", "x2")))
     syms = sympy.symbols(X_VARS[::-1])  # x5 > x4 > x3 > x2
-    sym_gens = [
-        sympy.Poly.from_dict(
-            {e[::-1]: sympy.Rational(c.numerator, c.denominator) for e, c in g.terms.items()},
-            *syms,
-        ).as_expr()
-        for g in gens
-    ]
-    want = {
-        _monic({e[::-1]: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
-        for g in sympy.groebner(sym_gens, *syms, order="lex", domain="QQ").polys
-    }
+    sym_gb = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms, order="lex", domain="QQ")
+    want = {_monic(_from_sympy(g), g.monoms(order="lex")[0][::-1]) for g in sym_gb.polys}
     assert len(want) == len(gb.elements) == {5: 11, 6: 13}[level]
-    assert {_monic(g.terms) for g in gb.elements} == want
+    assert {_monic(g.terms, m) for g, m in zip(gb.elements, gb.leads)} == want

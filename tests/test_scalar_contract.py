@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from w2345 import singular
+from w2345.groebner import buchberger, lex_order
 from w2345.linalg import carrier_for
 from w2345.modes import element_modes
+from w2345.multipoly import MultiPoly
 from w2345.pbw import E, F, H
 from w2345.scalars import RatFunc
 from w2345.walgebra import G3, G4, GW, enumerate_nf
-from w2345.zhu import ZhuC2
+from w2345.zhu import X_VARS, ZhuC2
 
 
 @pytest.fixture(params=["ses5", "gses"])
@@ -77,3 +79,14 @@ def test_c2_reduce_settles_raw_states(ses):
     state = ses.walg().apply_gen(GW, -1, ((G3, -1),))
     assert [type(c) for c in state.values()] == [int]
     _assert_domain_scalars(ses.domain, red.c2_reduce(state).terms.values(), "c2_reduce")
+
+
+def test_groebner_layer_returns_level_scalars(ses5):
+    # Buchberger reduces on primitive integer entries; its elements and the
+    # normal forms it returns carry Fractions, not those raw ints
+    polys, _ = singular.a_polynomials(ses5)
+    gb = buchberger(polys, lex_order(X_VARS[::-1]))
+    _assert_domain_scalars(ses5.domain, _elem_coeffs(g.terms for g in gb.elements), "buchberger")
+    probe = MultiPoly(X_VARS, {(1, 2, 0, 3): Fraction(2, 7), (0, 1, 0, 0): Fraction(-5, 3)})
+    for p in (probe, polys[0] * Fraction(1, 3) + probe):
+        _assert_domain_scalars(ses5.domain, gb.normal_form(p).terms.values(), "normal_form")
