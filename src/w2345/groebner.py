@@ -1,13 +1,17 @@
-"""Buchberger Groebner bases over exact rationals in few variables.
+"""Groebner bases over exact rationals in few variables.
 
-Plain Buchberger with the coprime-leading-term and chain criteria, full
-reduction, and a final inter-reduction; no modular shortcuts.  The ideals of
-interest live at a fixed level, so the inputs and outputs carry Fractions:
-the generators, the basis elements and the normal forms.  Inside, the work is
-fraction-free over the integers: each basis entry is a primitive integer
-polynomial with a positive leading coefficient, and reduction
-cross-multiplies by leading coefficients and divides out the content once at
-the end.
+Buchberger with the coprime-leading-term and chain criteria, full reduction,
+and a final inter-reduction; no modular shortcuts.  ``buchberger`` runs it in
+grevlex and, when the ideal is zero-dimensional, changes to the asked order
+by FGLM (``fglm``): a walk over the monomials of the new order, an exact
+``SpanSolver`` for the first dependency, and an exact check of the result.
+Positive-dimensional ideals run Buchberger in the asked order directly.
+The ideals of interest live at a fixed level, so the inputs and outputs
+carry Fractions: the generators, the basis elements and the normal forms.
+Inside, the work is fraction-free over the integers: each basis entry is a
+primitive integer polynomial with a positive leading coefficient, and
+reduction cross-multiplies by leading coefficients and divides out the
+content once at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from fractions import Fraction
 from itertools import count, product
 from operator import add, le, sub
 
+from .linalg import SpanSolver
 from .multipoly import MultiPoly
+from .scalars import domain
 
 
 class MonomialOrder:
@@ -210,7 +216,22 @@ class GroebnerBasis:
 
 
 def buchberger(gens, order):
-    """Reduced Groebner basis of the ideal generated by gens."""
+    """Reduced Groebner basis of the ideal generated by gens, its elements
+    ``normalized`` and sorted by increasing leading term.
+
+    The basis is computed in grevlex with the same variable precedence; when
+    that ideal is zero-dimensional, ``fglm`` converts it to ``order``.  A
+    positive-dimensional ideal is computed in ``order`` directly."""
+    if order.kind == "grevlex":
+        return _buchberger(gens, order)
+    gb = _buchberger(gens, MonomialOrder("grevlex", order.precedence))
+    if _box(gb) is None:
+        return _buchberger(gens, order)
+    return fglm(gb, order, gens)
+
+
+def _buchberger(gens, order):
+    """Reduced Groebner basis by Buchberger's algorithm in ``order``."""
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("empty generator list")
@@ -283,16 +304,26 @@ def buchberger(gens, order):
     return GroebnerBasis(vars, order, out)
 
 
+def _box(gb):
+    """Per variable, the least exponent of its pure powers among the leading
+    exponents, or None when some variable has none: the staircase is then
+    infinite."""
+    maxdeg = []
+    for v in range(len(gb.vars)):
+        pures = [e[v] for e in gb.leads if sum(e) == e[v]]
+        if not pures:
+            return None
+        maxdeg.append(min(pures))
+    return maxdeg
+
+
 def _staircase(gb):
     """Sorted exponents of the monomials outside the leading-term ideal, or
     None when there are infinitely many."""
     lts = gb.leads
-    maxdeg = []
-    for v in range(len(gb.vars)):
-        pures = [e[v] for e in lts if sum(e) == e[v]]
-        if not pures:
-            return None
-        maxdeg.append(min(pures))
+    maxdeg = _box(gb)
+    if maxdeg is None:
+        return None
     return [
         e
         for e in product(*(range(d) for d in maxdeg))
@@ -313,11 +344,111 @@ def standard_monomials(gb):
     return std
 
 
+def fglm(gb, order, gens):
+    """The reduced Groebner basis in ``order`` of the zero-dimensional ideal
+    generated by ``gens``, from its reduced Groebner basis ``gb`` in another
+    order: the change of order of Faugere, Gianni, Lazard and Mora
+    (J. Symbolic Comput. 16, 1993).
+
+    Monomials are visited in increasing ``order`` from 1, skipping multiples
+    of the leading terms found so far.  The normal form of each is that of a
+    standard predecessor times one variable, reduced by ``gb``; it goes into
+    an exact ``SpanSolver``, and the first dependency on the standard
+    monomials before it is a new element m - sum c_s s.  The result is
+    checked before it is returned, or ArithmeticError is raised: it has as
+    many standard monomials as ``gb``, each of ``gens`` reduces to zero
+    against it, and each of its elements reduces to zero against ``gb``."""
+    dim = quotient_dimension(gb)
+    if dim is None:
+        raise ValueError("quotient is infinite dimensional")
+    vars = gb.vars
+    key = order.for_vars(vars)
+    one = (0,) * len(vars)
+    shifts = [tuple(int(i == v) for i in range(len(vars))) for v in range(len(vars))]
+    solver = SpanSolver(domain(0))
+    # insert index -> (standard monomial, scale, primitive integer remainder)
+    # with normal form = scale * remainder
+    std = {}
+    elements = []
+    leads = []
+    heap = [(key(one), one, None)]
+    seen = {one}
+    while heap:
+        _, m, pred = heapq.heappop(heap)
+        if any(_divides(lt, m) for lt in leads):
+            continue
+        if pred is None:
+            scale, terms = Fraction(1), {one: 1}
+        else:
+            i, shift = pred
+            _, scale, terms = std[i]
+            terms = {tuple(map(add, e, shift)): c for e, c in terms.items()}
+        red = _reduce_full(terms, gb.entries, gb._neg)
+        if red:
+            scale *= red.scale
+        idx = solver.count
+        rel = solver.insert(red, scale)
+        if rel is None:
+            if len(std) == dim:
+                raise ArithmeticError("more standard monomials than the quotient dimension")
+            std[idx] = (m, scale, red)
+            for shift in shifts:
+                mm = tuple(map(add, m, shift))
+                if mm not in seen:
+                    seen.add(mm)
+                    heapq.heappush(heap, (key(mm), mm, (idx, shift)))
+        else:
+            c = rel.pop(idx)
+            terms = {m: Fraction(1)}
+            terms.update((std[i][0], r / c) for i, r in rel.items())
+            terms = _primitive(_cleared(terms)[1], m)[1]
+            leads.append(m)
+            elements.append(MultiPoly(vars, {e: Fraction(c) for e, c in terms.items()}))
+    out = GroebnerBasis(vars, order, elements)
+    if (
+        len(std) != dim
+        or any(out.normal_form(g) for g in gens)
+        or any(gb.normal_form(g) for g in elements)
+    ):
+        raise ArithmeticError("the change of order fails its exact check")
+    return out
+
+
 def point_membership(polys, point):
-    """True when every polynomial vanishes at the point (a tuple matching
-    the polynomial variables)."""
+    """True when every polynomial vanishes at the point, a tuple of ints or
+    Fractions with one coordinate per polynomial variable.
+
+    The evaluation runs on integers: the coordinates are put over one common
+    denominator d, and each polynomial, cleared of its denominators, is
+    summed as sum c_e prod a_i^e_i d^(deg - |e|), with the powers memoised
+    per point."""
+    point = tuple(point)
+    den = math.lcm(*(x.denominator for x in point))
+    # the scaled coordinates a_i, then d itself
+    bases = [x.numerator * (den // x.denominator) for x in point] + [den]
+    powers = {}
+
+    def power(i, k):
+        v = powers.get((i, k))
+        if v is None:
+            v = powers[(i, k)] = bases[i] ** k
+        return v
+
     for p in polys:
-        if p.evaluate(point) != 0:
+        if len(p.vars) != len(point):
+            raise ValueError(f"point {point} does not match the variables {p.vars}")
+        if not p:
+            continue
+        terms = _cleared(p.terms)[1]
+        deg = max(map(sum, terms))
+        acc = 0
+        for e, c in terms.items():
+            v = c * power(-1, deg - sum(e))
+            for i, k in enumerate(e):
+                if k:
+                    v *= power(i, k)
+            acc += v
+        if acc:
             return False
     return True
 

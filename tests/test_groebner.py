@@ -156,7 +156,9 @@ def test_spoly_check_rejects_a_set_that_is_not_a_basis():
 
 def test_buchberger_reduction_count_is_pinned(monkeypatch):
     # Same pair selection and the same two criteria give the same reductions:
-    # 89 calls of _reduce_full, generators and inter-reduction included.
+    # 89 calls of _reduce_full on the direct lex path, generators and
+    # inter-reduction included.  The routed call, a grevlex basis and its
+    # change of order with the exact check, makes 52.
     calls = []
     reduce_full = groebner._reduce_full
 
@@ -165,9 +167,82 @@ def test_buchberger_reduction_count_is_pinned(monkeypatch):
         return reduce_full(*args)
 
     monkeypatch.setattr(groebner, "_reduce_full", counting)
-    gb = buchberger([poly(t) for t in PINNED], lex_order(("w5", "w4", "w3", "w2")))
+    order = lex_order(("w5", "w4", "w3", "w2"))
+    gens = [poly(t) for t in PINNED]
+    gb = groebner._buchberger(gens, order)
     assert quotient_dimension(gb) == 20
     assert len(calls) == 89
+    calls.clear()
+    assert buchberger(gens, order).elements == gb.elements
+    assert len(calls) == 52
+
+
+# -- change of order by FGLM ---------------------------------------------------
+
+# quotient dimension 8
+SMALL = ["w2^2 + w3 - 1", "w3^2 - w2", "w4 - w2*w3", "w5^2 - w4"]
+
+
+GREVLEX = MonomialOrder("grevlex", ("w5", "w4", "w3", "w2"))
+
+
+@pytest.mark.parametrize("texts", [PINNED, SMALL], ids=["pinned", "small"])
+@pytest.mark.parametrize("kind", ["lex", "grlex"])
+def test_fglm_matches_direct_buchberger(texts, kind):
+    gens = [poly(t) for t in texts]
+    order = MonomialOrder(kind, ("w5", "w4", "w3", "w2"))
+    direct = groebner._buchberger(gens, order)
+    converted = groebner.fglm(groebner._buchberger(gens, GREVLEX), order, gens)
+    assert converted.elements == direct.elements
+    assert converted.leads == direct.leads
+    assert buchberger(gens, order).elements == direct.elements
+
+
+def test_positive_dimensional_input_takes_the_direct_path(monkeypatch):
+    def no_fglm(*args):
+        raise AssertionError("fglm called on a positive-dimensional ideal")
+
+    monkeypatch.setattr(groebner, "fglm", no_fglm)
+    order = lex_order(("w5", "w4", "w3", "w2"))
+    gb = buchberger([poly("w2"), poly("w3")], order)
+    assert [p.format() for p in gb.elements] == ["w2", "w3"]
+    # w3 = w2^2 and then w2*w3 - w3 = w2^3 - w2^2; w4 and w5 are free
+    gb = buchberger([poly("w2^2 - w3"), poly("w3*w2 - w3")], order)
+    assert [p.format() for p in gb.elements] == ["w2^3 - w2^2", "-w2^2 + w3"]
+    assert quotient_dimension(gb) is None
+
+
+@pytest.mark.parametrize("texts", [PINNED, SMALL], ids=["pinned", "small"])
+def test_fglm_raises_when_a_grevlex_element_is_dropped(texts):
+    # Without one element the grevlex set is no longer the ideal's basis.
+    # When its staircase is still finite, the walk or the exact check must
+    # fail; when it is infinite, fglm refuses it outright.
+    gens = [poly(t) for t in texts]
+    gb = groebner._buchberger(gens, GREVLEX)
+    order = lex_order(("w5", "w4", "w3", "w2"))
+    checked = 0
+    for i in range(len(gb.elements)):
+        bad = groebner.GroebnerBasis(VARS, GREVLEX, gb.elements[:i] + gb.elements[i + 1 :])
+        infinite = quotient_dimension(bad) is None
+        with pytest.raises(ValueError if infinite else ArithmeticError):
+            groebner.fglm(bad, order, gens)
+        checked += not infinite
+    assert checked >= 3
+
+
+def test_point_membership_matches_evaluate():
+    rng = random.Random(29)
+    for _ in range(40):
+        p = _random_poly(rng)
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in VARS)
+        # a member: p minus its value at the point vanishes there
+        member = p - p.evaluate(pt)
+        assert point_membership([member], pt)
+        assert point_membership([p], pt) == (p.evaluate(pt) == 0)
+        assert point_membership([member, p], pt) == (p.evaluate(pt) == 0)
+    assert point_membership([MultiPoly(VARS)], (1, 2, 3, 4))
+    with pytest.raises(ValueError):
+        point_membership([poly("w2")], (1, 2, 3))
 
 
 # -- outside oracle: sympy's Groebner bases and remainders ----------------------
