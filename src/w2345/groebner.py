@@ -11,7 +11,10 @@ carry Fractions: the generators, the basis elements and the normal forms.
 Inside, the work is fraction-free over the integers: each basis entry is a
 primitive integer polynomial with a positive leading coefficient, and
 reduction cross-multiplies by leading coefficients and divides out the
-content once at the end.
+content once at the end, with ``multipoly.cleared`` and
+``multipoly.primitive``.  Each ``GroebnerBasis`` derives its staircase (the
+standard exponents) once, when it is built; the route to FGLM, the walk, the
+quotient dimension, the standard monomials and the radical check read it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from itertools import count, product
 from operator import add, le, sub
 
 from .linalg import SpanSolver
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, cleared, primitive
 from .scalars import domain
 
 
@@ -91,22 +94,6 @@ class _Remainder(dict):
     __slots__ = ("lead", "scale")
 
 
-def _cleared(terms):
-    """(den, integer terms): the term dict times the lcm of its
-    denominators."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-
-
-def _primitive(terms, lead):
-    """Integer terms divided by their content, signed so that the coefficient
-    of ``lead`` is positive; returns (divisor, terms)."""
-    g = math.gcd(*terms.values())
-    if terms[lead] < 0:
-        g = -g
-    return g, {m: c // g for m, c in terms.items()}
-
-
 def _reduce_full(terms, basis, neg):
     """Fully reduce an integer term dict against primitive (lead, terms)
     entries with positive leading coefficients, fraction-free.
@@ -153,7 +140,7 @@ def _reduce_full(terms, basis, neg):
                 lead = m
     if lead is None:
         return _Remainder()
-    g, terms = _primitive({e: c for e, c in work.items() if c}, lead)
+    g, terms = primitive({e: c for e, c in work.items() if c}, lead)
     out = _Remainder(terms)
     out.lead, out.scale = lead, Fraction(g, mult)
     return out
@@ -183,15 +170,27 @@ def _spoly(a, b):
 def normalized(poly, key):
     """The integer-primitive multiple of a nonzero polynomial whose leading
     coefficient in the order ``key`` is positive."""
-    poly, _ = poly.primitive_integer()
-    if poly.terms[_lead(poly.terms, key)] < 0:
-        poly = -poly
-    return poly
+    _, terms = primitive(cleared(poly.terms)[1], _lead(poly.terms, key))
+    return MultiPoly(poly.vars, {m: Fraction(c) for m, c in terms.items()})
+
+
+def _staircase(leads, nvars):
+    """Sorted exponents of the monomials that no lead divides, or None when
+    some variable has no pure power among the leads: there are then
+    infinitely many."""
+    box = []
+    for v in range(nvars):
+        pures = [e[v] for e in leads if sum(e) == e[v]]
+        if not pures:
+            return None
+        box.append(range(min(pures)))
+    return [e for e in product(*box) if not any(_divides(l, e) for l in leads)]
 
 
 class GroebnerBasis:
     """Reduced basis; elements are ``normalized``, sorted by increasing
-    leading term.  The leading exponents ``leads`` and the primitive integer
+    leading term.  The leading exponents ``leads``, the ``staircase`` of
+    standard exponents (None when infinite) and the primitive integer
     (lead, terms) ``entries`` that ``normal_form`` and the S-polynomial check
     reduce against are derived once, here, from the elements."""
 
@@ -201,13 +200,14 @@ class GroebnerBasis:
         self.key = order.for_vars(vars)
         self._neg = _NegatedKeys(self.key)
         self.leads = [_lead(g.terms, self.key) for g in elements]
+        self.staircase = _staircase(self.leads, len(vars))
         self.entries = [
-            (m, _primitive(_cleared(g.terms)[1], m)[1]) for m, g in zip(self.leads, elements)
+            (m, primitive(cleared(g.terms)[1], m)[1]) for m, g in zip(self.leads, elements)
         ]
 
     def normal_form(self, poly):
         """The exact remainder of ``poly``, Fraction coefficients."""
-        den, terms = _cleared(poly.terms)
+        den, terms = cleared(poly.terms)
         red = _reduce_full(terms, self.entries, self._neg)
         if not red:
             return MultiPoly(self.vars)
@@ -225,7 +225,7 @@ def buchberger(gens, order):
     if order.kind == "grevlex":
         return _buchberger(gens, order)
     gb = _buchberger(gens, MonomialOrder("grevlex", order.precedence))
-    if _box(gb) is None:
+    if gb.staircase is None:
         return _buchberger(gens, order)
     return fglm(gb, order, gens)
 
@@ -243,7 +243,7 @@ def _buchberger(gens, order):
     # takes them
     basis = []
     for g in gens:
-        red = _reduce_full(_cleared(g.terms)[1], basis, neg)
+        red = _reduce_full(cleared(g.terms)[1], basis, neg)
         if red:
             basis.append((red.lead, red))
 
@@ -304,44 +304,16 @@ def _buchberger(gens, order):
     return GroebnerBasis(vars, order, out)
 
 
-def _box(gb):
-    """Per variable, the least exponent of its pure powers among the leading
-    exponents, or None when some variable has none: the staircase is then
-    infinite."""
-    maxdeg = []
-    for v in range(len(gb.vars)):
-        pures = [e[v] for e in gb.leads if sum(e) == e[v]]
-        if not pures:
-            return None
-        maxdeg.append(min(pures))
-    return maxdeg
-
-
-def _staircase(gb):
-    """Sorted exponents of the monomials outside the leading-term ideal, or
-    None when there are infinitely many."""
-    lts = gb.leads
-    maxdeg = _box(gb)
-    if maxdeg is None:
-        return None
-    return [
-        e
-        for e in product(*(range(d) for d in maxdeg))
-        if not any(_divides(l, e) for l in lts)
-    ]
-
-
 def quotient_dimension(gb):
     """Number of standard monomials, or None when infinite."""
-    std = _staircase(gb)
-    return None if std is None else len(std)
+    return None if gb.staircase is None else len(gb.staircase)
 
 
 def standard_monomials(gb):
-    std = _staircase(gb)
-    if std is None:
+    """A copy of the sorted standard exponents."""
+    if gb.staircase is None:
         raise ValueError("quotient is infinite dimensional")
-    return std
+    return list(gb.staircase)
 
 
 def fglm(gb, order, gens):
@@ -358,9 +330,9 @@ def fglm(gb, order, gens):
     checked before it is returned, or ArithmeticError is raised: it has as
     many standard monomials as ``gb``, each of ``gens`` reduces to zero
     against it, and each of its elements reduces to zero against ``gb``."""
-    dim = quotient_dimension(gb)
-    if dim is None:
+    if gb.staircase is None:
         raise ValueError("quotient is infinite dimensional")
+    dim = len(gb.staircase)
     vars = gb.vars
     key = order.for_vars(vars)
     one = (0,) * len(vars)
@@ -401,9 +373,8 @@ def fglm(gb, order, gens):
             c = rel.pop(idx)
             terms = {m: Fraction(1)}
             terms.update((std[i][0], r / c) for i, r in rel.items())
-            terms = _primitive(_cleared(terms)[1], m)[1]
             leads.append(m)
-            elements.append(MultiPoly(vars, {e: Fraction(c) for e, c in terms.items()}))
+            elements.append(normalized(MultiPoly(vars, terms), key))
     out = GroebnerBasis(vars, order, elements)
     if (
         len(std) != dim
@@ -439,7 +410,7 @@ def point_membership(polys, point):
             raise ValueError(f"point {point} does not match the variables {p.vars}")
         if not p:
             continue
-        terms = _cleared(p.terms)[1]
+        terms = cleared(p.terms)[1]
         deg = max(map(sum, terms))
         acc = 0
         for e, c in terms.items():
@@ -470,7 +441,7 @@ def spoly_reductions_vanish(gb):
     entries, coprime pairs included, has normal form zero."""
     ents = gb.entries
     return not any(
-        gb.normal_form(MultiPoly(gb.vars, _spoly(ents[i], ents[j])))
+        _reduce_full(_spoly(ents[i], ents[j]), ents, gb._neg)
         for j in range(len(ents))
         for i in range(j)
     )

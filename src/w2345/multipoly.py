@@ -7,9 +7,26 @@ coefficients; coefficients are whatever the session's scalar domain produces
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import RatFunc
+
+
+def cleared(terms):
+    """(den, integer terms): a term dict of Fractions or ints times the lcm
+    ``den`` of its denominators."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def primitive(terms, lead):
+    """Integer terms divided by their content, signed so that the coefficient
+    of ``lead`` is positive; returns (divisor, terms)."""
+    g = math.gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return g, {m: c // g for m, c in terms.items()}
 
 
 class MultiPoly:
@@ -191,19 +208,9 @@ class MultiPoly:
         """
         if not self.terms:
             return self, Fraction(1)
-        from math import gcd
-
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            c = Fraction(c)
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        s = Fraction(num_gcd, den_lcm)
-        lead = max(self.terms, key=lambda e: (sum(e), e))
-        if Fraction(self.terms[lead]) < 0:
-            s = -s
-        return self.map_coeffs(lambda c: Fraction(c) / s), s
+        den, terms = cleared(self.terms)
+        g, terms = primitive(terms, max(terms, key=lambda e: (sum(e), e)))
+        return MultiPoly(self.vars, {m: Fraction(c) for m, c in terms.items()}), Fraction(g, den)
 
     # -- text -----------------------------------------------------------------
 

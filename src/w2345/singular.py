@@ -65,12 +65,6 @@ def theta_parity_u0(ses):
     raise SingularCheckError("u0 is not a theta eigenvector")
 
 
-def _integer_primitive(poly):
-    """Integer-primitive rescaling; returns (poly, multiplier applied)."""
-    norm, content = poly.primitive_integer()
-    return norm, 1 / content
-
-
 def _quotient_polynomials(ses, reduce):
     """reduce(ZhuC2(ses), nf) of u^0..u^3, integer-rescaled.
 
@@ -78,9 +72,9 @@ def _quotient_polynomials(ses, reduce):
     red = ZhuC2(ses)
     polys, muls = [], []
     for r in range(4):
-        norm, mul = _integer_primitive(reduce(red, ur_normal_form(ses, r)))
+        norm, content = reduce(red, ur_normal_form(ses, r)).primitive_integer()
         polys.append(norm)
-        muls.append(mul)
+        muls.append(1 / content)
     return polys, muls
 
 

@@ -379,7 +379,7 @@ class Session:
         nb = self._nf_basis(d)
         return len(nb.monos), nb.rank
 
-    def null_fields(self, d, parity=None):
+    def null_fields(self, d):
         """Null combinations at weight d, one per eliminated monomial: the
         table words first, then the words the span found dependent.
 
@@ -387,11 +387,7 @@ class Session:
         normalized to coefficient 1 on its eliminated monomial; the expansion
         of every returned element is zero.
         """
-        return [
-            rel
-            for x, rel in self._nf_basis(d).relations.items()
-            if parity is None or nf_parity(x) == parity
-        ]
+        return list(self._nf_basis(d).relations.values())
 
     def null_field_for(self, mono):
         """The null relation anchored at the given eliminated monomial, with

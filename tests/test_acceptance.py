@@ -187,15 +187,13 @@ def test_criterion_6_zhu_ideals(gses, ses5, ses6):
 
 
 def test_criterion_7_c2_ideals(gses, ses5, ses6):
-    from w2345.report import _same_basis
-
     gens5 = _a_ideal(gses, ses5)
     gb5 = buchberger(gens5, lex_order(("x5", "x4", "x3", "x2")))
     wants = [
         exprs.parse_multipoly(t, X_VARS, ses5.domain) for t in reference.S_K5_TEXT
     ]
     wants = [normalized(p, gb5.key) for p in wants]
-    ok = _same_basis(list(gb5.elements), wants)
+    ok = len(gb5.elements) == len(wants) and set(gb5.elements) == set(wants)
     ok = ok and quotient_dimension(gb5) is not None
     gens6 = _a_ideal(gses, ses6)
     gb6 = buchberger(gens6, lex_order(("x5", "x4", "x3", "x2")))

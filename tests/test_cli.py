@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import cli, exprs, pbw, report, singular, zhu
+from w2345 import cli, exprs, groebner, pbw, report, singular, zhu
 from w2345.groebner import buchberger
 from w2345.scalars import domain as make_domain
 from w2345.walgebra import Session
@@ -214,7 +214,8 @@ def test_torn_cache_write_leaves_no_entry(tmp_path, monkeypatch, capsys):
     assert len(os.listdir(d)) == 1
 
 
-def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
+def _stub_level_ideal(monkeypatch):
+    """A small zero-dimensional ideal in place of every level ideal."""
     monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
     qq = make_domain(0)
     gens = [
@@ -222,6 +223,10 @@ def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
         for t in ("w2^2 - 1", "w3^2 - w2", "w4 - 1", "w5")
     ]
     monkeypatch.setattr(report, "_ideal_generators", lambda ctx, level, which: gens)
+
+
+def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
+    _stub_level_ideal(monkeypatch)
     calls = []
 
     def counting_buchberger(*args):
@@ -235,12 +240,33 @@ def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
     assert len(calls) == 1
 
 
+def test_groebner_and_variety_build_each_staircase_once(monkeypatch):
+    # The staircase is derived once per basis, when it is built: once for the
+    # grevlex basis and once for the lex basis that fglm makes from it.  The
+    # dimension, the standard monomials and the radical check read that value.
+    _stub_level_ideal(monkeypatch)
+    built = []
+    staircase = groebner._staircase
+
+    def counting_staircase(leads, nvars):
+        built.append(leads)
+        return staircase(leads, nvars)
+
+    monkeypatch.setattr(groebner, "_staircase", counting_staircase)
+    ctx = report.Context()
+    report.check_groebner(ctx, 5, "P")
+    report.check_variety(ctx, 5)
+    _, gb = ctx.lex_basis(5, "P")
+    assert len(built) == 2
+    assert built[1] == gb.leads
+
+
 def test_null_fields_check_fails_on_a_perturbed_relation(monkeypatch):
     monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
     null_fields = Session.null_fields
 
-    def perturbed(self, d, parity=None):
-        rels = [dict(r) for r in null_fields(self, d, parity)]
+    def perturbed(self, d):
+        rels = [dict(r) for r in null_fields(self, d)]
         other = list(rels[0])[1]  # the first key is the anchor
         rels[0][other] = rels[0][other] + 1
         return rels

@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from w2345 import exprs, groebner
 from w2345.groebner import (
@@ -116,6 +120,7 @@ def test_level5_dimension_order_independent(gses, ses5):
 # A small zero-dimensional ideal (quotient dimension 20) whose Buchberger run
 # selects, prunes and reduces enough pairs to pin the selection order.
 PINNED = ["w2^2*w3 - w4", "w3^2 - w2 + w5", "w4^2 - w3", "w5^2 - w2*w4 - 1"]
+PRECEDENCE = ("w5", "w4", "w3", "w2")
 
 
 def test_reduced_basis_independent_of_generator_order():
@@ -177,11 +182,76 @@ def test_buchberger_reduction_count_is_pinned(monkeypatch):
     assert len(calls) == 52
 
 
-# -- change of order by FGLM ---------------------------------------------------
+# -- staircases -----------------------------------------------------------------
 
 # quotient dimension 8
 SMALL = ["w2^2 + w3 - 1", "w3^2 - w2", "w4 - w2*w3", "w5^2 - w4"]
 
+
+def _brute_force_staircase(leads):
+    """Every exponent up to the total degree of the pure-power box that no
+    lead divides, sorted."""
+    box = [min(e[v] for e in leads if sum(e) == e[v]) for v in range(len(VARS))]
+    return sorted(
+        e
+        for e in product(range(sum(box) + 1), repeat=len(VARS))
+        if sum(e) <= sum(box) and not any(all(a <= b for a, b in zip(l, e)) for l in leads)
+    )
+
+
+@pytest.mark.parametrize("texts, dim", [(PINNED, 20), (SMALL, 8)], ids=["pinned", "small"])
+@pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+def test_standard_monomials_match_a_brute_force_filter(texts, dim, kind):
+    gb = buchberger([poly(t) for t in texts], MonomialOrder(kind, PRECEDENCE))
+    std = standard_monomials(gb)
+    assert std == _brute_force_staircase(gb.leads)
+    assert quotient_dimension(gb) == len(std) == dim
+    # a copy: the caller may change it without touching the basis
+    std.clear()
+    assert standard_monomials(gb) == _brute_force_staircase(gb.leads)
+
+
+def test_staircase_is_none_without_a_pure_power_per_variable():
+    gb = buchberger([poly("w2"), poly("w3")], MonomialOrder("grevlex", PRECEDENCE))
+    assert gb.staircase is None
+    assert groebner._staircase(gb.leads, len(VARS)) is None
+    with pytest.raises(ValueError):
+        standard_monomials(gb)
+
+
+@pytest.mark.parametrize("texts", [PINNED, SMALL], ids=["pinned", "small"])
+def test_dropping_a_lead_changes_the_staircase(texts):
+    gb = buchberger([poly(t) for t in texts], MonomialOrder("grevlex", PRECEDENCE))
+    assert groebner._staircase(gb.leads, len(VARS)) == gb.staircase
+    for i in range(len(gb.leads)):
+        fewer = gb.leads[:i] + gb.leads[i + 1 :]
+        assert groebner._staircase(fewer, len(VARS)) != gb.staircase
+
+
+fraction_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in VARS)),
+    st.fractions(max_denominator=50).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: MultiPoly(VARS, terms))
+
+
+@given(fraction_polys)
+def test_primitive_integer_and_normalized_share_one_clearing(p):
+    prim, s = p.primitive_integer()
+    assert s * prim == p
+    coeffs = list(prim.terms.values())
+    assert all(type(c) is Fraction and c.denominator == 1 for c in coeffs)
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+    assert prim.terms[max(prim.terms, key=lambda e: (sum(e), e))] > 0
+    for kind in ("lex", "grlex", "grevlex"):
+        key = MonomialOrder(kind, PRECEDENCE).for_vars(VARS)
+        norm = normalized(p, key)
+        assert norm in (prim, -prim)
+        assert norm.terms[max(norm.terms, key=key)] > 0
+
+
+# -- change of order by FGLM ---------------------------------------------------
 
 GREVLEX = MonomialOrder("grevlex", ("w5", "w4", "w3", "w2"))
 
@@ -246,8 +316,6 @@ def test_point_membership_matches_evaluate():
 
 
 # -- outside oracle: sympy's Groebner bases and remainders ----------------------
-
-PRECEDENCE = ("w5", "w4", "w3", "w2")
 
 
 def _monic(terms, lead):
