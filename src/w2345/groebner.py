@@ -184,7 +184,9 @@ def _staircase(leads, nvars):
         if not pures:
             return None
         box.append(range(min(pures)))
-    return [e for e in product(*box) if not any(_divides(l, e) for l in leads)]
+    # a pure power w^d bounds the box below d, so it divides no box point
+    mixed = [l for l in leads if sum(1 for x in l if x) > 1]
+    return [e for e in product(*box) if not any(_divides(l, e) for l in mixed)]
 
 
 class GroebnerBasis:

@@ -21,8 +21,6 @@ over Q(k) before returning it.
 
 ``exact_sum`` adds combinations of sparse vectors on the same integer
 carriers: the certificate and the null-field checks both use it.
-
-``nullspace`` is the dense matrix entry point (vectors are columns).
 """
 
 from __future__ import annotations
@@ -47,9 +45,10 @@ class NotInSpanError(ValueError):
 class _IntCarrier:
     """Rows of plain ints (specialized-level sessions).
 
-    Each carrier's ``clear`` is the one clearing routine of the package,
+    Each carrier's ``clear`` is the clearing routine of the engine vectors,
     through ``clear_vector``: ``element_modes``, ``SpanSolver`` and the
-    pairs ``Session.nf_expand`` keeps all start from it.  Its raws are
+    pairs ``Session.nf_expand`` keeps all start from it.  Polynomial term
+    dicts are cleared by ``multipoly.cleared`` instead.  The raws are
     numbers the engines add, negate and multiply with plain operators:
     ints here, ``scalars.IntPoly`` over Q(k).  They become domain scalars
     only when multiplied or divided by a clearing factor."""
@@ -415,31 +414,3 @@ class GenericSpan:
         coords = self._solve(cleared)
         self._certify(coords, cleared)
         return coords
-
-
-# ---------------------------------------------------------------------------
-# dense entry point (vectors are columns)
-# ---------------------------------------------------------------------------
-
-
-def nullspace(matrix, domain):
-    """Basis of {x : matrix @ x = 0} for a dense matrix of scalars, each
-    vector normalized to primitive integer entries with the first nonzero
-    entry positive."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    solver = SpanSolver(domain)
-    for j in range(ncols):
-        solver.insert({i: matrix[i][j] for i in range(nrows) if matrix[i][j]})
-    return [
-        _normalize_vector([rel.get(i, domain.zero) for i in range(ncols)], domain)
-        for rel in solver.relations.values()
-    ]
-
-
-def _normalize_vector(vec, domain):
-    raws, _ = carrier_for(domain).clear(vec)
-    lead = next((r for r in raws if r), None)
-    if lead is not None and (lead[-1] if domain.is_generic else lead) < 0:
-        raws = [-r for r in raws]
-    return [domain.scalar(r) for r in raws]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalars import RatFunc
+from .scalars import RatFunc, specialize
 
 
 def cleared(terms):
@@ -184,7 +184,7 @@ class MultiPoly:
         """Evaluate rational-function coefficients at an integer level."""
         out = {}
         for e, c in self.terms.items():
-            c2 = c.specialize(k0) if isinstance(c, RatFunc) else Fraction(c)
+            c2 = specialize(c, k0)
             if c2:
                 out[e] = c2
         return MultiPoly(self.vars, out, prune=False)

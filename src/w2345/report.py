@@ -440,9 +440,7 @@ def check_groebner(ctx, level, which):
         )
         ok = ok and std == want_std
         # R1, R2 exact; R3..R5 printed data
-        r1t = reference.R1_K5_TEXT if level == 5 else reference.R1_K6_TEXT
-        r2t = reference.R2_K5_TEXT if level == 5 else reference.R2_K6_TEXT
-        okr, details = _check_r_basis(gb, level, r1t, r2t)
+        okr, details = _check_r_basis(gb, level)
         out = [
             _result(
                 f"GB_P_k{level}",
@@ -499,24 +497,9 @@ def _w2_coeffs(poly, iw2):
     return tuple(coeffs)
 
 
-def _check_r_basis(gb, level, r1_text, r2_text):
+def _check_r_basis(gb, level):
     """The P-ideal basis: R1, R2 exact, R3..R5 on the printed data."""
-    if level == 5:
-        c3, c4, c5 = (
-            reference.R3_K5_W3SQ_COEFF,
-            reference.R4_K5_W4_COEFF,
-            reference.R5_K5_W5_COEFF,
-        )
-        dp, dq, dr = reference.R_K5_P_DEGREE, reference.R_K5_Q_DEGREE, reference.R_K5_R_DEGREE
-        pc_text, qc_text = reference.R_K5_P_COMMON_TEXT, reference.R_K5_Q_COMMON_TEXT
-    else:
-        c3, c4, c5 = (
-            reference.R3_K6_W3SQ_COEFF,
-            reference.R4_K6_W4_COEFF,
-            reference.R5_K6_W5_COEFF,
-        )
-        dp, dq, dr = reference.R_K6_P_DEGREE, reference.R_K6_Q_DEGREE, reference.R_K6_R_DEGREE
-        pc_text, qc_text = reference.R_K6_P_COMMON_TEXT, reference.R_K6_Q_COMMON_TEXT
+    ref = reference.R_BASIS[level]
     if len(gb.elements) != 5:
         return False, f"basis has {len(gb.elements)} elements, expected 5"
     vars = gb.vars  # (w2, w3, w4, w5)
@@ -533,13 +516,13 @@ def _check_r_basis(gb, level, r1_text, r2_text):
         return tuple(e)
 
     # R1: univariate in w2
-    r1_want = exprs.parse_multipoly(r1_text, vars, dom0)
+    r1_want = exprs.parse_multipoly(ref["r1_text"], vars, dom0)
     r1 = _w2_coeffs(r1_want, iw2)
     if by_lead.get(exp(w2=len(r1) - 1)) != r1_want:
         ok = False
         details.append("R1 mismatch")
     # R2: w3 * (univariate in w2)
-    r2_want = exprs.parse_multipoly(r2_text, vars, dom0).map_coeffs(Fraction)
+    r2_want = exprs.parse_multipoly(ref["r2_text"], vars, dom0).map_coeffs(Fraction)
     r2_want, _ = r2_want.primitive_integer()
     deg2 = max(e[iw2] for e in r2_want.terms)
     r2 = by_lead.get(exp(w3=1, w2=deg2))
@@ -549,8 +532,8 @@ def _check_r_basis(gb, level, r1_text, r2_text):
     # R3 = p(w2) + c3 w3^2 and R4 = q(w2) + c4 w4; by Gauss's lemma the
     # primitive gcd over Z is the monic gcd over Q up to its content
     for label, lead, c_lead, deg, common_text in (
-        ("R3", exp(w3=2), c3, dp, pc_text),
-        ("R4", exp(w4=1), c4, dq, qc_text),
+        ("R3", exp(w3=2), ref["w3sq_coeff"], ref["p_degree"], ref["p_common_text"]),
+        ("R4", exp(w4=1), ref["w4_coeff"], ref["q_degree"], ref["q_common_text"]),
     ):
         rr = by_lead.get(lead)
         ok_r = rr is not None and Fraction(rr.terms[lead]) == c_lead
@@ -564,7 +547,7 @@ def _check_r_basis(gb, level, r1_text, r2_text):
             details.append(f"{label} mismatch")
     # R5 = r(w2) w3 + c5 w5
     r5 = by_lead.get(exp(w5=1))
-    ok5 = r5 is not None and Fraction(r5.terms[exp(w5=1)]) == c5
+    ok5 = r5 is not None and Fraction(r5.terms[exp(w5=1)]) == ref["w5_coeff"]
     if ok5:
         rest = {e: c for e, c in r5.terms.items() if e != exp(w5=1)}
         ok5 = all(e[iw3] == 1 and e[iw4] == 0 and e[iw5] == 0 for e in rest)
@@ -572,7 +555,7 @@ def _check_r_basis(gb, level, r1_text, r2_text):
             ru = _w2_coeffs(
                 MultiPoly(vars, {exp(w2=e[iw2]): c for e, c in rest.items()}), iw2
             )
-            ok5 = len(ru) - 1 == dr and len(ip_gcd(ru, r1)) == 1
+            ok5 = len(ru) - 1 == ref["r_degree"] and len(ip_gcd(ru, r1)) == 1
     if not ok5:
         ok = False
         details.append("R5 mismatch")

@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from . import exprs, modes, reference
-from .linalg import NotInSpanError, SpanSolver, nullspace
+from .linalg import NotInSpanError, SpanSolver
 from .scalars import domain as make_domain
 from .walgebra import NF_GEN_WEIGHTS, HWModule, nf_weight
 
@@ -184,6 +184,11 @@ def descendant_relations(ses, hw, null_elements):
     return out
 
 
+def _sparse(entries):
+    """The sparse vector index -> entry of a sequence, zeros dropped."""
+    return {i: x for i, x in enumerate(entries) if x}
+
+
 def descendant_analysis(ses, hw, null_elements, ref_rows):
     """The full weight-(h+1) singular-vector analysis.
 
@@ -197,36 +202,37 @@ def descendant_analysis(ses, hw, null_elements, ref_rows):
     dom = ses.domain
     mat = descendant_matrix(ses, hw)
     rels = descendant_relations(ses, hw, null_elements)
-    rel_span = SpanSolver(dom)
+    # the kernel of the raising matrix: the relations among its columns
+    columns = SpanSolver(dom)
+    for s in range(4):
+        columns.insert(_sparse(row[s] for row in mat))
+    kern = columns.relations.values()
+    span = SpanSolver(dom)
     for v in rels:
-        rel_span.insert({i: x for i, x in enumerate(v) if x})
-    kern = nullspace(mat, dom)
-    kernel_in_relations = all(
-        not rel_span.probe({i: x for i, x in enumerate(v) if x})[0] for v in kern
-    )
-    combined = SpanSolver(dom)
+        span.insert(_sparse(v))
+    relation_rank = span.rank
+    kernel_in_relations = all(not span.probe(v)[0] for v in kern)
+    # the combined raising + relation system
     for row in mat:
-        combined.insert({i: x for i, x in enumerate(row) if x})
-    for v in rels:
-        combined.insert({i: x for i, x in enumerate(v) if x})
+        span.insert(_sparse(row))
     alphas = []
     for p, ref in enumerate(ref_rows):
-        ref = [Fraction(x) for x in ref]
+        # alpha is the coordinate on mat[p], so it goes in first
         solver = SpanSolver(dom)
-        solver.insert({i: x for i, x in enumerate(mat[p]) if x})
+        solver.insert(_sparse(mat[p]))
         for v in rels:
-            solver.insert({i: x for i, x in enumerate(v) if x})
+            solver.insert(_sparse(v))
         try:
-            coords = solver.express({i: x for i, x in enumerate(ref) if x})
+            coords = solver.express(_sparse(Fraction(x) for x in ref))
             alphas.append(coords.get(0, Fraction(0)))
         except NotInSpanError:
             alphas.append(None)
     return {
         "matrix": mat,
         "relations": rels,
-        "relation_rank": rel_span.rank,
+        "relation_rank": relation_rank,
         "kernel_dim": len(kern),
         "kernel_in_relations": kernel_in_relations,
-        "combined_rank": combined.rank,
+        "combined_rank": span.rank,
         "alphas": alphas,
     }

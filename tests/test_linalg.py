@@ -12,9 +12,9 @@ from w2345.linalg import (
     SpanSolver,
     _IntCarrier,
     _PolyCarrier,
+    carrier_for,
     clear_vector,
     exact_sum,
-    nullspace,
 )
 from w2345.modes import add_into
 from w2345.pbw import canonical
@@ -24,26 +24,34 @@ QQ = domain(3)
 GEN = domain()
 
 
-def test_identity_nullspace_empty():
-    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert nullspace(m, QQ) == []
-
-
-def test_rank_deficient_nullspace():
-    m = [[1, 2], [2, 4]]
-    basis = nullspace(m, QQ)
-    assert len(basis) == 1
-    v = basis[0]
-    # normalized primitive with positive first entry: (2, -1) ~ (-2, 1)
-    assert [abs(x) for x in v] == [2, 1]
-    assert v[0] * 1 + v[1] * 2 == 0
-
-
 def _solver_over_columns(cols, dom):
     solver = SpanSolver(dom)
     for col in cols:
         solver.insert({i: x for i, x in enumerate(col) if x})
     return solver
+
+
+def _kernel(m, dom):
+    """The kernel of a matrix: the relations among its columns, as dense
+    vectors in insert order."""
+    cols = len(m[0])
+    rels = _solver_over_columns(zip(*m), dom).relations.values()
+    return [[rel.get(j, dom.zero) for j in range(cols)] for rel in rels]
+
+
+def test_identity_nullspace_empty():
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _kernel(m, QQ) == []
+
+
+def test_rank_deficient_nullspace():
+    m = [[1, 2], [2, 4]]
+    basis = _kernel(m, QQ)
+    assert len(basis) == 1
+    v = _primitive_coeffs(basis[0], QQ)
+    # primitive with positive first entry: (2, -1)
+    assert v == [(2,), (-1,)]
+    assert basis[0][0] * 1 + basis[0][1] * 2 == 0
 
 
 def test_express_target():
@@ -80,7 +88,7 @@ def test_rank_nullity_and_annihilation(dom):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols, dom)
-        basis = nullspace(m, dom)
+        basis = _kernel(m, dom)
         r = _solver_over_columns(zip(*m), dom).rank
         assert r + len(basis) == cols
         for v in basis:
@@ -142,13 +150,15 @@ def _sympy_normalized(vec):
     ]
 
 
-def _coeffs(x):
-    """Coefficient tuple of an integer (polynomial) entry of our nullspace."""
-    if isinstance(x, RatFunc):
-        assert x.d == (1,)
-        return x.n
-    assert x.denominator == 1
-    return (int(x),) if x else ()
+def _primitive_coeffs(vec, dom):
+    """A kernel vector scaled to coprime integer (polynomial) entries, the
+    first nonzero one with positive lead, as coefficient tuples: the
+    normalization of _sympy_normalized."""
+    raws, _ = carrier_for(dom).clear(vec)
+    lead = next(r for r in raws if r)
+    if (lead[-1] if dom.is_generic else lead) < 0:
+        raws = [-r for r in raws]
+    return [tuple(r) if dom.is_generic else ((r,) if r else ()) for r in raws]
 
 
 @pytest.mark.parametrize("dom", [QQ, GEN])
@@ -162,8 +172,8 @@ def test_nullspace_matches_sympy(dom):
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols, dom)
         want = sympy.Matrix([[_to_sympy(x) for x in row] for row in m]).nullspace()
-        got = nullspace(m, dom)
-        assert [[_coeffs(x) for x in v] for v in got] == [
+        got = _kernel(m, dom)
+        assert [_primitive_coeffs(v, dom) for v in got] == [
             _sympy_normalized(list(v)) for v in want
         ]
 

@@ -8,7 +8,11 @@ module imports it from that module, or when any module reads an attribute
 of that name; so a constant duplicated in a second module is found even
 though the first copy is in use.  A read ``module.name`` whose receiver is
 an imported package module counts only toward that module's top-level
-``name``, so ``exprs.parse_nf`` does not keep a method ``parse_nf`` alive."""
+``name``, so ``exprs.parse_nf`` does not keep a method ``parse_nf`` alive.
+
+Every name a module-level import binds is read in its own module, except
+``from __future__`` features and the names ``__init__`` re-exports in
+``w2345.__all__``."""
 
 import ast
 import pathlib
@@ -109,11 +113,16 @@ def _used(module, name, node, cls, refs):
     return False
 
 
-def unreferenced_names(pkg=PKG):
-    trees = {
+def _trees(pkg):
+    """Module name -> parsed source, for every module of the package."""
+    return {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(pkg.glob("*.py"))
     }
+
+
+def unreferenced_names(pkg=PKG):
+    trees = _trees(pkg)
     refs = [ref for module, tree in trees.items() for ref in _references(module, tree, trees)]
     dead = []
     for module, tree in trees.items():
@@ -127,3 +136,34 @@ def unreferenced_names(pkg=PKG):
 
 def test_every_definition_is_used_in_the_package():
     assert unreferenced_names() == []
+
+
+def _imported_names(tree):
+    """The local names the module-level imports of a module bind, except
+    ``from __future__`` features."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def unread_imports(pkg=PKG):
+    dead = []
+    for module, tree in _trees(pkg).items():
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        for name in _imported_names(tree):
+            if name in read or (module == "__init__" and name in w2345.__all__):
+                continue
+            dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_every_module_level_import_is_read():
+    assert unread_imports() == []

@@ -146,6 +146,19 @@ def test_descendant_analysis(ses6):
         assert all(a for a in res["alphas"])
 
 
+def test_descendant_analysis_kernel_path(ses6):
+    # with no null relations the raising matrix has rank 1, so its kernel
+    # has dimension 3 and does not lie in the (empty) relation span
+    hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
+    mat = toplevels.descendant_matrix(ses6, hw1)
+    res = toplevels.descendant_analysis(ses6, hw1, [], [mat[0]])
+    assert res["kernel_dim"] == 3
+    assert res["kernel_in_relations"] is False
+    assert res["relation_rank"] == 0
+    assert res["combined_rank"] == 1
+    assert res["alphas"] == [1]
+
+
 def _first_two_rows(ses6):
     """Reference rows for the first two raising rows at the i = 1 quartet,
     with no null relations: the second is the raising row itself, the
