@@ -37,7 +37,7 @@ from .groebner import (
 )
 from .multipoly import MultiPoly
 from .scalars import domain as make_domain, ip_gcd
-from .walgebra import G3, G4, Session, nf_parity
+from .walgebra import G3, G4, Session
 
 SCHEMA_VERSION = "v1"
 
@@ -224,14 +224,12 @@ def check_null_fields(ctx, weight):
     expect = {8: (29, 27), 9: (44, 40), 10: (72, None)}[weight]
     dims_ok = total == expect[0] and (expect[1] is None or rank == expect[1])
     if weight == 10:
-        nb = ses._nf_basis(10)
-        plus = sum(1 for m in nb.monos if nf_parity(m) > 0)
-        elim_p = sum(1 for m in nb.relations if nf_parity(m) > 0)
-        dims_ok = dims_ok and plus == 40 and elim_p == 5
+        even, odd = ses._nf_basis(10, 1), ses._nf_basis(10, -1)
+        dims_ok = dims_ok and len(even.monos) == 40 and len(even.relations) == 5
         payload = (
-            f"{total} words, rank {rank}; even sector {plus} words,"
-            f" {elim_p} null fields; odd sector {total - plus} words,"
-            f" {len(nb.relations) - elim_p} null fields"
+            f"{total} words, rank {rank}; even sector {len(even.monos)} words,"
+            f" {len(even.relations)} null fields; odd sector {len(odd.monos)} words,"
+            f" {len(odd.relations)} null fields"
         )
     else:
         payload = f"{total} words span rank {rank}"
@@ -268,13 +266,12 @@ def check_null_fields(ctx, weight):
             )
         )
     if weight == 10:
-        odd = [m for m in nb.relations if nf_parity(m) < 0]
         out.append(
             _result(
                 "null_fields_wt10_odd_sector",
                 None,
                 f"odd-sector null fields anchored at: "
-                + ", ".join(exprs._fmt_word(m, "nf") for m in odd),
+                + ", ".join(exprs._fmt_word(m, "nf") for m in odd.relations),
             )
         )
     return out
@@ -666,6 +663,7 @@ def check_f_matrix(ctx):
         ok = (
             res["combined_rank"] == 4
             and res["kernel_in_relations"]
+            and res["kernel_dim"] == res["relation_rank"]
             and all(a for a in res["alphas"])
         )
         mat_text = "; ".join(

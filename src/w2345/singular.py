@@ -50,8 +50,9 @@ def ur_state(ses, r):
 
 
 def ur_normal_form(ses, r):
-    """Normal form of u^r at weight k+1+r."""
-    return ses.express(ur_state(ses, r))
+    """Normal form of u^r at weight k+1+r, in its theta sector
+    (-1)^(k+1+r): u0 has parity (-1)^(k+1) and W3 is odd."""
+    return ses.express(ur_state(ses, r), (-1) ** (ses.level + 1 + r))
 
 
 def theta_parity_u0(ses):

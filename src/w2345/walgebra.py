@@ -6,11 +6,18 @@ in the four generators, expresses states against the normal-form basis with
 the canonical eliminations, computes the full generator product (OPE) table,
 and extracts the null fields.
 
-One span per weight gives both the basis and the null fields: the free words
-go in first and the ``ELIMINATED`` table words after them, so every
-eliminated word (a table word, or at weight 10 a free word found dependent)
-gets its relation from that span, and a table word that comes out
-independent fails the build.
+The automorphism theta (h -> -h, e <-> f) fixes omega and W4 and negates W3
+and W5, so the expansion of every normal-form word is a theta eigenvector
+with eigenvalue ``nf_parity(word)``, and words of opposite parity are
+independent.  Each session certifies this exactly before its first basis:
+``pbw.theta`` must map each generator state to its parity times itself.
+The normal-form bases are then keyed by (weight, parity) and built only when
+asked.  One span per sector gives both the basis and the null fields: the
+free words of the sector go in first and its ``ELIMINATED`` table words
+after them, so every eliminated word (a table word, or at weight 10 a free
+word found dependent) gets its relation from that span, and a table word
+that comes out independent fails the build.  Every ``express`` call names
+its sector; a state of the other parity, or of both, is not in that span.
 
 At an integer level the normal-form basis is an integer ``SpanSolver``.
 Over Q(k) it is a ``linalg.GenericSpan``: the same integer elimination at
@@ -38,8 +45,9 @@ GW, G3, G4, G5 = 0, 1, 2, 3
 NF_GEN_WEIGHTS = (2, 3, 4, 5)
 
 # Monomials removed from the normal-form spanning set so that the remainder
-# is a basis; weight 10 lists the even-sector choices, the odd sector at
-# weight 10 is resolved greedily in canonical order.
+# is a basis; each goes into the span of its own theta sector after that
+# sector's free words.  Weight 10 lists the even-sector choices; the odd
+# sector at weight 10 is resolved greedily in canonical order.
 ELIMINATED = {
     8: (
         ((G3, -2), (G3, -2)),
@@ -155,7 +163,7 @@ class Session:
         self._gen_states = None
         self._conformal = None
         self._nf_expansions = {}  # normal-form monomial -> clear_vector pair
-        self._nf_bases = {}
+        self._nf_bases = {}  # (weight, parity) -> _NFBasis of that theta sector
         self._ope = None
         self._sc_table = None
         self._walg = None
@@ -277,12 +285,27 @@ class Session:
         dropped."""
         return exact_sum(self.domain, [(c, self.nf_expand(m)) for m, c in elem.items()])
 
-    def _nf_basis(self, d):
-        nb = self._nf_bases.get(d)
+    def _certify_theta(self):
+        """Check exactly that theta maps each generator state to
+        ``nf_parity`` times itself.  theta is an automorphism, so then the
+        expansion of every normal-form word is a theta eigenvector of the
+        word's parity, and the spans of the two sectors are independent."""
+        for g in range(len(NF_GEN_WEIGHTS)):
+            st = self.generator_state(g)
+            flipped = pbw.canonical(self.domain, pbw.theta(self.pbw, st))
+            if flipped != pbw.scale(st, nf_parity(((g, 0),))):
+                raise AssertionError(f"theta does not act on generator {g} by its parity")
+
+    def _nf_basis(self, d, parity):
+        """The normal-form basis of the theta sector ``parity`` (+1 or -1)
+        at weight d, built on first use."""
+        nb = self._nf_bases.get((d, parity))
         if nb is not None:
             return nb
-        monos = enumerate_nf(d)
-        fixed = ELIMINATED.get(d, ())
+        if not self._nf_bases:
+            self._certify_theta()  # once, before the first sector is built
+        monos = [m for m in enumerate_nf(d) if nf_parity(m) == parity]
+        fixed = [m for m in ELIMINATED.get(d, ()) if nf_parity(m) == parity]
         words = [m for m in monos if m not in fixed]
         nfree = len(words)
         words += fixed  # last, so each table word is tested against all free words
@@ -310,14 +333,16 @@ class Session:
             }
         idx2mono = {i: m for i, m in enumerate(words) if i not in rels}
         nb = _NFBasis(monos, solver, idx2mono, relations)
-        self._nf_bases[d] = nb
+        self._nf_bases[(d, parity)] = nb
         return nb
 
-    def express(self, state):
+    def express(self, state, parity):
         """Coordinates of a PBW state over the normal-form basis of its
-        weight; the coefficients may be raw ints or domain scalars.
+        weight in the theta sector ``parity``; the coefficients may be raw
+        ints or domain scalars.
 
-        Raises NotInSpanError when the state is outside the algebra span.
+        Raises NotInSpanError when the state is outside the span of that
+        sector, so also when it has the other parity or mixes both.
         """
         state = pbw.canonical(self.domain, state)
         if not state:
@@ -325,7 +350,7 @@ class Session:
         d = pbw.weight(state)
         if d is None:
             raise ValueError("state is not weight-homogeneous")
-        nb = self._nf_basis(d)
+        nb = self._nf_basis(d, parity)
         coords = nb.solver.express(state)
         return {nb.idx2mono[i]: c for i, c in coords.items() if c}
 
@@ -336,7 +361,8 @@ class Session:
         x, y and 0 <= n < weight(x) + weight(y)."""
         wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
         prods = element_modes(self.pbw, self.generator_state(x), range(wt), self.generator_state(y))
-        return {n: self.express(prod) for n, prod in prods.items()}
+        parity = nf_parity(((x, 0), (y, 0)))
+        return {n: self.express(prod, parity) for n, prod in prods.items()}
 
     def ope_entry(self, i, j):
         """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""
@@ -376,23 +402,27 @@ class Session:
 
     def nf_dimensions(self, d):
         """(number of normal-form monomials, rank of their span) at weight d."""
-        nb = self._nf_basis(d)
-        return len(nb.monos), nb.rank
+        sectors = [self._nf_basis(d, parity) for parity in (1, -1)]
+        return sum(len(nb.monos) for nb in sectors), sum(nb.rank for nb in sectors)
 
     def null_fields(self, d):
         """Null combinations at weight d, one per eliminated monomial: the
-        table words first, then the words the span found dependent.
+        table words first, then the words the spans found dependent, in
+        ``enumerate_nf`` order.
 
-        Each relation comes from the span that builds the normal-form basis,
-        normalized to coefficient 1 on its eliminated monomial; the expansion
-        of every returned element is zero.
+        Each relation comes from the span that builds the normal-form basis
+        of its sector, normalized to coefficient 1 on its eliminated
+        monomial; the expansion of every returned element is zero.
         """
-        return list(self._nf_basis(d).relations.values())
+        rels = {**self._nf_basis(d, 1).relations, **self._nf_basis(d, -1).relations}
+        table = ELIMINATED.get(d, ())
+        found = [m for m in enumerate_nf(d) if m in rels and m not in table]
+        return [rels[m] for m in (*table, *found)]
 
     def null_field_for(self, mono):
         """The null relation anchored at the given eliminated monomial, with
         coefficient 1 on it; KeyError when no relation is anchored there."""
-        rel = self._nf_basis(nf_weight(mono)).relations.get(mono)
+        rel = self._nf_basis(nf_weight(mono), nf_parity(mono)).relations.get(mono)
         if rel is None:
             raise KeyError(f"no null field anchored at {mono}")
         return rel

@@ -68,10 +68,9 @@ def test_criterion_3_null_fields(gses):
     ok = gses.nf_dimensions(8) == (29, 27)
     ok = ok and gses.nf_dimensions(9) == (44, 40)
     total10, rank10 = gses.nf_dimensions(10)
-    nb = gses._nf_basis(10)
-    plus = [m for m in nb.monos if nf_parity(m) > 0]
-    elim_p = [m for m in nb.relations if nf_parity(m) > 0]
-    ok = ok and total10 == 72 and len(plus) == 40 and len(elim_p) == 5
+    even = gses._nf_basis(10, 1)
+    ok = ok and total10 == 72 and len(even.monos) == 40 and len(even.relations) == 5
+    ok = ok and all(nf_parity(m) == 1 for m in (*even.monos, *even.relations))
     for mono, text in (
         (((G3, -2), (G3, -2)), reference.REL_W3m2_SQ),
         (((G3, -1), (G4, -2)), reference.REL_W3m1_W4m2),

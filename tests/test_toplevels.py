@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import reference, toplevels
+from w2345 import reference, report, toplevels
 from w2345.linalg import SpanSolver
 from w2345.walgebra import Session
 
@@ -157,6 +157,27 @@ def test_descendant_analysis_kernel_path(ses6):
     assert res["relation_rank"] == 0
     assert res["combined_rank"] == 1
     assert res["alphas"] == [1]
+
+
+def test_f_matrix_fails_on_a_relation_span_larger_than_the_kernel(ses6, monkeypatch):
+    # one extra relation outside the kernel: the relation span then has
+    # rank 4 > kernel dim 3, while the kernel still lies in it, the combined
+    # rank is still 4 and every alpha stays nonzero
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    relations = toplevels.descendant_relations
+
+    def planted(ses, hw, null_elements):
+        return relations(ses, hw, null_elements) + [toplevels.descendant_matrix(ses, hw)[0]]
+
+    monkeypatch.setattr(toplevels, "descendant_relations", planted)
+    ctx = report.Context()
+    ctx._sessions[6] = ses6
+    hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
+    rows = [[Fraction(x) for x in row] for row in reference.F_K6_ROWS]
+    res = toplevels.descendant_analysis(ses6, hw1, report._k6_null_elements(ctx), rows)
+    assert (res["kernel_dim"], res["relation_rank"], res["combined_rank"]) == (3, 4, 4)
+    assert res["kernel_in_relations"] and all(res["alphas"])
+    assert [r.status for r in report.check_f_matrix(ctx)] == ["fail", "fail"]
 
 
 def _first_two_rows(ses6):

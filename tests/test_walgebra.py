@@ -110,19 +110,66 @@ def test_express_examples(gses):
     d = gses.domain
     w3 = gses.primaries()[0]
     prod = element_mode(gses.pbw, w3, 3, w3)
-    got = gses.express(prod)
+    got = gses.express(prod, 1)
     want = exprs.parse_nf(reference.OPE_TEXT[(3, 3, 3)], d)
     assert got == want
+    for parity in (1, -1):
+        with pytest.raises(NotInSpanError):
+            gses.express({((pbw.E, -1),): d.one}, parity)
+    # W3_3 W3 is even: the odd sector does not span it
     with pytest.raises(NotInSpanError):
-        gses.express({((pbw.E, -1),): d.one})
+        gses.express(prod, -1)
 
 
 def test_express_expand_identity(gses):
     d = gses.domain
-    nb = gses._nf_basis(6)
-    for mono in nb.monos:
-        coords = gses.express(_expanded(gses, mono))
-        assert coords == {mono: d.one}
+    for parity in (1, -1):
+        for mono in gses._nf_basis(6, parity).monos:
+            coords = gses.express(_expanded(gses, mono), parity)
+            assert coords == {mono: d.one}
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_a_wrong_parity_generator_term_fails_the_theta_certificate(g):
+    # a term of the generator's weight on which theta has the other sign
+    ses = Session(5)
+    dom = ses.domain
+    w = NF_GEN_WEIGHTS[g]
+    term = ((pbw.H, -w),) if nf_parity(((g, 0),)) > 0 else ((pbw.H, -(w - 1)), (pbw.H, -1))
+    flipped = pbw.canonical(dom, pbw.theta(ses.pbw, {term: dom.one}))
+    assert flipped == {term: -nf_parity(((g, 0),)) * dom.one}
+    ses.primaries()
+    states = [dict(st) for st in ses._gen_states]
+    pbw.add_into(states[g], {term: dom.one})
+    ses._gen_states = tuple(states)
+    with pytest.raises(AssertionError, match=f"theta does not act on generator {g}"):
+        ses.nf_dimensions(2)
+    assert not ses._nf_bases
+
+
+@pytest.mark.parametrize("name", ["ses7", "gses"])
+def test_a_mixed_parity_state_is_in_neither_sector(request, name):
+    ses = request.getfixturevalue(name)
+    one = ses.domain.one
+    words = enumerate_nf(6)
+    even = next(m for m in words if nf_parity(m) > 0)
+    odd = next(m for m in words if nf_parity(m) < 0)
+    mixed = _expanded(ses, even)
+    pbw.add_into(mixed, _expanded(ses, odd))
+    for parity in (1, -1):
+        with pytest.raises(NotInSpanError):
+            ses.express(mixed, parity)
+    assert ses.express(_expanded(ses, even), 1) == {even: one}
+    assert ses.express(_expanded(ses, odd), -1) == {odd: one}
+
+
+def test_the_level5_product_table_builds_no_odd_weight9_sector():
+    # W^i_n W^j has weight i + j - n - 1 <= 9 and parity p_i p_j; the one
+    # weight-9 product, W5_0 W5, is even
+    ses = Session(5)
+    ses.ope_table()
+    assert (9, 1) in ses._nf_bases
+    assert (9, -1) not in ses._nf_bases
 
 
 def test_ope_spot_entries(gses):
@@ -200,13 +247,16 @@ def test_null_fields_reuse_the_relations_insert_found(monkeypatch):
     )
     rels = ses.null_fields(10)
     assert not calls
-    eliminated = tuple(ses._nf_basis(10).relations)
+    sectors = {p: ses._nf_basis(10, p).relations for p in (1, -1)}
+    eliminated = tuple(next(iter(rel)) for rel in rels)  # the first key is the anchor
     assert eliminated[:5] == walgebra.ELIMINATED[10]
     assert len(eliminated) == len(rels) == 9
-    # oracle: the word minus its coordinates over the basis
+    assert set(eliminated) == set(sectors[1]) | set(sectors[-1])
+    # oracle: the word minus its coordinates over the basis of its sector
     for x, rel in zip(eliminated, rels):
+        assert rel is sectors[nf_parity(x)][x]
         want = {x: ses.domain.one}
-        for m, c in ses.express(_expanded(ses, x)).items():
+        for m, c in ses.express(_expanded(ses, x), nf_parity(x)).items():
             want[m] = -c
         assert rel == want
 
@@ -270,7 +320,9 @@ def test_generic_tables_specialize_to_the_level_sessions(gses, ses6, ses7, k0):
     # generic ones
     ses = {6: ses6, 7: ses7}.get(k0) or Session(k0)
     for w in (8, 9, 10):
-        _assert_relations_specialize(gses._nf_basis(w).relations, ses._nf_basis(w).relations, k0)
+        for p in (1, -1):
+            generic, level = gses._nf_basis(w, p), ses._nf_basis(w, p)
+            _assert_relations_specialize(generic.relations, level.relations, k0)
     level_table = ses.ope_table()
     for key, elem in gses.ope_table().items():
         assert _specialized(elem, k0) == _specialized(level_table[key], k0), key
@@ -284,9 +336,9 @@ def test_generic_tables_specialize_to_the_level_sessions(gses, ses6, ses7, k0):
 
 
 def test_weight10_guard_fails_on_planted_faults(gses, ses7):
-    generic = gses._nf_basis(10).relations
-    level = ses7._nf_basis(10).relations
-    a, b = [x for x in generic if nf_parity(x) == -1][:2]
+    generic = gses._nf_basis(10, -1).relations
+    level = ses7._nf_basis(10, -1).relations
+    a, b = list(generic)[:2]
     # one odd-sector coefficient shifted by 1
     rel = generic[a]
     m = next(m for m in rel if m != a)
@@ -332,10 +384,10 @@ def test_generic_fits_sample_pinned_levels():
     # the levels 7, 8, ... that the weight-8 and weight-9 bases solve at, in
     # a fresh session: a later express may sample more
     ses = Session()
-    for w, count in ((8, 18), (9, 24)):
-        span = ses._nf_basis(w).solver
+    for w, p, count in ((8, 1, 18), (8, -1, 14), (9, 1, 24), (9, -1, 18)):
+        span = ses._nf_basis(w, p).solver
         assert span.level == 7
-        assert sorted(span._solvers) == list(range(7, 7 + count)), w
+        assert sorted(span._solvers) == list(range(7, 7 + count)), (w, p)
 
 
 # sha256 of the canonical generic expansions of the 185 normal-form words of
