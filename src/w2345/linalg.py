@@ -3,8 +3,9 @@
 ``clear_vector`` turns a sparse vector into its pair (raws, factor): integer
 raws reduced by their content (plain ints at a fixed level, ``IntPoly``
 polynomials in the generic mode) and a domain scalar, vector == factor *
-raws.  The normal-form expansions are kept as such pairs
-(``Session.nf_expand``), and every consumer below takes them as they are.
+raws.  The images of the normal-form expansions, their h-free PBW parts,
+are kept as such pairs (``Session.nf_expand``), and every consumer below
+takes them as they are.
 
 ``SpanSolver`` is the incremental engine on sparse states.  Its elimination
 is fraction-free: incoming rows are cleared to integer raws, or come in as

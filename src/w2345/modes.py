@@ -44,9 +44,9 @@ multiplication of each output coefficient by the two clearing factors, in
 both domains, and that is where raws become scalars: what element_modes
 returns holds domain scalars only (Fractions at a level, RatFuncs over
 Q(k)), and nothing downstream settles its outputs again.
-``Session.nf_expand`` keeps each normal-form expansion as its pair and
-calls raw_modes on the pair of the word's tail, so no expansion is lifted
-to scalars and cleared again.
+``Session.nf_expand`` keeps the image of each normal-form expansion in
+V / sum_n h(-n) V as its pair and calls raw_modes on the pair of the image
+of the word's tail, so no expansion is lifted to scalars and cleared again.
 
 apply_gen returns its memo's values unsettled: raws for the PBW algebra,
 and for the table-driven algebras plain ints where the mode only reorders
@@ -217,8 +217,8 @@ def raw_modes(alg, raws_v, ns, raws_w):
     """{n: v_n w for n in ns} on carrier raws, all modes run on one target:
     v (word -> raw) and w (mono -> raw) are the raws of clear_vector pairs,
     and each output holds raws too, not reduced by their content.  The
-    core of element_modes; Session.nf_expand calls it on the pair of a
-    word's tail."""
+    core of element_modes; Session.nf_expand calls it on the pair of the
+    image of a word's tail."""
     tw = as_target(alg, {m: c for m, c in raws_w.items() if c})
     if tw is None:
         return {n: {} for n in ns}

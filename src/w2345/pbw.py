@@ -17,6 +17,7 @@ handed to ``Session.express``.
 
 from __future__ import annotations
 
+from .linalg import clear_vector
 from .modes import NormalOrdering, add_into
 from .scalars import IntPoly
 
@@ -102,6 +103,28 @@ def weight(state):
         raise ValueError("the zero state has no weight")
     ws = {mono_weight(m) for m in state}
     return ws.pop() if len(ws) == 1 else None
+
+
+def h_free(state):
+    """The image of a state in V / I, I = sum_{n >= 1} h(-n) V.  PBW order
+    puts the h factors first, so I is spanned by the h-led monomials, and
+    the image keeps the other monomials."""
+    return {m: c for m, c in state.items() if not m or m[0][0] != H}
+
+
+def commutant_defect(alg, state):
+    """The least j >= 0 with h(j) state != 0, or None when the state lies in
+    the Heisenberg commutant.  Exact: the state is cleared to integer raws,
+    and j runs up to its largest weight, since a larger j lowers every
+    monomial below the vacuum."""
+    raws, _ = clear_vector(alg.domain, state)
+    for j in range(max((mono_weight(m) for m in raws), default=-1) + 1):
+        img = {}
+        for mono, c in raws.items():
+            add_into(img, alg.apply_gen(H, j, mono), c)
+        if img:
+            return j
+    return None
 
 
 def theta(alg, state):

@@ -34,12 +34,9 @@ def u0_state(ses):
     wt = pbw.weight(st)
     if wt != k + 1:
         raise SingularCheckError(f"u0 has weight {wt}, expected {k + 1}")
-    for n in range(0, wt + 1):
-        img = {}
-        for mono, c in st.items():
-            pbw.add_into(img, ses.pbw.apply_gen(pbw.H, n, mono), c)
-        if img:
-            raise SingularCheckError(f"h({n}) u0 != 0")
+    n = pbw.commutant_defect(ses.pbw, st)
+    if n is not None:
+        raise SingularCheckError(f"h({n}) u0 != 0")
     return st
 
 

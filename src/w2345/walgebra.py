@@ -9,26 +9,45 @@ and extracts the null fields.
 The automorphism theta (h -> -h, e <-> f) fixes omega and W4 and negates W3
 and W5, so the expansion of every normal-form word is a theta eigenvector
 with eigenvalue ``nf_parity(word)``, and words of opposite parity are
-independent.  Each session certifies this exactly before its first basis:
-``pbw.theta`` must map each generator state to its parity times itself.
-The normal-form bases are then keyed by (weight, parity) and built only when
-asked.  One span per sector gives both the basis and the null fields: the
-free words of the sector go in first and its ``ELIMINATED`` table words
-after them, so every eliminated word (a table word, or at weight 10 a free
-word found dependent) gets its relation from that span, and a table word
-that comes out independent fails the build.  Every ``express`` call names
-its sector; a state of the other parity, or of both, is not in that span.
+independent.  Each session certifies this exactly before its first
+expansion: ``pbw.theta`` must map each generator state to its parity times
+itself.  The normal-form bases are then keyed by (weight, parity) and built
+only when asked.  One span per sector gives both the basis and the null
+fields: the free words of the sector go in first and its ``ELIMINATED``
+table words after them, so every eliminated word (a table word, or at
+weight 10 a free word found dependent) gets its relation from that span,
+and a table word that comes out independent fails the build.  Every
+``express`` call names its sector; a state of the other parity, or of both,
+is not in that span.
+
+The spans work on images, not on whole PBW states.  Every generator lies in
+the commutant K = {v : h(j) v = 0 for all j >= 0} of the Heisenberg algebra,
+and each session certifies this exactly next to theta, before its first
+expansion: h(j) must annihilate each generator state for 0 <= j <= its
+weight.  For k != 0 the module is V = M_h(1) (x) K (Frenkel-Lepowsky-Meurman,
+Vertex Operator Algebras and the Monster, Thm 1.7.3), so the quotient map
+pi: V -> V / I, I = sum_{n >= 1} h(-n) V, is injective on K; in the PBW
+basis pi drops the h-led monomials (``pbw.h_free``).  The modes of a
+commutant state commute with every h(-n), so they map I into I, and
+pi(W_t v) = pi(W_t pi(v)).  Every expansion and every product is a commutant
+state, so a relation, a coordinate vector or a zero test holds on the images
+exactly when it holds on the full states.  theta maps I onto itself, so the
+images keep the parity of their states.  Every session has k != 0: omega
+already divides by 4k.  The public ``express`` takes a full state: it checks
+exactly that the state is in the commutant, else it is outside the span,
+and then solves on its image.
 
 At an integer level the normal-form basis is an integer ``SpanSolver``.
 Over Q(k) it is a ``linalg.GenericSpan``: the same integer elimination at
 the levels k = 7, 8, ..., rational reconstruction of the coordinates, and an
 exact certificate over Q(k) of every relation and every expressed state.
-Expanding a normal-form element back to PBW states uses the certificate's
-exact sum, at a level and over Q(k) alike.
+Expanding a normal-form element back to images uses the certificate's exact
+sum, at a level and over Q(k) alike.
 
-Each normal-form expansion is computed once and kept as its
-``linalg.clear_vector`` pair (raws, factor): ``modes.raw_modes`` builds a
-word's pair from the pair of its tail, and the pairs go as they are into
+Each image pi(E(word)) of a normal-form expansion is computed once and kept
+as its ``linalg.clear_vector`` pair (raws, factor): ``modes.raw_modes``
+applies the generator's full state to the pair of the tail's image, the
+h-led monomials of the result are dropped, and the pairs go as they are into
 the span (``SpanSolver.insert`` at a level, ``GenericSpan`` over Q(k)) and
 into ``exact_sum``.  No expansion is lifted to domain scalars and cleared
 again.
@@ -37,7 +56,7 @@ again.
 from __future__ import annotations
 
 from . import modes, pbw
-from .linalg import GenericSpan, SpanSolver, carrier_for, clear_vector, exact_sum
+from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
 from .modes import NormalOrdering, add_into, element_modes, raw_modes
 from .scalars import comb_z, domain as make_domain
 
@@ -162,7 +181,8 @@ class Session:
         self.pbw = pbw.PBWAlgebra(self.domain)
         self._gen_states = None
         self._conformal = None
-        self._nf_expansions = {}  # normal-form monomial -> clear_vector pair
+        self._certified = False  # theta and the commutant, on the generators
+        self._nf_expansions = {}  # normal-form monomial -> pair of its image
         self._nf_bases = {}  # (weight, parity) -> _NFBasis of that theta sector
         self._ope = None
         self._sc_table = None
@@ -259,19 +279,23 @@ class Session:
     # -- normal form ---------------------------------------------------------
 
     def nf_expand(self, mono):
-        """PBW expansion of a normal-form monomial as its clear_vector pair
-        (raws, factor), expansion == factor * raws: computed once per
-        session by modes.raw_modes on the pair of its tail, and kept so.
-        An engine-level value, like clear_vector's; callers must not mutate
-        it.  nf_expand_element gives the expansion in domain scalars."""
+        """The image pi(E(mono)) in V / I of the PBW expansion E(mono) of a
+        normal-form monomial, as its clear_vector pair (raws, factor),
+        image == factor * raws.  Computed once per session, after the
+        generator certificates, by modes.raw_modes of the generator's full
+        state on the pair of the tail's image, with the h-led monomials of
+        the result dropped (``pbw.h_free``), and kept so.  An engine-level
+        value, like clear_vector's; callers must not mutate it.
+        nf_expand_element gives the image in domain scalars."""
         pair = self._nf_expansions.get(mono)
         if pair is None:
             car = carrier_for(self.domain)
             if mono:
+                self._certify_generators()
                 g, t = mono[0]
                 gen, f_gen = clear_vector(self.domain, self.generator_state(g))
                 tail, f_tail = self.nf_expand(mono[1:])
-                out = raw_modes(self.pbw, gen, (t,), tail)[t]
+                out = pbw.h_free(raw_modes(self.pbw, gen, (t,), tail)[t])
                 raws, content = car.content_reduce(list(out.values()))
                 pair = dict(zip(out, raws)), f_gen * f_tail * car.ratio(content)
             else:
@@ -280,21 +304,32 @@ class Session:
         return pair
 
     def nf_expand_element(self, elem):
-        """PBW expansion of a normal-form element, summed exactly from the
-        stored pairs by ``linalg.exact_sum``: domain scalars, zero entries
-        dropped."""
+        """The image in V / I of the PBW expansion of a normal-form element,
+        summed exactly from the stored pairs by ``linalg.exact_sum``: domain
+        scalars, zero entries dropped.  It is zero exactly when the full
+        expansion is, since that is a commutant state."""
         return exact_sum(self.domain, [(c, self.nf_expand(m)) for m, c in elem.items()])
 
-    def _certify_theta(self):
-        """Check exactly that theta maps each generator state to
-        ``nf_parity`` times itself.  theta is an automorphism, so then the
+    def _certify_generators(self):
+        """Check exactly, once per session, that theta maps each generator
+        state to ``nf_parity`` times itself and that h(j) annihilates it for
+        0 <= j <= its weight.  theta is an automorphism, so then the
         expansion of every normal-form word is a theta eigenvector of the
-        word's parity, and the spans of the two sectors are independent."""
+        word's parity, and the spans of the two sectors are independent.
+        The generators lie in the Heisenberg commutant, so every expansion
+        and every product does, and the images decide their relations (see
+        the module docstring)."""
+        if self._certified:
+            return
         for g in range(len(NF_GEN_WEIGHTS)):
             st = self.generator_state(g)
             flipped = pbw.canonical(self.domain, pbw.theta(self.pbw, st))
             if flipped != pbw.scale(st, nf_parity(((g, 0),))):
                 raise AssertionError(f"theta does not act on generator {g} by its parity")
+            j = pbw.commutant_defect(self.pbw, st)
+            if j is not None:
+                raise AssertionError(f"h({j}) does not annihilate generator {g}")
+        self._certified = True
 
     def _nf_basis(self, d, parity):
         """The normal-form basis of the theta sector ``parity`` (+1 or -1)
@@ -302,8 +337,7 @@ class Session:
         nb = self._nf_bases.get((d, parity))
         if nb is not None:
             return nb
-        if not self._nf_bases:
-            self._certify_theta()  # once, before the first sector is built
+        self._certify_generators()
         monos = [m for m in enumerate_nf(d) if nf_parity(m) == parity]
         fixed = [m for m in ELIMINATED.get(d, ()) if nf_parity(m) == parity]
         words = [m for m in monos if m not in fixed]
@@ -342,7 +376,9 @@ class Session:
         ints or domain scalars.
 
         Raises NotInSpanError when the state is outside the span of that
-        sector, so also when it has the other parity or mixes both.
+        sector: when it is not in the Heisenberg commutant (checked exactly,
+        h(j) state == 0 for 0 <= j <= its weight), or has the other parity,
+        or mixes both.  A commutant state is solved on its image in V / I.
         """
         state = pbw.canonical(self.domain, state)
         if not state:
@@ -350,19 +386,32 @@ class Session:
         d = pbw.weight(state)
         if d is None:
             raise ValueError("state is not weight-homogeneous")
+        j = pbw.commutant_defect(self.pbw, state)
+        if j is not None:
+            raise NotInSpanError(f"h({j}) does not annihilate the state: it is outside the span")
+        return self._express_image(pbw.h_free(state), d, parity)
+
+    def _express_image(self, image, d, parity):
+        """Coordinates of the image of a weight-d commutant state over the
+        normal-form basis of the theta sector ``parity``."""
         nb = self._nf_basis(d, parity)
-        coords = nb.solver.express(state)
+        coords = nb.solver.express(image)
         return {nb.idx2mono[i]: c for i, c in coords.items() if c}
 
     # -- products ------------------------------------------------------------
 
     def _products(self, x, y):
         """{n: x_n y expressed over the normal-form basis} for generator ids
-        x, y and 0 <= n < weight(x) + weight(y)."""
+        x, y and 0 <= n < weight(x) + weight(y): computed on the full
+        generator states and solved on the images of the products, which
+        are commutant states of weight wt - n - 1 by the certificate."""
         wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
         prods = element_modes(self.pbw, self.generator_state(x), range(wt), self.generator_state(y))
         parity = nf_parity(((x, 0), (y, 0)))
-        return {n: self.express(prod, parity) for n, prod in prods.items()}
+        return {
+            n: self._express_image(pbw.h_free(prod), wt - n - 1, parity) if prod else {}
+            for n, prod in prods.items()
+        }
 
     def ope_entry(self, i, j):
         """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""

@@ -1,6 +1,9 @@
+import weakref
+
 import pytest
 from hypothesis import settings
 
+from w2345.modes import element_mode
 from w2345.walgebra import Session
 
 # Property tests run the same examples every time and never fail on a slow
@@ -35,3 +38,21 @@ def ses6():
 def ses7():
     """Cross-validation level: all reference denominators are nonzero here."""
     return Session(7)
+
+
+@pytest.fixture(scope="session")
+def full_expansion():
+    """Test-side oracle for the images a session stores: full(ses, word) is
+    the full PBW expansion E(word) of a normal-form word, the generator's
+    ``element_mode`` on the oracle of the tail, memoised per session.  The
+    session's image of the word must equal ``pbw.h_free`` of it."""
+    memo = weakref.WeakKeyDictionary()
+
+    def full(ses, word):
+        known = memo.setdefault(ses, {(): {(): ses.domain.one}})
+        if word not in known:
+            (g, t), tail = word[0], word[1:]
+            known[word] = element_mode(ses.pbw, ses.generator_state(g), t, full(ses, tail))
+        return known[word]
+
+    return full

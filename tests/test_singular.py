@@ -62,14 +62,26 @@ def test_k6_u0(ses6):
     assert nf[((walgebra.G3, -5),)] == Fraction(2043429304000, 55483)
 
 
-def test_k6_normal_forms_expand_back_to_the_states(ses6):
-    # the k = 6 normal forms of u^0..u^3 have no outside reference value
+def _full_sum(full, ses, elem):
+    out = {}
+    for m, c in elem.items():
+        pbw.add_into(out, full(ses, m), c)
+    return out
+
+
+def test_k6_normal_forms_expand_back_to_the_states(ses6, full_expansion):
+    # the k = 6 normal forms of u^0..u^3 have no outside reference value:
+    # the full expansions give back the states, the session's images their
+    # images
     for r in range(4):
         nf = singular.ur_normal_form(ses6, r)
-        assert ses6.nf_expand_element(nf) == singular.ur_state(ses6, r), f"u{r}"
+        state = singular.ur_state(ses6, r)
+        assert _full_sum(full_expansion, ses6, nf) == state, f"u{r}"
+        assert ses6.nf_expand_element(nf) == pbw.h_free(state), f"u{r}"
     # positive control: one coefficient shifted by 1 breaks the round trip
     mono, c = next(iter(nf.items()))
-    assert ses6.nf_expand_element({**nf, mono: c + 1}) != singular.ur_state(ses6, 3)
+    assert _full_sum(full_expansion, ses6, {**nf, mono: c + 1}) != state
+    assert ses6.nf_expand_element({**nf, mono: c + 1}) != pbw.h_free(state)
 
 
 def test_p_a_polynomials_k5(ses5):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w2345 import exprs, pbw, reference, scalars, walgebra
 from w2345.linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for
@@ -85,25 +87,34 @@ def test_nf_weight_and_parity():
 
 
 def _expanded(ses, mono):
-    """The scalar view of a word's expansion."""
+    """The scalar view of the image the session keeps of a word."""
     return ses.nf_expand_element({mono: ses.domain.one})
 
 
-def test_expand_examples(gses):
+def test_expand_examples(gses, full_expansion):
     om = gses.conformal()[2]
-    assert _expanded(gses, ((GW, -1),)) == om
-    assert _expanded(gses, ((G3, -1),)) == gses.primaries()[0]
-    assert _expanded(gses, ((GW, -1), (GW, -1))) == element_mode(gses.pbw, om, -1, om)
+    cases = (
+        (((GW, -1),), om),
+        (((G3, -1),), gses.primaries()[0]),
+        (((GW, -1), (GW, -1)), element_mode(gses.pbw, om, -1, om)),
+    )
+    for word, want in cases:
+        assert full_expansion(gses, word) == want
+        assert _expanded(gses, word) == pbw.h_free(want)
 
 
-def test_expand_parity_sector(gses):
+def test_expand_parity_sector(gses, full_expansion):
+    # theta maps I onto itself: the image of a theta eigenvector is one too,
+    # once the reordered e and f factors are projected again
     d = gses.domain
     alg = gses.pbw
     for mono in enumerate_nf(5):
-        st = _expanded(gses, mono)
-        flipped = pbw.canonical(d, pbw.theta(alg, st))
-        want = st if nf_parity(mono) > 0 else pbw.scale(st, -1)
-        assert flipped == want
+        sign = nf_parity(mono)
+        st = full_expansion(gses, mono)
+        assert pbw.canonical(d, pbw.theta(alg, st)) == pbw.scale(st, sign)
+        img = _expanded(gses, mono)
+        assert img == pbw.h_free(st)
+        assert pbw.h_free(pbw.canonical(d, pbw.theta(alg, img))) == pbw.scale(img, sign)
 
 
 def test_express_examples(gses):
@@ -121,12 +132,17 @@ def test_express_examples(gses):
         gses.express(prod, -1)
 
 
-def test_express_expand_identity(gses):
+def test_express_expand_identity(gses, full_expansion):
     d = gses.domain
     for parity in (1, -1):
         for mono in gses._nf_basis(6, parity).monos:
-            coords = gses.express(_expanded(gses, mono), parity)
+            coords = gses.express(full_expansion(gses, mono), parity)
             assert coords == {mono: d.one}
+
+
+def _h_led_term(w, parity):
+    """An h-led PBW monomial of weight w >= 2 on which theta acts by parity."""
+    return ((pbw.H, -(w - 1)), (pbw.H, -1)) if parity > 0 else ((pbw.H, -w),)
 
 
 @pytest.mark.parametrize("g", range(4))
@@ -134,33 +150,70 @@ def test_a_wrong_parity_generator_term_fails_the_theta_certificate(g):
     # a term of the generator's weight on which theta has the other sign
     ses = Session(5)
     dom = ses.domain
-    w = NF_GEN_WEIGHTS[g]
-    term = ((pbw.H, -w),) if nf_parity(((g, 0),)) > 0 else ((pbw.H, -(w - 1)), (pbw.H, -1))
+    parity = nf_parity(((g, 0),))
+    term = _h_led_term(NF_GEN_WEIGHTS[g], -parity)
     flipped = pbw.canonical(dom, pbw.theta(ses.pbw, {term: dom.one}))
-    assert flipped == {term: -nf_parity(((g, 0),)) * dom.one}
-    ses.primaries()
-    states = [dict(st) for st in ses._gen_states]
-    pbw.add_into(states[g], {term: dom.one})
-    ses._gen_states = tuple(states)
+    assert flipped == {term: -parity * dom.one}
+    _plant_generator_term(ses, g, term)
     with pytest.raises(AssertionError, match=f"theta does not act on generator {g}"):
         ses.nf_dimensions(2)
     assert not ses._nf_bases
 
 
+def _plant_generator_term(ses, g, term):
+    ses.primaries()
+    states = [dict(st) for st in ses._gen_states]
+    pbw.add_into(states[g], {term: ses.domain.one})
+    ses._gen_states = tuple(states)
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_a_theta_correct_h_led_generator_term_fails_the_commutant_certificate(g):
+    # h(-1)h(-1) on omega, h(-3) on W3, ...: the images cannot see the term,
+    # so only the certificate on the full generator states stops it
+    ses = Session(5)
+    dom = ses.domain
+    parity = nf_parity(((g, 0),))
+    term = _h_led_term(NF_GEN_WEIGHTS[g], parity)
+    assert pbw.canonical(dom, pbw.theta(ses.pbw, {term: dom.one})) == {term: parity * dom.one}
+    assert not pbw.h_free({term: dom.one})
+    _plant_generator_term(ses, g, term)
+    with pytest.raises(AssertionError, match=f"does not annihilate generator {g}"):
+        ses.nf_dimensions(2)
+    assert not ses._nf_bases
+
+
 @pytest.mark.parametrize("name", ["ses7", "gses"])
-def test_a_mixed_parity_state_is_in_neither_sector(request, name):
+def test_a_mixed_parity_state_is_in_neither_sector(request, name, full_expansion):
     ses = request.getfixturevalue(name)
     one = ses.domain.one
     words = enumerate_nf(6)
     even = next(m for m in words if nf_parity(m) > 0)
     odd = next(m for m in words if nf_parity(m) < 0)
-    mixed = _expanded(ses, even)
-    pbw.add_into(mixed, _expanded(ses, odd))
+    mixed = dict(full_expansion(ses, even))
+    pbw.add_into(mixed, full_expansion(ses, odd))
     for parity in (1, -1):
         with pytest.raises(NotInSpanError):
             ses.express(mixed, parity)
-    assert ses.express(_expanded(ses, even), 1) == {even: one}
-    assert ses.express(_expanded(ses, odd), -1) == {odd: one}
+    assert ses.express(full_expansion(ses, even), 1) == {even: one}
+    assert ses.express(full_expansion(ses, odd), -1) == {odd: one}
+
+
+@pytest.mark.parametrize("name", ["ses7", "gses"])
+def test_express_refuses_a_state_outside_the_commutant(request, name, full_expansion):
+    # one h-led monomial of the word's weight and parity: the image, hence
+    # the image-level solve, is unchanged, and only the commutant check sees it
+    ses = request.getfixturevalue(name)
+    one = ses.domain.one
+    for word in (((G3, -1), (G3, -1)), ((GW, -1), (G3, -1))):
+        d, parity = nf_weight(word), nf_parity(word)
+        state = full_expansion(ses, word)
+        planted = dict(state)
+        pbw.add_into(planted, {_h_led_term(d, parity): one})
+        assert pbw.h_free(planted) == pbw.h_free(state)
+        with pytest.raises(NotInSpanError, match="does not annihilate"):
+            ses.express(planted, parity)
+        assert ses.express(state, parity) == {word: one}
 
 
 def test_the_level5_product_table_builds_no_odd_weight9_sector():
@@ -238,7 +291,7 @@ def test_null_field_for_reads_cached_null_fields(ses7, monkeypatch):
     assert not calls
 
 
-def test_null_fields_reuse_the_relations_insert_found(monkeypatch):
+def test_null_fields_reuse_the_relations_insert_found(monkeypatch, full_expansion):
     ses = Session(7)
     calls = []
     express = SpanSolver.express
@@ -256,7 +309,7 @@ def test_null_fields_reuse_the_relations_insert_found(monkeypatch):
     for x, rel in zip(eliminated, rels):
         assert rel is sectors[nf_parity(x)][x]
         want = {x: ses.domain.one}
-        for m, c in ses.express(_expanded(ses, x), nf_parity(x)).items():
+        for m, c in ses.express(full_expansion(ses, x), nf_parity(x)).items():
             want[m] = -c
         assert rel == want
 
@@ -354,16 +407,15 @@ def test_weight10_guard_fails_on_planted_faults(gses, ses7):
 
 
 @pytest.mark.parametrize("name, wmax", [("ses7", 8), ("gses", 7)])
-def test_stored_pairs_are_the_scalar_expansions(request, name, wmax):
-    # each pair (raws, factor) against the public scalar path on its tail
+def test_stored_pairs_are_the_scalar_expansions(request, name, wmax, full_expansion):
+    # each pair (raws, factor) against the image of the full expansion
     ses = request.getfixturevalue(name)
     dom = ses.domain
     car = carrier_for(dom)
     words = [w for d in range(2, wmax + 1) for w in enumerate_nf(d)]
     for word in words:
         raws, factor = ses.nf_expand(word)
-        (g, t), tail = word[0], word[1:]
-        want = element_mode(ses.pbw, ses.generator_state(g), t, _expanded(ses, tail))
+        want = pbw.h_free(full_expansion(ses, word))
         assert {m: factor * r for m, r in raws.items()} == want, word
         assert car.content_reduce(list(raws.values()))[1] == car.one, word
         assert type(factor) is (RatFunc if dom.is_generic else Fraction), word
@@ -384,26 +436,64 @@ def test_generic_fits_sample_pinned_levels():
     # the levels 7, 8, ... that the weight-8 and weight-9 bases solve at, in
     # a fresh session: a later express may sample more
     ses = Session()
-    for w, p, count in ((8, 1, 18), (8, -1, 14), (9, 1, 24), (9, -1, 18)):
+    for w, p, count in ((8, 1, 14), (8, -1, 10), (9, 1, 18), (9, -1, 14)):
         span = ses._nf_basis(w, p).solver
         assert span.level == 7
         assert sorted(span._solvers) == list(range(7, 7 + count)), (w, p)
 
 
-# sha256 of the canonical generic expansions of the 185 normal-form words of
-# weight 2..10, one line "word monomial coefficient" per term
+# sha256 of the canonical generic full expansions of the 185 normal-form
+# words of weight 2..10, one line "word monomial coefficient" per term
 GENERIC_EXPANSIONS_SHA256 = "8a042e4854dfa7fa68468bb20b0da9c01ef4360279f6ad1edb0c13b691f99066"
 
 
-def test_generic_expansions_match_the_pinned_digest(gses):
+def test_generic_expansions_match_the_pinned_digest(gses, full_expansion):
     dom = gses.domain
     words = [w for d in range(2, 11) for w in enumerate_nf(d)]
     assert len(words) == 185
     h = hashlib.sha256()
     for word in words:
-        for mono, c in sorted(_expanded(gses, word).items()):
+        state = full_expansion(gses, word)
+        for mono, c in sorted(state.items()):
             h.update(f"{word!r} {mono!r} {dom.fmt(c)}\n".encode())
+        assert _expanded(gses, word) == pbw.h_free(state), word
     assert h.hexdigest() == GENERIC_EXPANSIONS_SHA256
+
+
+# the h-led PBW monomials of weight 1..5: they span I in those weights
+_H_LED = [m for d in range(1, 6) for m in pbw.enumerate_monomials(d) if m[0][0] == pbw.H]
+
+
+def _assert_generator_mode_keeps_h_led(ses, data):
+    mono = data.draw(st.sampled_from(_H_LED), label="mono")
+    g = data.draw(st.integers(0, 3), label="g")
+    top = NF_GEN_WEIGHTS[g] + pbw.mono_weight(mono)
+    t = data.draw(st.integers(top - 8, top - 1), label="t")  # lands at weight 0..7
+    out = element_mode(ses.pbw, ses.generator_state(g), t, {mono: ses.domain.one})
+    assert not pbw.h_free(out), (g, t, mono)
+
+
+# the lemma behind the images: a commutant mode W_t commutes with every
+# h(-n), so it maps I = sum_n h(-n) V into I
+@settings(max_examples=100)
+@given(st.data())
+def test_generator_modes_map_h_led_monomials_to_h_led_states(ses5, data):
+    _assert_generator_mode_keeps_h_led(ses5, data)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_generator_modes_map_h_led_monomials_to_h_led_states_over_qk(gses, data):
+    _assert_generator_mode_keeps_h_led(gses, data)
+
+
+@pytest.mark.parametrize("name", ["ses5", "gses"])
+def test_a_mode_outside_the_commutant_leaves_the_h_led_monomials(request, name):
+    # control: e(-1)|0> is no commutant state, and e(0) h(-1)|0> = -2 e(-1)|0>
+    ses = request.getfixturevalue(name)
+    one = ses.domain.one
+    out = element_mode(ses.pbw, {((pbw.E, -1),): one}, 0, {((pbw.H, -1),): one})
+    assert pbw.h_free(out) == {((pbw.E, -1),): -2 * one}
 
 
 def _table_action_cases():
@@ -417,28 +507,29 @@ def _table_action_cases():
     ]
 
 
-def _table_action_matches(ses, cases):
+def _table_action_matches(ses, cases, full):
     walg = ses.walg()
     count = 0
     for g, ts, w in cases:
-        wants = element_modes(ses.pbw, ses.generator_state(g), ts, _expanded(ses, w))
+        wants = element_modes(ses.pbw, ses.generator_state(g), ts, full(ses, w))
         for t in ts:
             got = ses.nf_expand_element(walg.apply_gen(g, t, w))
-            assert got == wants[t], (g, t, w)
+            assert got == pbw.h_free(wants[t]), (g, t, w)
             count += 1
     return count
 
 
-def test_product_table_action_matches_the_pbw_action(ses7):
-    # the table-driven W-algebra against the mode calculus on PBW states,
-    # zero results included
-    assert _table_action_matches(ses7, _table_action_cases()) == 864
+def test_product_table_action_matches_the_pbw_action(ses7, full_expansion):
+    # the table-driven W-algebra against the mode calculus on full PBW
+    # states, compared on images, zero results included
+    assert _table_action_matches(ses7, _table_action_cases(), full_expansion) == 864
 
 
-def test_product_table_action_matches_the_pbw_action_over_qk(gses):
+def test_product_table_action_matches_the_pbw_action_over_qk(gses, full_expansion):
     # the generic mirror of the level test, on a seeded sample of its cases
     cases = [(g, (t,), w) for g, ts, w in _table_action_cases() for t in ts]
-    assert _table_action_matches(gses, random.Random(12).sample(cases, 100)) == 100
+    sample = random.Random(12).sample(cases, 100)
+    assert _table_action_matches(gses, sample, full_expansion) == 100
 
 
 def test_hw_module_ground_vector(ses5):
