@@ -31,7 +31,10 @@ that branch at once.  element_modes runs all the modes n of one product
 v_n w on one target, which shares its derived targets across the modes.  A
 single-monomial target {mono: 1} is kept on the algebra in ``word_memo``
 (the brackets of the table-driven algebras act on those, and on the vacuum);
-any other target lives as long as the call that made it.
+any other target lives as long as its caller holds it: one call, or, for
+the products W^x_n W^y of a ``Session`` table build, the whole build, with
+one target per generator state y shared by every x and released when the
+build ends.
 
 The PBW memo tables and targets hold integers: plain ints at an integer
 level, and ints and ``scalars.IntPoly`` integer polynomials in k over Q(k)
@@ -45,8 +48,12 @@ both domains, and that is where raws become scalars: what element_modes
 returns holds domain scalars only (Fractions at a level, RatFuncs over
 Q(k)), and nothing downstream settles its outputs again.
 ``Session.nf_expand`` keeps the image of each normal-form expansion in
-V / sum_n h(-n) V as its pair and calls raw_modes on the pair of the image
+V / sum_n h(-n) V as its pair and calls raw_modes on the target of the image
 of the word's tail, so no expansion is lifted to scalars and cleared again.
+Both session callers apply only the words of a generator whose modes can
+leave that ideal (lemmas (A) and (B) in ``walgebra``): the words with an e
+or f factor in the raising modes of nf_expand, and the h-free words on the
+commutant targets of the products.
 
 apply_gen returns its memo's values unsettled: raws for the PBW algebra,
 and for the table-driven algebras plain ints where the mode only reorders
@@ -213,13 +220,13 @@ def word_apply(alg, word, n, w):
     return out
 
 
-def raw_modes(alg, raws_v, ns, raws_w):
+def raw_modes(alg, raws_v, ns, tw):
     """{n: v_n w for n in ns} on carrier raws, all modes run on one target:
-    v (word -> raw) and w (mono -> raw) are the raws of clear_vector pairs,
-    and each output holds raws too, not reduced by their content.  The
-    core of element_modes; Session.nf_expand calls it on the pair of the
-    image of a word's tail."""
-    tw = as_target(alg, {m: c for m, c in raws_w.items() if c})
+    v (word -> raw) holds the raws of a clear_vector pair, tw is
+    ``as_target`` of the raws of w (None for w = 0), and each output holds
+    raws too, not reduced by their content.  The core of element_modes;
+    Session.nf_expand calls it on the target of the image of a word's tail,
+    and Session._products on a target shared by the products of a table."""
     if tw is None:
         return {n: {} for n in ns}
     cw, target = tw
@@ -246,9 +253,10 @@ def element_modes(alg, elem, ns, state):
     raws_v, fv = clear_vector(alg.domain, elem)
     raws_w, fw = clear_vector(alg.domain, state)
     factor = fv * fw
+    tw = as_target(alg, {m: c for m, c in raws_w.items() if c})
     return {
         n: {m: factor * c for m, c in out.items()}
-        for n, out in raw_modes(alg, raws_v, ns, raws_w).items()
+        for n, out in raw_modes(alg, raws_v, ns, tw).items()
     }
 
 

@@ -48,8 +48,12 @@ def ur_state(ses, r):
 
 def ur_normal_form(ses, r):
     """Normal form of u^r at weight k+1+r, in its theta sector
-    (-1)^(k+1+r): u0 has parity (-1)^(k+1) and W3 is odd."""
-    return ses.express(ur_state(ses, r), (-1) ** (ses.level + 1 + r))
+    (-1)^(k+1+r): u0 has parity (-1)^(k+1) and W3 is odd.  Computed once
+    per session, in ``ses.ur_normal_forms``; each call returns a copy."""
+    kept = ses.ur_normal_forms
+    if r not in kept:
+        kept[r] = ses.express(ur_state(ses, r), (-1) ** (ses.level + 1 + r))
+    return dict(kept[r])
 
 
 def theta_parity_u0(ses):

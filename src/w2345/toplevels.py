@@ -46,13 +46,14 @@ def eigenvalues_closed_form(kval, i, j):
 def _zero_mode_word_action(mono, vec, i):
     """Apply o(word) = (-1)^(sum m - r) a^r(0) ... a^1(0) to a top vector.
 
-    vec is a list of Fractions over v^{i,0..i}; generator ids follow pbw.
-    The word's leftmost factor contributes the innermost zero mode."""
+    vec is a list of ints over v^{i,0..i}: the zero modes of h, e and f act
+    by integers.  Generator ids follow pbw.  The word's leftmost factor
+    contributes the innermost zero mode."""
     out = list(vec)
     sign = 1
     for g, t in mono:
         sign *= (-1) ** (-t - 1)
-        new = [Fraction(0)] * (i + 1)
+        new = [0] * (i + 1)
         if g == 0:  # h(0): eigenvalue i - 2j
             for j, c in enumerate(out):
                 if c:
@@ -77,8 +78,8 @@ def eigenvalues_oracle(ses, i, j):
     if not (0 <= j <= i <= ses.level):
         raise ValueError("need 0 <= j <= i <= k")
     states = [ses.conformal()[2], *ses.primaries()]
-    base = [Fraction(0)] * (i + 1)
-    base[j] = Fraction(1)
+    base = [0] * (i + 1)
+    base[j] = 1
     quartet = []
     for st in states:
         acc = [Fraction(0)] * (i + 1)
@@ -86,7 +87,7 @@ def eigenvalues_oracle(ses, i, j):
             hit = _zero_mode_word_action(mono, base, i)
             for idx in range(i + 1):
                 if hit[idx]:
-                    acc[idx] += Fraction(c) * hit[idx]
+                    acc[idx] += c * hit[idx]
         for idx in range(i + 1):
             if idx != j and acc[idx]:
                 raise AssertionError("top vector is not an eigenvector")

@@ -44,20 +44,52 @@ exact certificate over Q(k) of every relation and every expressed state.
 Expanding a normal-form element back to images uses the certificate's exact
 sum, at a level and over Q(k) alike.
 
+The mode calculus skips the words of a generator whose modes only reach I.
+Both lemmas read off the iterate formula of ``modes``,
+
+    (h(-m) u')_n w = sum_{i >= 0} (-1)^i C(-m, i) ( h(-m-i) u'_{n+i} w
+                                                  - (-1)^m u'_{-m+n-i} h(i) w ),
+
+for an h-led word u = h(-m) u', m >= 1.  Branch 1 lies in h(-m-i) V, inside
+I; in the PBW basis h(-j) maps each monomial to one h-led monomial.
+
+(A) A pure-h word u (every factor h) in a raising mode n, wt(u) - n - 1 > 0,
+    maps every state w into I.  By induction on the length of u: the empty
+    word is the vacuum, whose modes 1_n = delta_{n,-1} raise nothing, so a
+    raising one is 0.  For u = h(-m) u', branch 1 lies in I, and each term
+    of branch 2 is u'_{-m+n-i} applied to h(i) w, where u' is pure h and
+    wt(u') - (-m+n-i) - 1 = wt(u) - n - 1 + i > 0, so it is raising and
+    lies in I by induction.  The head mode t <= -1 of a normal-form word
+    raises by weight(g) - t - 1 >= 2, so ``nf_expand`` applies only the
+    generator's words with an e or f factor, to any target (the image of
+    the tail is no commutant state).  That skips 2 of the 3 words of omega,
+    3 of 6 of W3, 5 of 13 of W4 and 7 of 24 of W5.
+(B) An h-led word u, in any mode n, maps a commutant state y into I: branch 1
+    lies in I, and branch 2 carries h(i) y = 0 for i >= 0; one step of the
+    formula, no induction.  So ``_products`` applies only the h-free words
+    of x (PBW order puts the h factors first, so these have no h factor at
+    all) to the full state of the generator y.  This rests on the generator
+    certificate: ``_products`` runs ``_certify_generators`` first, and the
+    truncation checks of ``modes.word_apply`` stay on every word it applies.
+    A table build (``ope_table``, ``structure_constants``) shares one target
+    per generator state y across its products and releases them at its end.
+
 Each image pi(E(word)) of a normal-form expansion is computed once and kept
 as its ``linalg.clear_vector`` pair (raws, factor): ``modes.raw_modes``
-applies the generator's full state to the pair of the tail's image, the
-h-led monomials of the result are dropped, and the pairs go as they are into
-the span (``SpanSolver.insert`` at a level, ``GenericSpan`` over Q(k)) and
-into ``exact_sum``.  No expansion is lifted to domain scalars and cleared
-again.
+applies the generator's words of lemma (A) to the target of the tail's
+image, the h-led monomials of the result are dropped, and the pairs go as
+they are into the span (``SpanSolver.insert`` at a level, ``GenericSpan``
+over Q(k)) and into ``exact_sum``.  No expansion is lifted to domain scalars
+and cleared again.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from . import modes, pbw
 from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
-from .modes import NormalOrdering, add_into, element_modes, raw_modes
+from .modes import NormalOrdering, add_into, as_target, element_modes, raw_modes
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -182,11 +214,15 @@ class Session:
         self._gen_states = None
         self._conformal = None
         self._certified = False  # theta and the commutant, on the generators
+        self._gen_words = {}  # generator id -> (raws, factor, raising words)
+        self._commutant = {}  # weight -> basis of the commutant weight space
         self._nf_expansions = {}  # normal-form monomial -> pair of its image
         self._nf_bases = {}  # (weight, parity) -> _NFBasis of that theta sector
         self._ope = None
         self._sc_table = None
+        self._targets = None  # generator id -> target of its state, in a table build
         self._walg = None
+        self.ur_normal_forms = {}  # r -> normal form of u^r, kept by singular
 
     # -- generators ----------------------------------------------------------
 
@@ -227,7 +263,14 @@ class Session:
     # -- commutant -----------------------------------------------------------
 
     def commutant_weight_space(self, d):
-        """Basis of {v of weight d : h(m) v = 0 for m >= 0}."""
+        """Basis of {v of weight d : h(m) v = 0 for m >= 0}, built once per
+        session; callers must not mutate its states."""
+        basis = self._commutant.get(d)
+        if basis is None:
+            basis = self._commutant[d] = self._commutant_basis(d)
+        return list(basis)
+
+    def _commutant_basis(self, d):
         monos = pbw.enumerate_monomials(d, h0=0)
         cols = [
             {
@@ -282,20 +325,21 @@ class Session:
         """The image pi(E(mono)) in V / I of the PBW expansion E(mono) of a
         normal-form monomial, as its clear_vector pair (raws, factor),
         image == factor * raws.  Computed once per session, after the
-        generator certificates, by modes.raw_modes of the generator's full
-        state on the pair of the tail's image, with the h-led monomials of
-        the result dropped (``pbw.h_free``), and kept so.  An engine-level
-        value, like clear_vector's; callers must not mutate it.
-        nf_expand_element gives the image in domain scalars."""
+        generator certificates, by modes.raw_modes of the generator's words
+        with an e or f factor (lemma (A): its pure-h words, in the raising
+        head mode, only reach I) on the target of the tail's image, with the
+        h-led monomials of the result dropped (``pbw.h_free``), and kept so.
+        An engine-level value, like clear_vector's; callers must not mutate
+        it.  nf_expand_element gives the image in domain scalars."""
         pair = self._nf_expansions.get(mono)
         if pair is None:
             car = carrier_for(self.domain)
             if mono:
                 self._certify_generators()
                 g, t = mono[0]
-                gen, f_gen = clear_vector(self.domain, self.generator_state(g))
+                _, f_gen, raising = self._generator_words(g)
                 tail, f_tail = self.nf_expand(mono[1:])
-                out = pbw.h_free(raw_modes(self.pbw, gen, (t,), tail)[t])
+                out = pbw.h_free(raw_modes(self.pbw, raising, (t,), as_target(self.pbw, tail))[t])
                 raws, content = car.content_reduce(list(out.values()))
                 pair = dict(zip(out, raws)), f_gen * f_tail * car.ratio(content)
             else:
@@ -309,6 +353,17 @@ class Session:
         scalars, zero entries dropped.  It is zero exactly when the full
         expansion is, since that is a commutant state."""
         return exact_sum(self.domain, [(c, self.nf_expand(m)) for m, c in elem.items()])
+
+    def _generator_words(self, g):
+        """(raws, factor, raising) of generator g, kept per session: the
+        clear_vector pair of its state, and the raws of its words with an e
+        or f factor, the only words whose raising modes leave I (lemma (A))."""
+        kept = self._gen_words.get(g)
+        if kept is None:
+            raws, factor = clear_vector(self.domain, self.generator_state(g))
+            raising = {w: c for w, c in raws.items() if any(a != pbw.H for a, _ in w)}
+            kept = self._gen_words[g] = raws, factor, raising
+        return kept
 
     def _certify_generators(self):
         """Check exactly, once per session, that theta maps each generator
@@ -402,16 +457,40 @@ class Session:
 
     def _products(self, x, y):
         """{n: x_n y expressed over the normal-form basis} for generator ids
-        x, y and 0 <= n < weight(x) + weight(y): computed on the full
-        generator states and solved on the images of the products, which
-        are commutant states of weight wt - n - 1 by the certificate."""
+        x, y and 0 <= n < weight(x) + weight(y), solved on the images of the
+        products, which are commutant states of weight wt - n - 1 by the
+        certificate.  Only the h-free words of x act (lemma (B): on the
+        certified commutant state y an h-led word only reaches I), on the
+        full state of y: on its target shared by the table build in
+        progress (``_table_build``), else on a target of this call."""
+        self._certify_generators()
+        raws_x, f_x, _ = self._generator_words(x)
+        raws_y, f_y, _ = self._generator_words(y)
+        targets = self._targets if self._targets is not None else {}
+        if y not in targets:
+            targets[y] = as_target(self.pbw, raws_y)
         wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
-        prods = element_modes(self.pbw, self.generator_state(x), range(wt), self.generator_state(y))
+        prods = raw_modes(self.pbw, pbw.h_free(raws_x), range(wt), targets[y])
         parity = nf_parity(((x, 0), (y, 0)))
-        return {
-            n: self._express_image(pbw.h_free(prod), wt - n - 1, parity) if prod else {}
-            for n, prod in prods.items()
-        }
+        factor = f_x * f_y
+        out = {}
+        for n, prod in prods.items():
+            image = {m: factor * c for m, c in pbw.h_free(prod).items()}
+            out[n] = self._express_image(image, wt - n - 1, parity) if image else {}
+        return out
+
+    @contextmanager
+    def _table_build(self):
+        """The products made inside share one target per generator state,
+        released when the outermost build ends."""
+        if self._targets is not None:
+            yield
+            return
+        self._targets = {}
+        try:
+            yield
+        finally:
+            self._targets = None
 
     def ope_entry(self, i, j):
         """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""
@@ -421,10 +500,11 @@ class Session:
         """All products W^i_n W^j, 3 <= i <= j <= 5, 0 <= n <= i+j-1."""
         if self._ope is None:
             table = {}
-            for i in range(3, 6):
-                for j in range(i, 6):
-                    for n, elem in self.ope_entry(i, j).items():
-                        table[(i, j, n)] = elem
+            with self._table_build():
+                for i in range(3, 6):
+                    for j in range(i, 6):
+                        for n, elem in self.ope_entry(i, j).items():
+                            table[(i, j, n)] = elem
             self._ope = table
         return self._ope
 
@@ -432,10 +512,11 @@ class Session:
         """Product table over generator ids, including the omega rows."""
         if self._sc_table is None:
             table = {}
-            for y in range(4):
-                for i, elem in self._products(GW, y).items():
-                    table[(GW, y, i)] = elem
-            ope = self.ope_table()
+            with self._table_build():
+                for y in range(4):
+                    for i, elem in self._products(GW, y).items():
+                        table[(GW, y, i)] = elem
+                ope = self.ope_table()
             for (i, j, n), elem in ope.items():
                 table[(i - 2, j - 2, n)] = elem
             self._sc_table = table

@@ -107,6 +107,26 @@ def test_p1_contains_spot_term(ses5):
     assert polys[1].terms[e] * sign == Fraction(-3354260)
 
 
+def test_ur_normal_forms_are_computed_once_per_session(monkeypatch):
+    from w2345 import report
+
+    computed = []
+    state = singular.ur_state
+    monkeypatch.setattr(
+        singular, "ur_state", lambda ses, r: computed.append((id(ses), r)) or state(ses, r)
+    )
+    ctx = report.Context()
+    rows = report.check_singular(ctx, 5) + report.check_p_a_polynomials(ctx, 5)
+    assert all(r.status == "pass" for r in rows)
+    ses = ctx.session(5)
+    assert computed == [(id(ses), r) for r in range(4)]
+    # each call returns a copy: mutating one leaves the kept normal form
+    nf = singular.ur_normal_form(ses, 0)
+    nf.clear()
+    assert singular.ur_normal_form(ses, 0) == exprs.parse_nf(reference.U0_K5_TEXT, ses.domain)
+    assert len(computed) == 4
+
+
 def test_ideal_membership_degenerate():
     ses2 = walgebra.Session(2)
     w3, w4, w5 = ses2.primaries()

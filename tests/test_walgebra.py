@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from w2345 import exprs, pbw, reference, scalars, walgebra
+from w2345 import exprs, modes, pbw, reference, scalars, walgebra
 from w2345.linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for
 from w2345.modes import element_mode, element_modes
 from w2345.scalars import RatFunc, ReconstructionError, specialize
@@ -494,6 +494,144 @@ def test_a_mode_outside_the_commutant_leaves_the_h_led_monomials(request, name):
     one = ses.domain.one
     out = element_mode(ses.pbw, {((pbw.E, -1),): one}, 0, {((pbw.H, -1),): one})
     assert pbw.h_free(out) == {((pbw.E, -1),): -2 * one}
+
+
+# lemma (A): a pure-h word in a raising mode maps any state into I
+_PURE_H = [
+    m for d in range(1, 6) for m in pbw.enumerate_monomials(d) if all(g == pbw.H for g, _ in m)
+]
+_MONOMIALS = [m for d in range(0, 5) for m in pbw.enumerate_monomials(d)]
+
+
+def _assert_pure_h_raising_mode_lands_in_i(ses, data):
+    one = ses.domain.one
+    u = data.draw(st.sampled_from(_PURE_H), label="u")
+    w = data.draw(st.sampled_from(_MONOMIALS), label="w")
+    wt = pbw.mono_weight(u)
+    n = data.draw(st.integers(wt - 6, wt - 2), label="n")  # raises the weight by 1..5
+    out = element_mode(ses.pbw, {u: one}, n, {w: one})
+    assert not pbw.h_free(out), (u, n, w)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_pure_h_words_in_raising_modes_land_in_i(ses5, data):
+    _assert_pure_h_raising_mode_lands_in_i(ses5, data)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_pure_h_words_in_raising_modes_land_in_i_over_qk(gses, data):
+    _assert_pure_h_raising_mode_lands_in_i(gses, data)
+
+
+# lemma (B): an h-led word in any mode maps a commutant state into I
+def _assert_h_led_word_on_a_commutant_state_lands_in_i(ses, data):
+    one = ses.domain.one
+    g = data.draw(st.integers(0, 3), label="g")
+    u = data.draw(
+        st.sampled_from(sorted(m for m in ses.generator_state(g) if m[0][0] == pbw.H)), label="u"
+    )
+    n = data.draw(st.integers(0, NF_GEN_WEIGHTS[g] + 4), label="n")
+    targets = [ses.generator_state(y) for y in range(4)]
+    targets += [v for d in (3, 4, 5) for v in ses.commutant_weight_space(d)]
+    y = data.draw(st.integers(0, len(targets) - 1), label="target")
+    out = element_mode(ses.pbw, {u: one}, n, targets[y])
+    assert not pbw.h_free(out), (g, u, n, y)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_h_led_generator_words_on_commutant_states_land_in_i(ses5, data):
+    _assert_h_led_word_on_a_commutant_state_lands_in_i(ses5, data)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_h_led_generator_words_on_commutant_states_land_in_i_over_qk(gses, data):
+    _assert_h_led_word_on_a_commutant_state_lands_in_i(gses, data)
+
+
+@pytest.mark.parametrize("name", ["ses5", "gses"])
+def test_the_lemma_controls_leave_i(request, name):
+    ses = request.getfixturevalue(name)
+    one = ses.domain.one
+    e1 = {((pbw.E, -1),): one}
+    # (B) needs a commutant target: the h-led omega word h(-2) in mode 1 is
+    # -h(0), and on e(-1)|0> it gives -2 e(-1)|0>
+    h2 = ((pbw.H, -2),)
+    assert h2 in ses.generator_state(GW)
+    assert pbw.h_free(element_mode(ses.pbw, {h2: one}, 1, e1)) == {((pbw.E, -1),): -2 * one}
+    # (A) needs a pure-h word: the omega word e(-1)f(-1) in mode -1 creates itself
+    ef = ((pbw.E, -1), (pbw.F, -1))
+    assert ef in ses.generator_state(GW)
+    assert pbw.h_free(element_mode(ses.pbw, {ef: one}, -1, {(): one})) == {ef: one}
+
+
+@pytest.mark.parametrize("name", ["ses5", "gses"])
+def test_products_match_the_full_state_oracle(request, name):
+    # every word of x on the full state of y, solved by the public express,
+    # against _products on the targets one table build shares
+    ses = request.getfixturevalue(name)
+    pairs = [(x, y) for x in range(4) for y in range(x, 4)]
+    assert len(pairs) == 10
+    with ses._table_build():
+        for x, y in pairs:
+            wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
+            parity = nf_parity(((x, 0), (y, 0)))
+            full = element_modes(ses.pbw, ses.generator_state(x), range(wt), ses.generator_state(y))
+            got = ses._products(x, y)
+            assert list(got) == list(range(wt))
+            for n in range(wt):
+                assert got[n] == (ses.express(full[n], parity) if full[n] else {}), (x, y, n)
+
+
+@pytest.mark.parametrize("g", range(4))
+def test_products_certify_the_generators_before_any_word_acts(g, monkeypatch):
+    # lemma (B) needs a commutant target: a theta-correct h-led term planted
+    # in the generator must stop the product before the mode calculus runs
+    ses = Session(5)
+    _plant_generator_term(ses, g, _h_led_term(NF_GEN_WEIGHTS[g], nf_parity(((g, 0),))))
+    calls = []
+    monkeypatch.setattr(modes, "word_apply", lambda *args: calls.append(args))
+    with pytest.raises(AssertionError, match=f"does not annihilate generator {g}"):
+        ses._products(GW, 0)
+    assert not calls and not ses._nf_bases
+
+
+def test_a_table_build_shares_one_target_per_generator_and_releases_them(monkeypatch):
+    ses = Session(5)
+    made = []
+    as_target = walgebra.as_target
+
+    def counted(alg, state):
+        tw = as_target(alg, state)
+        if any(state is kept[0] for kept in ses._gen_words.values()):
+            made.append(tw[1])
+        return tw
+
+    monkeypatch.setattr(walgebra, "as_target", counted)
+    ses.structure_constants()
+    assert len(made) == len({id(t) for t in made}) == 4
+    assert ses._targets is None
+    ses.ope_entry(3, 3)  # outside a build: a target of its own
+    assert len(made) == 5
+    assert ses._targets is None
+
+
+def test_commutant_weight_spaces_are_built_once_per_session(monkeypatch):
+    # check_commutant asks for d = 1, 3, 4, 5, and find_primary again for
+    # d = 3, 4, 5
+    from w2345 import report
+
+    built = []
+    basis = Session._commutant_basis
+    monkeypatch.setattr(
+        Session, "_commutant_basis", lambda self, d: built.append(d) or basis(self, d)
+    )
+    rows = report.check_commutant(report.Context())
+    assert all(r.status == "pass" for r in rows)
+    assert sorted(built) == [1, 3, 4, 5]
 
 
 def _table_action_cases():
