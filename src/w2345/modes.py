@@ -32,9 +32,8 @@ v_n w on one target, which shares its derived targets across the modes.  A
 single-monomial target {mono: 1} is kept on the algebra in ``word_memo``
 (the brackets of the table-driven algebras act on those, and on the vacuum);
 any other target lives as long as its caller holds it: one call, or, for
-the products W^x_n W^y of a ``Session`` table build, the whole build, with
-one target per generator state y shared by every x and released when the
-build ends.
+the products W^x_n W^y of a ``Session``, one column y of the product table,
+whose target is shared by every x of the column.
 
 The PBW memo tables and targets hold integers: plain ints at an integer
 level, and ints and ``scalars.IntPoly`` integer polynomials in k over Q(k)
@@ -226,7 +225,7 @@ def raw_modes(alg, raws_v, ns, tw):
     ``as_target`` of the raws of w (None for w = 0), and each output holds
     raws too, not reduced by their content.  The core of element_modes;
     Session.nf_expand calls it on the target of the image of a word's tail,
-    and Session._products on a target shared by the products of a table."""
+    and Session._column on the target of one column of the product table."""
     if tw is None:
         return {n: {} for n in ns}
     cw, target = tw
@@ -264,12 +263,3 @@ def element_mode(alg, elem, n, state):
     """v_n w: the one-mode view of element_modes."""
     return element_modes(alg, elem, (n,), state)[n]
 
-
-def mode_power_apply(alg, v, n, r, w):
-    """(v_n)^r w by iterated application."""
-    if r < 0:
-        raise ValueError("power must be nonnegative")
-    out = w
-    for _ in range(r):
-        out = element_mode(alg, v, n, out)
-    return out

@@ -9,8 +9,8 @@ analysis.
 
 from __future__ import annotations
 
-from . import pbw
-from .modes import element_modes, mode_power_apply
+from . import modes, pbw
+from .modes import element_modes
 from .zhu import ZhuC2
 
 
@@ -41,9 +41,16 @@ def u0_state(ses):
 
 
 def ur_state(ses, r):
-    """(W3_1)^r u0."""
+    """u^r = (W3_1)^r u0, built as W3_1 u^(r-1) and kept per session in
+    ``ses.ur_states``, so u^0..u^r cost r applications of W3_1; callers
+    must not mutate it."""
+    kept = ses.ur_states
+    if not kept:
+        kept.append(u0_state(ses))
     w3 = ses.primaries()[0]
-    return mode_power_apply(ses.pbw, w3, 1, r, u0_state(ses))
+    while len(kept) <= r:
+        kept.append(modes.element_mode(ses.pbw, w3, 1, kept[-1]))
+    return kept[r]
 
 
 def ur_normal_form(ses, r):

@@ -66,13 +66,13 @@ I; in the PBW basis h(-j) maps each monomial to one h-led monomial.
     3 of 6 of W3, 5 of 13 of W4 and 7 of 24 of W5.
 (B) An h-led word u, in any mode n, maps a commutant state y into I: branch 1
     lies in I, and branch 2 carries h(i) y = 0 for i >= 0; one step of the
-    formula, no induction.  So ``_products`` applies only the h-free words
+    formula, no induction.  So ``_column`` applies only the h-free words
     of x (PBW order puts the h factors first, so these have no h factor at
     all) to the full state of the generator y.  This rests on the generator
-    certificate: ``_products`` runs ``_certify_generators`` first, and the
+    certificate: ``_column`` runs ``_certify_generators`` first, and the
     truncation checks of ``modes.word_apply`` stay on every word it applies.
-    A table build (``ope_table``, ``structure_constants``) shares one target
-    per generator state y across its products and releases them at its end.
+    One column y of the product table makes one target of y for all its x
+    and lets go of it before any product is solved.
 
 Each image pi(E(word)) of a normal-form expansion is computed once and kept
 as its ``linalg.clear_vector`` pair (raws, factor): ``modes.raw_modes``
@@ -84,8 +84,6 @@ and cleared again.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from . import modes, pbw
 from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
@@ -218,10 +216,9 @@ class Session:
         self._commutant = {}  # weight -> basis of the commutant weight space
         self._nf_expansions = {}  # normal-form monomial -> pair of its image
         self._nf_bases = {}  # (weight, parity) -> _NFBasis of that theta sector
-        self._ope = None
         self._sc_table = None
-        self._targets = None  # generator id -> target of its state, in a table build
         self._walg = None
+        self.ur_states = []  # u^0, u^1, ...: kept by singular
         self.ur_normal_forms = {}  # r -> normal form of u^r, kept by singular
 
     # -- generators ----------------------------------------------------------
@@ -455,72 +452,51 @@ class Session:
 
     # -- products ------------------------------------------------------------
 
-    def _products(self, x, y):
-        """{n: x_n y expressed over the normal-form basis} for generator ids
-        x, y and 0 <= n < weight(x) + weight(y), solved on the images of the
-        products, which are commutant states of weight wt - n - 1 by the
-        certificate.  Only the h-free words of x act (lemma (B): on the
-        certified commutant state y an h-led word only reaches I), on the
-        full state of y: on its target shared by the table build in
-        progress (``_table_build``), else on a target of this call."""
+    def _column(self, y, xs):
+        """{(x, y, n): x_n y over the normal-form basis} for the generator
+        ids x in xs and 0 <= n < weight(x) + weight(y), after the generator
+        certificate.  Only the h-free words of each x act (lemma (B)), on
+        one target of the full state of y that this call makes and lets go
+        of before the images of the products, commutant states of weight
+        wt - n - 1, are solved in their sector."""
         self._certify_generators()
-        raws_x, f_x, _ = self._generator_words(x)
         raws_y, f_y, _ = self._generator_words(y)
-        targets = self._targets if self._targets is not None else {}
-        if y not in targets:
-            targets[y] = as_target(self.pbw, raws_y)
-        wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
-        prods = raw_modes(self.pbw, pbw.h_free(raws_x), range(wt), targets[y])
-        parity = nf_parity(((x, 0), (y, 0)))
-        factor = f_x * f_y
-        out = {}
-        for n, prod in prods.items():
-            image = {m: factor * c for m, c in pbw.h_free(prod).items()}
-            out[n] = self._express_image(image, wt - n - 1, parity) if image else {}
-        return out
+        target = as_target(self.pbw, raws_y)
+        images = []
+        for x in xs:
+            raws_x, f_x, _ = self._generator_words(x)
+            wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
+            parity = nf_parity(((x, 0), (y, 0)))
+            for n, prod in raw_modes(self.pbw, pbw.h_free(raws_x), range(wt), target).items():
+                images.append(((x, y, n), f_x * f_y, pbw.h_free(prod), wt - n - 1, parity))
+        del target  # it holds the whole column's mode calculus
+        return {
+            key: self._express_image({m: factor * c for m, c in raws.items()}, d, parity) if raws else {}
+            for key, factor, raws, d, parity in images
+        }
 
-    @contextmanager
-    def _table_build(self):
-        """The products made inside share one target per generator state,
-        released when the outermost build ends."""
-        if self._targets is not None:
-            yield
-            return
-        self._targets = {}
-        try:
-            yield
-        finally:
-            self._targets = None
+    def structure_constants(self):
+        """The product table W^x_n W^y over generator ids x <= y, omega
+        included, keyed (x, y, n); built once, one column y at a time."""
+        if self._sc_table is None:
+            table = {}
+            for y in range(len(NF_GEN_WEIGHTS)):
+                table.update(self._column(y, range(y + 1)))
+            self._sc_table = table
+        return self._sc_table
+
+    def ope_table(self):
+        """All products W^i_n W^j, 3 <= i <= j <= 5, 0 <= n <= i+j-1: the
+        primary rows of ``structure_constants``, keyed (i, j, n)."""
+        return {
+            (x + 2, y + 2, n): elem
+            for (x, y, n), elem in self.structure_constants().items()
+            if x != GW
+        }
 
     def ope_entry(self, i, j):
         """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""
-        return self._products(i - 2, j - 2)
-
-    def ope_table(self):
-        """All products W^i_n W^j, 3 <= i <= j <= 5, 0 <= n <= i+j-1."""
-        if self._ope is None:
-            table = {}
-            with self._table_build():
-                for i in range(3, 6):
-                    for j in range(i, 6):
-                        for n, elem in self.ope_entry(i, j).items():
-                            table[(i, j, n)] = elem
-            self._ope = table
-        return self._ope
-
-    def structure_constants(self):
-        """Product table over generator ids, including the omega rows."""
-        if self._sc_table is None:
-            table = {}
-            with self._table_build():
-                for y in range(4):
-                    for i, elem in self._products(GW, y).items():
-                        table[(GW, y, i)] = elem
-                ope = self.ope_table()
-            for (i, j, n), elem in ope.items():
-                table[(i - 2, j - 2, n)] = elem
-            self._sc_table = table
-        return self._sc_table
+        return {n: elem for (_, _, n), elem in self._column(j - 2, (i - 2,)).items()}
 
     def walg(self):
         """The abstract algebra on normal-form words."""

@@ -14,7 +14,6 @@ from w2345.modes import (
     as_target,
     element_mode,
     element_modes,
-    mode_power_apply,
     word_apply,
 )
 from w2345.pbw import E, F, H
@@ -148,18 +147,6 @@ def test_w3_products(gses):
     assert not element_mode(gses.pbw, w3, 4, w3)
     omega = gses.conformal()[2]
     assert element_mode(gses.pbw, omega, 1, w3) == pbw.scale(w3, 3)
-
-
-def test_mode_power(ses3):
-    # the affine conformal vector's L(0) reads off the weight everywhere
-    d = ses3.domain
-    omega = ses3.conformal()[0]
-    rng = random.Random(29)
-    monos = pbw.enumerate_monomials(3)
-    w = pbw.canonical(d, {m: rng.randint(-2, 2) for m in rng.sample(monos, 3)})
-    assert mode_power_apply(ses3.pbw, omega, 1, 0, w) == w
-    if w:
-        assert mode_power_apply(ses3.pbw, omega, 1, 2, w) == pbw.scale(w, Fraction(9))
 
 
 def _cleared_target(alg, state):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import exprs, pbw, reference, singular, walgebra, zhu
+from w2345 import exprs, modes, pbw, reference, singular, walgebra, zhu
 
 
 def test_u0_degenerate_values():
@@ -95,6 +95,27 @@ def test_p_a_polynomials_k5(ses5):
     awants = [exprs.parse_multipoly(t, zhu.X_VARS, d) for t in reference.A_K5_TEXT]
     for r in range(4):
         assert apolys[r] == awants[r] or apolys[r] == -awants[r], f"A{r}"
+
+
+def test_ur_states_take_one_w3_1_step_each(monkeypatch):
+    # u^r = W3_1 u^(r-1) from the kept u^(r-1): u^0..u^3 cost 3 steps, not
+    # the 0 + 1 + 2 + 3 of powers taken from u0 each time
+    ses = walgebra.Session(5)
+    w3 = ses.primaries()[0]
+    steps = []
+    element_mode = modes.element_mode
+
+    def counted(alg, v, n, w):
+        steps.append((v is w3, n))
+        return element_mode(alg, v, n, w)
+
+    monkeypatch.setattr(modes, "element_mode", counted)
+    states = [singular.ur_state(ses, r) for r in range(4)]
+    assert steps == [(True, 1)] * 3
+    assert [pbw.weight(st) for st in states] == [6, 7, 8, 9]
+    assert singular.ur_state(ses, 2) is states[2] and len(steps) == 3
+    for prev, st in zip(states, states[1:]):
+        assert element_mode(ses.pbw, w3, 1, prev) == st
 
 
 def test_p1_contains_spot_term(ses5):

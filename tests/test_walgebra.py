@@ -1,5 +1,6 @@
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -571,19 +572,20 @@ def test_the_lemma_controls_leave_i(request, name):
 @pytest.mark.parametrize("name", ["ses5", "gses"])
 def test_products_match_the_full_state_oracle(request, name):
     # every word of x on the full state of y, solved by the public express,
-    # against _products on the targets one table build shares
+    # against the product table built one column y at a time
     ses = request.getfixturevalue(name)
     pairs = [(x, y) for x in range(4) for y in range(x, 4)]
     assert len(pairs) == 10
-    with ses._table_build():
-        for x, y in pairs:
-            wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
-            parity = nf_parity(((x, 0), (y, 0)))
-            full = element_modes(ses.pbw, ses.generator_state(x), range(wt), ses.generator_state(y))
-            got = ses._products(x, y)
-            assert list(got) == list(range(wt))
-            for n in range(wt):
-                assert got[n] == (ses.express(full[n], parity) if full[n] else {}), (x, y, n)
+    table = ses.structure_constants()
+    keys = set()
+    for x, y in pairs:
+        wt = NF_GEN_WEIGHTS[x] + NF_GEN_WEIGHTS[y]
+        parity = nf_parity(((x, 0), (y, 0)))
+        full = element_modes(ses.pbw, ses.generator_state(x), range(wt), ses.generator_state(y))
+        for n in range(wt):
+            keys.add((x, y, n))
+            assert table[(x, y, n)] == (ses.express(full[n], parity) if full[n] else {}), (x, y, n)
+    assert set(table) == keys
 
 
 @pytest.mark.parametrize("g", range(4))
@@ -595,28 +597,81 @@ def test_products_certify_the_generators_before_any_word_acts(g, monkeypatch):
     calls = []
     monkeypatch.setattr(modes, "word_apply", lambda *args: calls.append(args))
     with pytest.raises(AssertionError, match=f"does not annihilate generator {g}"):
-        ses._products(GW, 0)
+        ses.structure_constants()
     assert not calls and not ses._nf_bases
 
 
-def test_a_table_build_shares_one_target_per_generator_and_releases_them(monkeypatch):
-    ses = Session(5)
+def _watch_generator_targets(ses, monkeypatch):
+    """Weak references to every target the session makes over a generator
+    state, appended as they are made."""
+
+    class Watched(modes.Target):
+        __slots__ = ("__weakref__",)
+
     made = []
     as_target = walgebra.as_target
 
-    def counted(alg, state):
-        tw = as_target(alg, state)
-        if any(state is kept[0] for kept in ses._gen_words.values()):
-            made.append(tw[1])
-        return tw
+    def watched(alg, state):
+        if not any(state is kept[0] for kept in ses._gen_words.values()):
+            return as_target(alg, state)
+        target = Watched(alg, state, state)
+        made.append(weakref.ref(target))
+        return 1, target
 
-    monkeypatch.setattr(walgebra, "as_target", counted)
+    monkeypatch.setattr(walgebra, "as_target", watched)
+    return made
+
+
+def test_a_table_build_shares_one_target_per_generator_and_releases_them(monkeypatch):
+    # one target per column y of structure_constants, shared by its x, and
+    # one of its own per ope_entry; none outlives its column
+    ses = Session(5)
+    made = _watch_generator_targets(ses, monkeypatch)
     ses.structure_constants()
-    assert len(made) == len({id(t) for t in made}) == 4
-    assert ses._targets is None
-    ses.ope_entry(3, 3)  # outside a build: a target of its own
+    assert len(made) == 4
+    ses.ope_entry(3, 3)
     assert len(made) == 5
-    assert ses._targets is None
+    assert not any(ref() for ref in made)
+
+
+def test_no_generator_target_is_alive_while_a_product_is_solved(monkeypatch):
+    # a generator target holds the mode calculus of its whole column: it
+    # must be gone before the normal-form bases of the products are built
+    ses = Session(5)
+    made = _watch_generator_targets(ses, monkeypatch)
+    alive = []
+    express = Session._express_image
+
+    def checked(self, image, d, parity):
+        alive.append(sum(1 for ref in made if ref()))
+        return express(self, image, d, parity)
+
+    monkeypatch.setattr(Session, "_express_image", checked)
+    ses.structure_constants()
+    ses.ope_entry(4, 5)
+    assert len(made) == 5 and alive
+    assert not any(alive)
+
+
+def test_the_ope_table_is_the_primary_slice_of_the_one_product_table(monkeypatch):
+    # either order builds each column once, one target of its generator
+    # each, and ope_table re-keys the rows x >= 1 of structure_constants
+    tables = []
+    for first_ope in (True, False):
+        ses = Session(5)
+        made = _watch_generator_targets(ses, monkeypatch)
+        if first_ope:
+            ope = ses.ope_table()
+            sc = ses.structure_constants()
+        else:
+            sc = ses.structure_constants()
+            ope = ses.ope_table()
+        assert ses.ope_table() == ope and ses.structure_constants() is sc
+        assert len(made) == 4
+        assert ope == {(x + 2, y + 2, n): elem for (x, y, n), elem in sc.items() if x >= 1}
+        assert set(ope) == {(i, j, n) for i in range(3, 6) for j in range(i, 6) for n in range(i + j)}
+        tables.append(sc)
+    assert tables[0] == tables[1]
 
 
 def test_commutant_weight_spaces_are_built_once_per_session(monkeypatch):
