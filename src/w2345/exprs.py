@@ -40,23 +40,21 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text):
+    """(kind, value, position) tokens, in one pass of the token pattern; a
+    token's position is where the whitespace before it starts.  Matching
+    stops at the first gap, and anything but whitespace left there is a
+    ParseError at the end of the last token."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("vac"):
-            tokens.append(("vac", "|0>", m.start()))
-        elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start()))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start()))
-        else:
-            tokens.append(("op", m.group("op"), m.start()))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        val = m[kind]
+        tokens.append((kind, int(val) if kind == "int" else val, pos))
         pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(("end", None, len(text)))
     return tokens
 

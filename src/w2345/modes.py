@@ -3,16 +3,30 @@ arbitrary states v, w.
 
 Every algebra here (the affine PBW module, the W-algebra spanned by the
 normal-form words, the highest-weight modules over those words) is a
-NormalOrdering: words are tuples of (generator, mode) factors in PBW order,
-and ``apply_gen(g, t, word)`` normal-orders the mode g_t into a word with one
-memoised recursion.  A mode that creates and sorts first is prepended;
-otherwise it is moved past the first factor and the bracket of the two is
-added.  A subclass supplies gen_weight/mono_weight and three hooks:
+NormalOrdering: words are sequences of (generator, mode) factors in PBW
+order, and ``apply_gen(g, t, word)`` normal-orders the mode g_t into a word
+with one memoised recursion.  A mode that creates and sorts first is
+prepended; otherwise it is moved past the first factor and the bracket of
+the two is added.  A subclass supplies gen_weight and three hooks:
 
 * ``top_mode(g)``: the largest creating mode of g (-1 over a vacuum);
 * ``ground(g, t)``: a non-creating mode on the empty word (the vacuum kills
   it; a highest-weight zero mode acts by its eigenvalue);
 * ``bracket(g, t, bg, bm, rest)``: the state [g_t, bg_bm] . rest.
+
+Inside the engine every monomial and word is a code: a byte string with
+two bytes (g, t + 128) per factor, made by ``encode`` and read back by
+``decode``.  A code hashes once per object and compares by memcmp, and
+codes sort exactly as the tuples do, so pivot orders and outputs are those
+of the tuples; ``encode`` raises ValueError on a mode outside [-128, 127].
+The engine is apply_gen and its memo (keyed by the code of the word
+g_t mono, which is also the image of a prepended mode), the targets, their
+results and derived targets, word_memo, word_apply and raw_modes, and the
+brackets and grounds of the algebras.  Everywhere else monomials are
+tuples: ``as_target`` and ``raw_modes`` encode on entry and decode what
+they return, element_modes goes through them, and the outside callers of
+apply_gen pass it ``encode(mono)`` and read its state with
+``decode_state``.
 
 On top of apply_gen, word_apply peels the leftmost creation factor of each
 word of v with the iterate formula
@@ -21,7 +35,13 @@ word of v with the iterate formula
 
 bottoming out at the ground state (1_n = delta_{n,-1}).  Both infinite sums
 truncate by weight; the truncation bound is verified by evaluating one extra
-term and checking that it vanishes.
+term and checking that it vanishes.  For a single-factor word a(-m) the
+rest u is the vacuum, whose mode 1_k is nonzero at k = -1 only, so branch 1
+visits i = -1-n and branch 2 visits i = -m+n+1 alone; both truncation
+checks still run on every (word, n) that is not yet in the target's
+results.  Branch 1 and the
+derived states read the apply_gen memo directly and add its images in
+place, so a memo hit costs one dict lookup and no call.
 
 The formula runs on a whole target state w, a ``Target``, not on one of its
 monomials: the target keeps its (word, n) results and its derived targets
@@ -71,6 +91,23 @@ class TruncationError(AssertionError):
     pass
 
 
+def encode(mono):
+    """The code of a monomial or word: two bytes (g, t + 128) per factor.
+    Codes sort as the tuples do; a mode outside [-128, 127] raises
+    ValueError."""
+    return bytes([x for g, t in mono for x in (g, t + 128)])
+
+
+def decode(code):
+    """The tuple ((g, t), ...) of a code."""
+    return tuple(zip(code[::2], [b - 128 for b in code[1::2]]))
+
+
+def decode_state(state):
+    """A state keyed by codes, keyed by tuples."""
+    return {decode(m): c for m, c in state.items()}
+
+
 def add_into(acc, state, coeff=1):
     """acc += coeff * state in place, dropping zero coefficients."""
     if not coeff:
@@ -84,13 +121,18 @@ def add_into(acc, state, coeff=1):
     return acc
 
 
+def word_weight(alg, word):
+    """The weight of a word code: gen_weight(g) - t - 1 per factor."""
+    return sum(map(alg.gen_weight, word[::2])) + 127 * (len(word) // 2) - sum(word[1::2])
+
+
 class NormalOrdering:
-    """Memoised normal ordering of one generator mode into a word; apply_gen
-    returns unsettled values (see the module docstring)."""
+    """Memoised normal ordering of one generator mode into a word code;
+    apply_gen returns unsettled values (see the module docstring)."""
 
     def __init__(self):
-        self._gen_memo = {}
-        self.word_memo = {}  # monomial -> its single-monomial Target
+        self._gen_memo = {}  # code of the word g_t mono -> g_t . mono
+        self.word_memo = {}  # monomial code -> its single-monomial Target
 
     def top_mode(self, g):
         return -1
@@ -98,19 +140,22 @@ class NormalOrdering:
     def ground(self, g, t):
         return {}
 
+    def mono_weight(self, mono):
+        return word_weight(self, mono)
+
     def apply_gen(self, g, t, mono):
-        """Normal-ordered state g_t . mono."""
-        key = (g, t, mono)
+        """Normal-ordered state g_t . mono, for a monomial code."""
+        key = bytes((g, t + 128)) + mono
         hit = self._gen_memo.get(key)
         if hit is not None:
             return hit
-        if t <= self.top_mode(g) and (not mono or (g, t) <= mono[0]):
-            out = {((g, t),) + mono: 1}
+        if t <= self.top_mode(g) and (not mono or key[:2] <= mono[:2]):
+            out = {key: 1}
         elif not mono:
             out = self.ground(g, t)
         else:
-            bg, bm = mono[0]
-            rest = mono[1:]
+            bg, bm = mono[0], mono[1] - 128
+            rest = mono[2:]
             out = {}
             for m2, c2 in self.apply_gen(g, t, rest).items():
                 add_into(out, self.apply_gen(bg, bm, m2), c2)
@@ -119,62 +164,84 @@ class NormalOrdering:
         return out
 
 
-def word_weight(alg, word):
-    return sum(alg.gen_weight(g) - t - 1 for g, t in word)
-
-
 class Target:
-    """A nonzero state w that words act on: its (word, n) results and its
-    derived targets a(i) . w, kept as long as the target is.
+    """A nonzero state w, keyed by codes, that words act on: its (word, n)
+    results and its derived targets a(i) . w, kept as long as the target
+    is."""
 
-    ``label`` names it in truncation errors: the monomial of a
-    single-monomial target, the state otherwise."""
+    __slots__ = ("state", "weight", "results", "derived")
 
-    __slots__ = ("state", "label", "weight", "results", "derived")
-
-    def __init__(self, alg, state, label):
+    def __init__(self, alg, state):
         self.state = state
-        self.label = label
         # the largest weight bounds both sums for an inhomogeneous state too
         self.weight = max(alg.mono_weight(m) for m in state)
-        self.results = {}
-        self.derived = {}
+        self.results = {}  # (word code, n) -> state
+        self.derived = {}  # code of the mode g_i -> _target of g_i . state
+
+
+def _label(w):
+    """A target in a truncation error: its monomial when it has one, its
+    state otherwise, decoded."""
+    if len(w.state) == 1:
+        return decode(next(iter(w.state)))
+    return decode_state(w.state)
 
 
 def mono_target(alg, mono):
-    """The target {mono: 1}, kept in alg.word_memo."""
+    """The target {mono: 1} of a monomial code, kept in alg.word_memo."""
     tgt = alg.word_memo.get(mono)
     if tgt is None:
-        tgt = alg.word_memo[mono] = Target(alg, {mono: 1}, mono)
+        tgt = alg.word_memo[mono] = Target(alg, {mono: 1})
     return tgt
 
 
-def as_target(alg, state):
-    """(c, target) with state == c * target.state, or None for the zero
-    state.  A single monomial gets its kept target; any other state gets a
-    new one, which lives as long as its caller holds it."""
+def _target(alg, state):
+    """(c, target) with state == c * target.state for a state keyed by
+    codes, or None for the zero state.  A single monomial gets its kept
+    target; any other state gets a new one, which lives as long as its
+    caller holds it."""
     if not state:
         return None
     if len(state) == 1:
         (mono, c), = state.items()
         return c, mono_target(alg, mono)
-    return 1, Target(alg, state, state)
+    return 1, Target(alg, state)
+
+
+def as_target(alg, state):
+    """_target of a state keyed by tuples, encoded on entry."""
+    return _target(alg, {encode(m): c for m, c in state.items()})
+
+
+_MISSING = object()
 
 
 def _derived(alg, w, g, i):
-    """as_target of the state a(i) . w for the generator a = g."""
-    key = (g, i)
-    if key not in w.derived:
-        state = {}
-        for m, c in w.state.items():
-            add_into(state, alg.apply_gen(g, i, m), c)
-        w.derived[key] = as_target(alg, state)
-    return w.derived[key]
+    """_target of the state a(i) . w for the generator a = g, with the
+    images read from the apply_gen memo and added in place."""
+    head = bytes((g, i + 128))
+    hit = w.derived.get(head, _MISSING)
+    if hit is not _MISSING:
+        return hit
+    memo = alg._gen_memo
+    state = {}
+    for m, c in w.state.items():
+        img = memo.get(head + m)
+        if img is None:
+            img = alg.apply_gen(g, i, m)
+        for m2, c2 in img.items():
+            s = state.get(m2, 0) + c * c2
+            if s:
+                state[m2] = s
+            else:
+                state.pop(m2, None)
+    out = w.derived[head] = _target(alg, state)
+    return out
 
 
 def word_apply(alg, word, n, w):
     """State (word . vacuum)_n applied to the target w (a Target, or a
-    monomial standing for its kept target)."""
+    monomial code standing for its kept target), for a word code."""
     if not isinstance(w, Target):
         w = mono_target(alg, w)
     if not word:
@@ -183,29 +250,47 @@ def word_apply(alg, word, n, w):
     hit = w.results.get(key)
     if hit is not None:
         return hit
-    g, t = word[0]
-    rest = word[1:]
-    wt_rest = word_weight(alg, rest)
+    g, t = word[0], word[1] - 128
+    rest = word[2:]
+    memo = alg._gen_memo
     out = {}
     # branch 1: a(-m-i) (u_{n+i} w); u_{n+i} w dies once its weight drops
-    # below the module floor.
-    imax1 = wt_rest + w.weight - n - 1
-    for i in range(imax1 + 1):
-        sub = word_apply(alg, rest, n + i, w)
-        if not sub:
-            continue
+    # below the module floor.  The vacuum's modes leave only i = -1-n.
+    imax1 = word_weight(alg, rest) + w.weight - n - 1
+    if rest:
+        subs = ((i, word_apply(alg, rest, n + i, w)) for i in range(imax1 + 1))
+    else:
+        subs = ((-1 - n, w.state),) if 0 <= -1 - n <= imax1 else ()
+    for i, sub in subs:
         coef = comb_z(t, i) if i % 2 == 0 else -comb_z(t, i)
+        if not sub or not coef:
+            continue
+        head = bytes((g, t - i + 128))
         for m2, c2 in sub.items():
-            add_into(out, alg.apply_gen(g, t - i, m2), coef * c2)
+            img = memo.get(head + m2)
+            if img is None:
+                img = alg.apply_gen(g, t - i, m2)
+            cc = coef * c2
+            for m, c in img.items():
+                s = out.get(m, 0) + cc * c
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
     if imax1 >= -1 and word_apply(alg, rest, n + imax1 + 1, w):
         raise TruncationError(
-            f"branch-1 truncation bound violated at word={word!r}, n={n}, mono={w.label!r}"
+            f"branch-1 truncation bound violated at word={decode(word)!r}, n={n}, mono={_label(w)!r}"
         )
     # branch 2: -(-1)^m u_{-m+n-i} (a(i) w), with a(i) w derived once per
-    # target: a whole-state cancellation such as h(i) W = 0 ends it here
+    # target: a whole-state cancellation such as h(i) W = 0 ends it here.
+    # The vacuum's modes leave only i = -m+n+1.
     sign_m = -1 if t % 2 else 1
     imax2 = alg.gen_weight(g) + w.weight - 1
-    for i in range(imax2 + 1):
+    if rest:
+        steps = range(imax2 + 1)
+    else:
+        steps = (t + n + 1,) if 0 <= t + n + 1 <= imax2 else ()
+    for i in steps:
         gw = _derived(alg, w, g, i)
         if gw is None:
             continue
@@ -213,7 +298,7 @@ def word_apply(alg, word, n, w):
         add_into(out, word_apply(alg, rest, t + n - i, gw[1]), -sign_m * coef * gw[0])
     if imax2 >= -1 and _derived(alg, w, g, imax2 + 1) is not None:
         raise TruncationError(
-            f"branch-2 truncation bound violated at word={word!r}, n={n}, mono={w.label!r}"
+            f"branch-2 truncation bound violated at word={decode(word)!r}, n={n}, mono={_label(w)!r}"
         )
     w.results[key] = out
     return out
@@ -223,19 +308,20 @@ def raw_modes(alg, raws_v, ns, tw):
     """{n: v_n w for n in ns} on carrier raws, all modes run on one target:
     v (word -> raw) holds the raws of a clear_vector pair, tw is
     ``as_target`` of the raws of w (None for w = 0), and each output holds
-    raws too, not reduced by their content.  The core of element_modes;
+    raws too, not reduced by their content.  The words of v are encoded on
+    entry and the outputs decoded.  The core of element_modes;
     Session.nf_expand calls it on the target of the image of a word's tail,
     and Session._column on the target of one column of the product table."""
     if tw is None:
         return {n: {} for n in ns}
     cw, target = tw
+    words = [(encode(word), cv * cw) for word, cv in raws_v.items() if cv]
     outs = {}
     for n in ns:
         out = {}
-        for word, cv in raws_v.items():
-            if cv:
-                add_into(out, word_apply(alg, word, n, target), cv * cw)
-        outs[n] = out
+        for word, c in words:
+            add_into(out, word_apply(alg, word, n, target), c)
+        outs[n] = decode_state(out)
     return outs
 
 
@@ -262,4 +348,3 @@ def element_modes(alg, elem, ns, state):
 def element_mode(alg, elem, n, state):
     """v_n w: the one-mode view of element_modes."""
     return element_modes(alg, elem, (n,), state)[n]
-

@@ -8,17 +8,18 @@ scalar: a Fraction at a level, a RatFunc over Q(k).
 
 Inside the engines the coefficients are raw integers: ``apply_gen`` and its
 memo tables hold ints (and IntPolys in k over Q(k)), and so do the targets
-of the mode calculus.  ``modes.element_modes`` turns them into domain
-scalars on the way out, so its outputs, and every state built from them,
-are used as they are.  canonical() settles raw values only where they
-enter from outside that contract: the PBW ints that build u0, and states
-handed to ``Session.express``.
+of the mode calculus.  Their monomials are ``modes`` codes, so the helpers
+here pass ``encode(mono)`` to apply_gen.  ``modes.element_modes`` turns the
+coefficients into domain scalars on the way out, so its outputs, and every
+state built from them, are used as they are.  canonical() settles raw
+values only where they enter from outside that contract: the PBW ints that
+build u0, and states handed to ``Session.express``.
 """
 
 from __future__ import annotations
 
 from .linalg import clear_vector
-from .modes import NormalOrdering, add_into
+from .modes import NormalOrdering, add_into, decode_state, encode
 from .scalars import IntPoly
 
 H, E, F = 0, 1, 2
@@ -60,9 +61,6 @@ class PBWAlgebra(NormalOrdering):
 
     def gen_weight(self, g):
         return 1
-
-    def mono_weight(self, mono):
-        return mono_weight(mono)
 
     def bracket(self, g, n, bg, bm, rest):
         """[a(n), b(m)] = [a, b](n + m) + n <a, b> delta_{n+m,0} k on rest."""
@@ -118,9 +116,10 @@ def commutant_defect(alg, state):
     and j runs up to its largest weight, since a larger j lowers every
     monomial below the vacuum."""
     raws, _ = clear_vector(alg.domain, state)
+    codes = {encode(m): c for m, c in raws.items()}
     for j in range(max((mono_weight(m) for m in raws), default=-1) + 1):
         img = {}
-        for mono, c in raws.items():
+        for mono, c in codes.items():
             add_into(img, alg.apply_gen(H, j, mono), c)
         if img:
             return j
@@ -137,7 +136,7 @@ def theta(alg, state):
         hcount = sum(1 for g, _ in mono if g == H)
         if hcount % 2:
             c = -c
-        img = {(): 1}
+        img = {b"": 1}
         for g, t in reversed(mono):
             g2 = _theta_gen(g)
             nxt = {}
@@ -145,7 +144,7 @@ def theta(alg, state):
                 add_into(nxt, alg.apply_gen(g2, t, m2), c2)
             img = nxt
         add_into(out, img, c)
-    return out
+    return decode_state(out)
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,13 @@ def descendant_matrix(ses, hw):
     dom = ses.domain
     cols = []
     for s in range(4):
-        vmono = ((s, NF_GEN_WEIGHTS[s] - 2),)
+        vmono = modes.encode(((s, NF_GEN_WEIGHTS[s] - 2),))
         col = []
         for p in range(4):
             res = mod.apply_gen(p, NF_GEN_WEIGHTS[p], vmono)
-            if set(res) - {()}:
+            if set(res) - {b""}:
                 raise AssertionError("raising a weight-(h+1) vector left the top")
-            col.append(res.get((), dom.zero))
+            col.append(res.get(b"", dom.zero))
         cols.append(col)
     return [[cols[s][p] for s in range(4)] for p in range(4)]
 

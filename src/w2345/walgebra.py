@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from . import modes, pbw
 from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
-from .modes import NormalOrdering, add_into, as_target, element_modes, raw_modes
+from .modes import NormalOrdering, add_into, as_target, decode, element_modes, encode, raw_modes
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -139,20 +139,20 @@ class WAlgebra(NormalOrdering):
     def __init__(self, dom, table):
         super().__init__()
         self.domain = dom
-        self.table = table  # (x, y, i) -> element dict for x <= y
+        # (x, y, i) -> the words of the element x_i y for x <= y, encoded once
+        self.table = {
+            key: [(encode(word), c) for word, c in elem.items()] for key, elem in table.items() if elem
+        }
 
     def gen_weight(self, g):
         return NF_GEN_WEIGHTS[g]
-
-    def mono_weight(self, mono):
-        return nf_weight(mono)
 
     def bracket(self, g, t, b, s, rest):
         """[g_t, b_s] applied to the monomial rest, modes expanded from the
         product table through the commutator formula
         [u_m, v_n] = sum_i C(m, i) (u_i v)_{m+n-i}.
 
-        Each word of a table entry u_i v acts on rest through
+        Each word of a table entry u_i v acts on the code rest through
         ``modes.word_apply`` directly, on the target of rest kept in
         ``word_memo``; the entry's domain scalars multiply the results."""
         out = {}
@@ -166,7 +166,7 @@ class WAlgebra(NormalOrdering):
                 continue
             c = comb_z(tm, i) * sign
             if c:
-                for word, coef in prod.items():
+                for word, coef in prod:
                     add_into(out, modes.word_apply(self, word, t + s - i, rest), c * coef)
         return out
 
@@ -180,7 +180,9 @@ class HWModule(WAlgebra):
     """
 
     def __init__(self, walg, eigenvalues):
-        super().__init__(walg.domain, walg.table)
+        NormalOrdering.__init__(self)
+        self.domain = walg.domain
+        self.table = walg.table  # shares the encoded words
         self.eigen = tuple(eigenvalues)  # indexed by generator id
 
     def top_mode(self, g):
@@ -188,7 +190,7 @@ class HWModule(WAlgebra):
 
     def ground(self, g, t):
         ev = self.eigen[g]
-        return {(): ev} if ev and t == NF_GEN_WEIGHTS[g] - 1 else {}
+        return {b"": ev} if ev and t == NF_GEN_WEIGHTS[g] - 1 else {}
 
 
 class _NFBasis:
@@ -271,9 +273,9 @@ class Session:
         monos = pbw.enumerate_monomials(d, h0=0)
         cols = [
             {
-                (m, m2): c
+                (m, decode(m2)): c
                 for m in range(0, d + 1)
-                for m2, c in self.pbw.apply_gen(pbw.H, m, mono).items()
+                for m2, c in self.pbw.apply_gen(pbw.H, m, encode(mono)).items()
             }
             for mono in monos
         ]

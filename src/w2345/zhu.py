@@ -19,7 +19,7 @@ word containing a mode below -1 and reads off the -1 modes.
 
 from __future__ import annotations
 
-from .modes import element_modes
+from .modes import decode_state, element_modes, encode
 from .multipoly import MultiPoly
 from .scalars import comb_z
 from .walgebra import GW, NF_GEN_WEIGHTS, nf_weight
@@ -60,10 +60,11 @@ class ZhuC2:
         else:
             wt = NF_GEN_WEIGHTS[g]
             out = self._var(g) * self.reduce_word(rest) if j == 1 else MultiPoly.zero(W_VARS)
+            code = encode(rest)
             for i in range(1, wt + 1):
-                moved = self.walg.apply_gen(g, i - j, rest)
+                moved = self.walg.apply_gen(g, i - j, code)
                 if moved:
-                    out = out - self.zhu_reduce(moved) * comb_z(wt, i)
+                    out = out - self.zhu_reduce(decode_state(moved)) * comb_z(wt, i)
         self._memo[mono] = out
         return out
 

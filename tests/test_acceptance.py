@@ -18,7 +18,7 @@ from w2345.groebner import (
     radical_multiplicity_check,
     standard_monomials,
 )
-from w2345.modes import element_mode
+from w2345.modes import element_mode, encode
 from w2345.scalars import comb_z
 from w2345.walgebra import G3, G4, Session, enumerate_nf, nf_parity, nf_weight
 from w2345.zhu import W_VARS, X_VARS, ZhuC2
@@ -293,7 +293,7 @@ def test_criterion_10a_affine_commutation(ses3):
     for _ in range(N_CASES):
         a, b = rng.choice((H, E, F)), rng.choice((H, E, F))
         m, n = rng.randint(-3, 3), rng.randint(-3, 3)
-        w = rng.choice(monos)
+        w = encode(rng.choice(monos))
         lhs = {}
         for m2, c2 in alg.apply_gen(b, n, w).items():
             pbw.add_into(lhs, alg.apply_gen(a, m, m2), c2)

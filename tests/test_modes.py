@@ -12,8 +12,11 @@ from w2345.modes import (
     TruncationError,
     add_into,
     as_target,
+    decode,
+    decode_state,
     element_mode,
     element_modes,
+    encode,
     word_apply,
 )
 from w2345.pbw import E, F, H
@@ -54,7 +57,7 @@ def test_single_generator_modes_match_apply_gen(ses3):
         n = rng.randint(-3, 3)
         w = rng.choice(monos)
         got = element_mode(alg, {((g, -1),): 1}, n, {w: 1})
-        want = alg.apply_gen(g, n, w)
+        want = decode_state(alg.apply_gen(g, n, encode(w)))
         assert got == pbw.canonical(d, want)
 
 
@@ -184,7 +187,7 @@ def test_level_memo_tables_hold_ints(ses5):
     target = _cleared_target(alg, w3)
     for n in range(6):
         for word in w3:
-            word_apply(alg, word, n, target)
+            word_apply(alg, encode(word), n, target)
     assert alg._gen_memo and alg.word_memo and target.results and target.derived
     for state in alg._gen_memo.values():
         assert all(type(c) is int for c in state.values())
@@ -205,9 +208,9 @@ def test_element_mode_with_fractions_matches_double_loop(ses5):
         want = {}
         for word, cv in omega.items():
             for mono, cw in w.items():
-                add_into(want, word_apply(alg, word, n, mono), cv * cw)
+                add_into(want, word_apply(alg, encode(word), n, encode(mono)), cv * cw)
         got = element_mode(alg, omega, n, w)
-        assert got == want
+        assert got == decode_state(want)
     assert any(c.denominator > 1 for c in got.values())
 
 
@@ -230,10 +233,10 @@ def test_element_mode_over_qk_matches_double_loop(gses):
         want = {}
         for word, cv in omega.items():
             for mono, cw in w.items():
-                add_into(want, word_apply(alg, word, n, mono), cv * cw)
-            word_apply(alg, word, n, target)
+                add_into(want, word_apply(alg, encode(word), n, encode(mono)), cv * cw)
+            word_apply(alg, encode(word), n, target)
         got = element_mode(alg, omega, n, w)
-        assert got == want
+        assert got == decode_state(want)
     assert any(c.d != IP_ONE for c in got.values())
     # the PBW memo tables and the targets hold ints and integer
     # polynomials, never a RatFunc
@@ -272,9 +275,9 @@ def _composite_matches_monomials(ses, v, w, ns):
         want = {}
         for word, cv in v.items():
             for mono, cw in w.items():
-                add_into(want, word_apply(alg, word, n, mono), cv * cw)
+                add_into(want, word_apply(alg, encode(word), n, encode(mono)), cv * cw)
         got = element_mode(alg, v, n, w)
-        assert got == want
+        assert got == decode_state(want)
         assert multi[n] == got
 
 
@@ -310,11 +313,12 @@ def test_level_nf_expand_is_generic_specialized(gses, k0):
 
 
 class _NeverVanishing:
-    """Stub algebra: every generator mode sends every monomial to the vacuum,
-    so both truncation bounds of word_apply are violated."""
+    """Stub algebra on codes: every generator mode sends every monomial to
+    the vacuum, so both truncation bounds of word_apply are violated."""
 
     def __init__(self, mono_weight):
         self.word_memo = {}
+        self._gen_memo = {}
         self._mono_weight = mono_weight
 
     def gen_weight(self, g):
@@ -324,20 +328,131 @@ class _NeverVanishing:
         return self._mono_weight
 
     def apply_gen(self, g, t, mono):
-        return {(): 1}
+        return {b"": 1}
 
 
 def test_truncation_error_names_word_mode_and_monomial():
-    word = (("a", -1),)
+    # the word and the monomial are printed decoded, as tuples
+    word = encode(((0, -1),))
     # mono weight -1: u_{n+1} w survives past the branch-1 bound
     with pytest.raises(TruncationError) as err:
-        word_apply(_NeverVanishing(-1), word, -2, ())
+        word_apply(_NeverVanishing(-1), word, -2, b"")
     assert str(err.value) == (
-        "branch-1 truncation bound violated at word=(('a', -1),), n=-2, mono=()"
+        "branch-1 truncation bound violated at word=((0, -1),), n=-2, mono=()"
     )
     # mono weight 0: a(1) w survives past the branch-2 bound
     with pytest.raises(TruncationError) as err:
-        word_apply(_NeverVanishing(0), word, 0, ())
+        word_apply(_NeverVanishing(0), word, 0, b"")
     assert str(err.value) == (
-        "branch-2 truncation bound violated at word=(('a', -1),), n=0, mono=()"
+        "branch-2 truncation bound violated at word=((0, -1),), n=0, mono=()"
     )
+
+
+# -- an independent oracle of the iterate formula -------------------------------
+
+
+def _binom(t, i):
+    """C(t, i) for any integer t."""
+    num = 1
+    for j in range(i):
+        num *= t - j
+    return Fraction(num, factorial(i))
+
+
+def _oracle(alg, word, n, state):
+    """(word . vacuum)_n state by the iterate formula on tuples, with no
+    memo and no target: the vacuum at the bottom, both branches summed two
+    terms past their weight bounds, every mode applied through the codec."""
+    dom = alg.domain
+
+    def apply(g, t, st):
+        out = {}
+        for m, c in st.items():
+            add_into(out, pbw.canonical(dom, decode_state(alg.apply_gen(g, t, encode(m)))), c)
+        return out
+
+    if not word:
+        return dict(state) if n == -1 else {}
+    if not state:
+        return {}
+    (g, t), rest = word[0], word[1:]
+    wt_rest = sum(alg.gen_weight(a) - s - 1 for a, s in rest)
+    wt_w = max(pbw.mono_weight(m) for m in state)
+    out = {}
+    for i in range(wt_rest + wt_w - n + 2):
+        c = dom.scalar(_binom(t, i) * (-1) ** (i % 2))
+        add_into(out, apply(g, t - i, _oracle(alg, rest, n + i, state)), c)
+    for i in range(alg.gen_weight(g) + wt_w + 2):
+        c = dom.scalar(_binom(t, i) * (-1) ** ((i + t + 1) % 2))
+        add_into(out, _oracle(alg, rest, t + n - i, apply(g, i, state)), c)
+    return out
+
+
+_WORDS = [m for m in _MONOS if 1 <= len(m) <= 3]
+_oracle_modes = st.lists(st.integers(-4, 3), min_size=1, max_size=3, unique=True)
+
+
+def _matches_oracle(ses, v, w, ns):
+    alg = ses.pbw
+    got = element_modes(alg, v, ns, w)
+    for n in ns:
+        want = {}
+        for word, cv in v.items():
+            add_into(want, _oracle(alg, word, n, w), cv)
+        assert got[n] == want, (v, n, w)
+
+
+@given(st.dictionaries(st.sampled_from(_WORDS), _fraction, min_size=1, max_size=2), _states(_fraction, 3), _oracle_modes)
+def test_element_modes_match_the_oracle_at_a_level(ses5, v, w, ns):
+    _matches_oracle(ses5, v, w, ns)
+
+
+@given(st.dictionaries(st.sampled_from(_WORDS), _ratfunc, min_size=1, max_size=2), _states(_ratfunc, 2), _oracle_modes)
+def test_element_modes_match_the_oracle_over_qk(gses, v, w, ns):
+    _matches_oracle(gses, v, w, ns)
+
+
+def test_single_factor_words_match_the_oracle_on_every_mode(ses5):
+    # every creation mode of every generator, on every monomial of weight
+    # <= 2, for each n at which the result can be nonzero
+    alg = ses5.pbw
+    one = ses5.domain.one
+    monos = [m for m in _MONOS if pbw.mono_weight(m) <= 2]
+    for g in (H, E, F):
+        for t in (-1, -2, -3):
+            for mono in monos:
+                ns = range(-1 - t - 2, pbw.mono_weight(mono) - t + 1)
+                got = element_modes(alg, {((g, t),): one}, ns, {mono: one})
+                for n in ns:
+                    assert got[n] == _oracle(alg, ((g, t),), n, {mono: one}), (g, t, n, mono)
+
+
+# -- the monomial codec ----------------------------------------------------------
+
+_PBW_MONOS = [m for d in range(7) for m in pbw.enumerate_monomials(d)]
+_NF_WORDS = [m for d in range(11) for m in enumerate_nf(d)]
+_FACTORS = st.tuples(st.integers(0, 3), st.integers(-128, 127))
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_PBW_MONOS),
+            st.sampled_from(_NF_WORDS),
+            st.lists(_FACTORS, max_size=5).map(tuple),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_codec_round_trips_and_keeps_the_order(monos):
+    codes = [encode(m) for m in monos]
+    assert [decode(c) for c in codes] == monos
+    assert all(len(c) == 2 * len(m) for m, c in zip(monos, codes))
+    assert [decode(c) for c in sorted(codes)] == sorted(monos)
+
+
+@pytest.mark.parametrize("mode", (128, -129, 300, -1000))
+def test_encode_rejects_a_mode_out_of_range(mode):
+    with pytest.raises(ValueError):
+        encode(((0, -1), (1, mode)))

@@ -5,6 +5,7 @@ import pytest
 
 from w2345 import pbw
 from w2345.exprs import format_pbw
+from w2345.modes import decode_state, encode
 from w2345.pbw import E, F, H
 from w2345.scalars import domain
 
@@ -18,13 +19,13 @@ def parse(text, dom=GEN):
 def test_generator_action_examples(gses):
     alg = gses.pbw
     d = gses.domain
-    st = alg.apply_gen(E, 1, ((F, -1),))
+    st = decode_state(alg.apply_gen(E, 1, encode(((F, -1),))))
     assert pbw.canonical(d, st) == {(): d.k}
     for r in (1, 2, 4):
         mono = tuple((E, -1) for _ in range(r))
-        got = pbw.canonical(d, alg.apply_gen(F, 1, mono))
+        got = pbw.canonical(d, decode_state(alg.apply_gen(F, 1, encode(mono))))
         assert got == {tuple((E, -1) for _ in range(r - 1)): r * (d.k - r + 1)}
-    assert not pbw.canonical(d, alg.apply_gen(H, 0, ((E, -1), (F, -1))))
+    assert not pbw.canonical(d, alg.apply_gen(H, 0, encode(((E, -1), (F, -1)))))
 
 
 def test_weight_examples(gses):
@@ -127,7 +128,7 @@ def test_affine_commutation_random(gses):
     for _ in range(150):
         a, b = rng.choice((H, E, F)), rng.choice((H, E, F))
         m, n = rng.randint(-3, 3), rng.randint(-3, 3)
-        w = rng.choice(monos)
+        w = encode(rng.choice(monos))
         lhs = {}
         for m2, c2 in alg.apply_gen(b, n, w).items():
             pbw.add_into(lhs, alg.apply_gen(a, m, m2), c2)
@@ -152,7 +153,7 @@ def test_weight_grading_of_action(gses):
         w = rng.choice(monos)
         a = rng.choice((H, E, F))
         n = rng.randint(-3, 3)
-        out = pbw.canonical(d, alg.apply_gen(a, n, w))
+        out = pbw.canonical(d, decode_state(alg.apply_gen(a, n, encode(w))))
         if out:
             assert pbw.weight(out) == 3 - n
 

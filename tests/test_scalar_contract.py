@@ -10,7 +10,7 @@ import pytest
 from w2345 import singular
 from w2345.groebner import buchberger, lex_order
 from w2345.linalg import carrier_for
-from w2345.modes import element_modes
+from w2345.modes import decode_state, element_modes, encode
 from w2345.multipoly import MultiPoly
 from w2345.pbw import E, F, H
 from w2345.scalars import RatFunc
@@ -76,7 +76,7 @@ def test_quotient_images_return_domain_scalars(ses):
 def test_c2_reduce_settles_raw_states(ses):
     # apply_gen leaves a creating mode's coefficient a raw int
     red = ZhuC2(ses)
-    state = ses.walg().apply_gen(GW, -1, ((G3, -1),))
+    state = decode_state(ses.walg().apply_gen(GW, -1, encode(((G3, -1),))))
     assert [type(c) for c in state.values()] == [int]
     _assert_domain_scalars(ses.domain, red.c2_reduce(state).terms.values(), "c2_reduce")
 

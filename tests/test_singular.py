@@ -25,7 +25,7 @@ def test_ur_weight_and_commutant(ses5):
         assert {pbw.mono_h0(m) for m in st} == {0}
         img = {}
         for mono, c in st.items():
-            pbw.add_into(img, ses5.pbw.apply_gen(pbw.H, 0, mono), c)
+            pbw.add_into(img, ses5.pbw.apply_gen(pbw.H, 0, modes.encode(mono)), c)
         assert not pbw.canonical(ses5.domain, img)
 
 

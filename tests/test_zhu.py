@@ -95,13 +95,16 @@ def test_star_commutators_specialized(ses7):
 
 def test_star_commutators_word_apply_calls(monkeypatch):
     """The level-5 product table and the three star commutators on a fresh
-    session make 39492 word_apply calls, counted through the modes global
+    session make 17168 word_apply calls, counted through the modes global
     as the benchmark tracer counts them: the table bracket runs the mode
     calculus on the kept word targets, with no extra work, and the table
     expands only the words of the theta sectors its products lie in.  Each
     expansion applies the generator's words with an e or f factor to the
     image of its tail (lemma (A)), and each product the h-free words of x
-    to the target of y that the table build shares (lemma (B))."""
+    to the target of y that the table build shares (lemma (B)).  A
+    single-factor word visits only the one index where the vacuum mode is
+    nonzero, so it calls word_apply on the empty word for its branch-1
+    truncation check alone."""
     calls = 0
     word_apply = modes.word_apply
 
@@ -116,7 +119,7 @@ def test_star_commutators_word_apply_calls(monkeypatch):
     e3, e4, e5 = ({((G3, -1),): d.one}, {((G4, -1),): d.one}, {((G5, -1),): d.one})
     for a, b in ((e3, e4), (e3, e5), (e4, e5)):
         assert not (red.zhu_star(a, b) - red.zhu_star(b, a))
-    assert calls == 39492
+    assert calls == 17168
 
 
 def test_q_polynomials_generic(gses):
