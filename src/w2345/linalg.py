@@ -27,7 +27,7 @@ carriers: the certificate and the null-field checks both use it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import floordiv
 
 from . import scalars as sc
@@ -60,11 +60,7 @@ class _IntCarrier:
     def clear(vals):
         """Integerize ints and Fractions to a primitive row; returns (raws,
         factor) with original = factor * raws."""
-        den = 1
-        for v in vals:
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
+        den = lcm(*(v.denominator for v in vals))
         out, g = _IntCarrier.content_reduce(
             [v.numerator * (den // v.denominator) for v in vals]
         )
@@ -74,11 +70,7 @@ class _IntCarrier:
     def content_reduce(vals):
         """(row divided by its content, content); the same list object and
         content 1 when the content is 1 or the row is zero."""
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
-            if g == 1:
-                return vals, 1
+        g = gcd(*vals)
         if g > 1:
             return [v // g for v in vals], g
         return vals, 1

@@ -122,15 +122,6 @@ def ip_eval(a, x):
     return acc
 
 
-def ip_content(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
 def ip_divexact(a, b):
     """Exact division in Z[x]; raises ArithmeticError when b does not divide a."""
     if not b:
@@ -220,7 +211,7 @@ def _ip_gcd_subresultant(f, g):
 def _ip_primitive_pos(a):
     if not a:
         return a
-    c = ip_content(a)
+    c = gcd(*a)
     if a[-1] < 0:
         c = -c
     if c != 1:
@@ -249,14 +240,8 @@ def ip_gcd(a, b):
         return ip_neg(b) if b and b[-1] < 0 else (b or IP_ZERO)
     if not b:
         return a if a[-1] > 0 else ip_neg(a)
-    ca, cb = ip_content(a), ip_content(b)
-    c = gcd(ca, cb)
-    a = tuple(x // ca for x in a) if ca != 1 else a
-    b = tuple(x // cb for x in b) if cb != 1 else b
-    if a[-1] < 0:
-        a = ip_neg(a)
-    if b[-1] < 0:
-        b = ip_neg(b)
+    c = gcd(*a, *b)
+    a, b = _ip_primitive_pos(a), _ip_primitive_pos(b)
     va, vb = _ip_valuation(a), _ip_valuation(b)
     v = min(va, vb)
     a, b = _ip_shift_down(a, va), _ip_shift_down(b, vb)
@@ -628,7 +613,7 @@ def reconstruct(sample, first):
                         ip_add(ip_mul_int(num, p), ip_mul(den, (-q * xj, q))),
                         ip_mul_int(num, q),
                     )
-                    g = gcd(ip_content(num), ip_content(den))
+                    g = gcd(*num, *den)
                     num, den = ip_divexact(num, (g,)), ip_divexact(den, (g,))
                 out.append(RatFunc(num, den))
             return out

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import exprs, modes, reference
 from .linalg import NotInSpanError, SpanSolver
 from .scalars import domain as make_domain
-from .walgebra import NF_GEN_WEIGHTS, HWModule, nf_weight
+from .walgebra import NF_GEN_WEIGHTS, HWModule, nf_element_weight
 
 
 @functools.cache
@@ -171,8 +171,7 @@ def descendant_relations(ses, hw, null_elements):
     layer = [((s, NF_GEN_WEIGHTS[s] - 2),) for s in range(4)]
     out = []
     for elem in null_elements:
-        wt = {nf_weight(m) for m in elem}
-        wt = wt.pop()
+        wt = nf_element_weight(elem, ses.domain)
         img = modes.element_mode(mod, elem, wt - 2, {(): 1})
         vec = [Fraction(0)] * 4
         for mono, c in img.items():

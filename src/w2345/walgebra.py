@@ -122,6 +122,20 @@ def nf_weight(mono):
     return sum(NF_GEN_WEIGHTS[g] - t - 1 for g, t in mono)
 
 
+def nf_element_weight(elem, domain):
+    """The weight of a nonzero weight-homogeneous normal-form element; a
+    ValueError naming the element when it is zero or mixes weights."""
+    weights = {nf_weight(m) for m in elem}
+    if len(weights) != 1:
+        from . import exprs
+
+        raise ValueError(
+            f"{exprs.format_nf(elem, domain)} is not a nonzero homogeneous element"
+            f" (weights {sorted(weights)})"
+        )
+    return weights.pop()
+
+
 def nf_parity(mono):
     """Theta eigenvalue (-1)^(q+s) of a normal-form monomial."""
     odd = sum(1 for g, _ in mono if g in (G3, G5))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .modes import decode_state, element_modes, encode
 from .multipoly import MultiPoly
 from .scalars import comb_z
-from .walgebra import GW, NF_GEN_WEIGHTS, nf_weight
+from .walgebra import GW, NF_GEN_WEIGHTS, nf_element_weight, nf_weight
 
 W_VARS = ("w2", "w3", "w4", "w5")
 X_VARS = ("x2", "x3", "x4", "x5")
@@ -77,10 +77,7 @@ class ZhuC2:
 
     def zhu_star(self, u, v):
         """Image of the associative product u * v, computed mode-wise."""
-        wu = {nf_weight(m) for m in u}
-        if len(wu) != 1:
-            raise ValueError("star product needs homogeneous left factor")
-        wu = wu.pop()
+        wu = nf_element_weight(u, self.dom)
         out = MultiPoly.zero(W_VARS)
         for n, term in element_modes(self.walg, u, range(-1, wu), v).items():
             if term:

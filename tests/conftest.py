@@ -3,6 +3,7 @@ import weakref
 import pytest
 from hypothesis import settings
 
+from w2345 import report
 from w2345.modes import element_mode
 from w2345.walgebra import Session
 
@@ -13,10 +14,20 @@ settings.load_profile("w2345")
 
 
 @pytest.fixture(scope="session")
-def gses():
+def report_ctx():
+    """Shared report context without a result cache: its sessions are the
+    ``gses``, ``ses5`` and ``ses6`` fixtures, so the report test reuses
+    what the other tests have built."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("WORKBENCH_CACHE_DIR", raising=False)
+        return report.Context()
+
+
+@pytest.fixture(scope="session")
+def gses(report_ctx):
     """Shared generic-level session; caches the product table, normal-form
     bases and null fields across the whole test run."""
-    return Session()
+    return report_ctx.session()
 
 
 @pytest.fixture(scope="session")
@@ -25,13 +36,13 @@ def ses3():
 
 
 @pytest.fixture(scope="session")
-def ses5():
-    return Session(5)
+def ses5(report_ctx):
+    return report_ctx.session(5)
 
 
 @pytest.fixture(scope="session")
-def ses6():
-    return Session(6)
+def ses6(report_ctx):
+    return report_ctx.session(6)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -86,6 +87,28 @@ def test_report_serialization_deterministic(tmp_path):
     data = json.loads(paths[0][0])
     assert data["schema"] == "v1"
     assert report.exit_code(results) == 1
+
+
+# The bytes of the full report define the workbench's behaviour: they hold
+# every row, the computed-no-reference rows included, which no other test
+# pins.  A changed hash is a change of behaviour; record it in CHANGES.md
+# together with its reason.
+REPORT_SHA256 = {
+    "report.json": "cf91e29d941d5eff16a62fa6978557f3f0d670579502c25d75913d4bc0eb519d",
+    "report.txt": "11b1f7a8bfb83dfa9ab30872bf3635ac38157942acda3c709266f12d9952d583",
+}
+
+
+def test_full_report_bytes_are_pinned(report_ctx, tmp_path):
+    # report_ctx shares its sessions with the gses, ses5 and ses6 fixtures
+    report.serialize(
+        report.run_all(report_ctx), tmp_path / "report.json", tmp_path / "report.txt"
+    )
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in REPORT_SHA256
+    }
+    assert got == REPORT_SHA256
 
 
 def test_cache_resume(tmp_path):

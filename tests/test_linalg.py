@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 import sympy
@@ -260,6 +262,22 @@ def test_int_carrier_clear_is_exact(vals):
     raws, factor = _IntCarrier.clear(vals)
     assert all(type(r) is int for r in raws)
     assert [factor * r for r in raws] == [Fraction(v) for v in vals]
+    # primitive: content 1, or a zero row
+    assert reduce(gcd, raws, 0) == (1 if any(raws) else 0)
+
+
+@given(st.lists(st.integers(-30, 30), max_size=6), st.integers(-6, 6))
+def test_int_carrier_content_reduce(row, f):
+    # a common factor f gives contents above 1
+    row = [f * v for v in row]
+    content = reduce(gcd, row, 0)
+    got, g = _IntCarrier.content_reduce(row)
+    if content <= 1:
+        assert got is row and g == 1
+    else:
+        assert got is not row and g == content
+        assert [g * v for v in got] == row
+        assert reduce(gcd, got, 0) == 1
 
 
 @given(st.lists(st.one_of(ratfunc, rational, st.integers(-9, 9)), max_size=5))

@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from w2345 import reference, report, toplevels
 from w2345.linalg import SpanSolver
-from w2345.walgebra import Session
+from w2345.walgebra import G3, G4, Session
+from w2345.zhu import ZhuC2
 
 
 def test_closed_form_examples():
@@ -212,3 +214,21 @@ def test_descendant_analysis_propagates_other_express_errors(ses6, monkeypatch):
     monkeypatch.setattr(SpanSolver, "express", broken)
     with pytest.raises(ZeroDivisionError):
         toplevels.descendant_analysis(ses6, hw1, [], rows)
+
+
+@pytest.mark.parametrize(
+    "elem, text",
+    [
+        ({}, "0"),
+        ({((G3, -1),): Fraction(1), ((G4, -1),): Fraction(1)}, "W3[-1]|0> + W4[-1]|0>"),
+    ],
+    ids=["zero", "inhomogeneous"],
+)
+def test_descendant_relations_refuse_a_zero_or_inhomogeneous_element(ses6, elem, text):
+    hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
+    message = "^" + re.escape(text) + " is not a nonzero homogeneous element"
+    with pytest.raises(ValueError, match=message):
+        toplevels.descendant_relations(ses6, hw1, [elem])
+    # the Zhu star product shares the check for its left factor
+    with pytest.raises(ValueError, match=message):
+        ZhuC2(ses6).zhu_star(elem, {(): Fraction(1)})
