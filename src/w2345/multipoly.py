@@ -78,7 +78,8 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # the zero polynomial equals 0, so it hashes like 0
+        return hash((self.vars, frozenset(self.terms.items()))) if self.terms else hash(0)
 
     def is_constant(self):
         return all(not any(e) for e in self.terms)

@@ -61,6 +61,12 @@ class CheckResult:
     payload: str
 
 
+def _is_row(r):
+    """A row as ``store`` writes one: string name and payload, known status."""
+    statuses = ("pass", "fail", "computed-no-reference")
+    return isinstance(r.name, str) and isinstance(r.payload, str) and r.status in statuses
+
+
 def _result(name, ok, payload):
     """A report row: ok True/False gives pass/fail, None means no reference."""
     if ok is None:
@@ -104,10 +110,13 @@ class Context:
             return None
         try:
             with open(path) as fh:
-                return [CheckResult(**row) for row in json.load(fh)]
-        except (ValueError, TypeError):
-            print(f"[cache] unreadable entry {key}, recomputing", file=sys.stderr)
-            return None
+                rows = [CheckResult(**row) for row in json.load(fh)]
+        except (OSError, ValueError, TypeError):
+            rows = []
+        if rows and all(_is_row(r) for r in rows):
+            return rows
+        print(f"[cache] unreadable entry {key}, recomputing", file=sys.stderr)
+        return None
 
     def store(self, key, results):
         """Write the entry to a temporary file, then rename it into place, so

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from . import modes, pbw
 from .modes import decode_state, element_modes, encode
+from .walgebra import keep
 from .zhu import ZhuC2
 
 
@@ -18,9 +19,11 @@ class SingularCheckError(AssertionError):
     pass
 
 
+@keep
 def u0_state(ses):
     """f(0)^(k+1) e(-1)^(k+1) |0> at the session level, with the
-    annihilation checks h(n) u0 = 0, 0 <= n <= weight."""
+    annihilation checks h(n) u0 = 0, 0 <= n <= weight; built once per
+    session, callers must not mutate it."""
     k = ses.level
     if k is None or not 2 <= k <= 6:
         raise ValueError("u0 needs a specialized level 2..6")
@@ -40,27 +43,25 @@ def u0_state(ses):
     return st
 
 
+@keep
 def ur_state(ses, r):
-    """u^r = (W3_1)^r u0, built as W3_1 u^(r-1) and kept per session in
-    ``ses.ur_states``, so u^0..u^r cost r applications of W3_1; callers
-    must not mutate it."""
-    kept = ses.ur_states
-    if not kept:
-        kept.append(u0_state(ses))
-    w3 = ses.primaries()[0]
-    while len(kept) <= r:
-        kept.append(modes.element_mode(ses.pbw, w3, 1, kept[-1]))
-    return kept[r]
+    """u^r = (W3_1)^r u0, built as W3_1 u^(r-1) and kept per session, so
+    u^0..u^r cost r applications of W3_1; callers must not mutate it."""
+    if r == 0:
+        return u0_state(ses)
+    return modes.element_mode(ses.pbw, ses.primaries()[0], 1, ur_state(ses, r - 1))
 
 
 def ur_normal_form(ses, r):
     """Normal form of u^r at weight k+1+r, in its theta sector
     (-1)^(k+1+r): u0 has parity (-1)^(k+1) and W3 is odd.  Computed once
-    per session, in ``ses.ur_normal_forms``; each call returns a copy."""
-    kept = ses.ur_normal_forms
-    if r not in kept:
-        kept[r] = ses.express(ur_state(ses, r), (-1) ** (ses.level + 1 + r))
-    return dict(kept[r])
+    per session; each call returns a copy."""
+    return dict(_ur_normal_form(ses, r))
+
+
+@keep
+def _ur_normal_form(ses, r):
+    return ses.express(ur_state(ses, r), (-1) ** (ses.level + 1 + r))
 
 
 def theta_parity_u0(ses):

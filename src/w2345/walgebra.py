@@ -85,6 +85,8 @@ and cleared again.
 
 from __future__ import annotations
 
+import functools
+
 from . import modes, pbw
 from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
 from .modes import NormalOrdering, add_into, as_target, decode, element_modes, encode, raw_modes
@@ -218,71 +220,73 @@ class _NFBasis:
         self.relations = relations  # eliminated word -> its null relation, 1 on it
 
 
+def keep(build):
+    """Keep build(ses, *args) in ``ses.kept``, the one table of a session's
+    results: ``ses.kept[build name][args]``, built on first use.  A build
+    that raises keeps nothing, so the next call builds again."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def kept(ses, *args):
+        table = ses.kept.setdefault(name, {})
+        if args not in table:
+            table[args] = build(ses, *args)
+        return table[args]
+
+    return kept
+
+
 class Session:
-    """One computation session: fixed scalar mode plus all caches."""
+    """One computation session: fixed scalar mode plus its kept results."""
 
     def __init__(self, level=None):
         self.domain = make_domain(level)
         self.level = level
         self.pbw = pbw.PBWAlgebra(self.domain)
-        self._gen_states = None
-        self._conformal = None
-        self._certified = False  # theta and the commutant, on the generators
-        self._gen_words = {}  # generator id -> (raws, factor, raising words)
-        self._commutant = {}  # weight -> basis of the commutant weight space
-        self._nf_expansions = {}  # normal-form monomial -> pair of its image
-        self._nf_bases = {}  # (weight, parity) -> _NFBasis of that theta sector
-        self._sc_table = None
-        self._walg = None
-        self.ur_states = []  # u^0, u^1, ...: kept by singular
-        self.ur_normal_forms = {}  # r -> normal form of u^r, kept by singular
+        self.kept = {}  # builder name -> {argument tuple: result}, see keep
 
     # -- generators ----------------------------------------------------------
 
+    @keep
     def conformal(self):
         """(omega_aff, omega_gamma, omega) as PBW states."""
-        if self._conformal is None:
-            dom = self.domain
-            k = dom.k
-            c_aff = dom.one / (2 * (k + 2))
-            w_aff = {
-                ((pbw.H, -2),): -c_aff,
-                ((pbw.H, -1), (pbw.H, -1)): c_aff / 2,
-                ((pbw.E, -1), (pbw.F, -1)): 2 * c_aff,
-            }
-            w_gam = {((pbw.H, -1), (pbw.H, -1)): dom.one / (4 * k)}
-            omega = dict(w_aff)
-            add_into(omega, w_gam, -1)
-            self._conformal = (w_aff, w_gam, omega)
-        return self._conformal
+        dom = self.domain
+        k = dom.k
+        c_aff = dom.one / (2 * (k + 2))
+        w_aff = {
+            ((pbw.H, -2),): -c_aff,
+            ((pbw.H, -1), (pbw.H, -1)): c_aff / 2,
+            ((pbw.E, -1), (pbw.F, -1)): 2 * c_aff,
+        }
+        w_gam = {((pbw.H, -1), (pbw.H, -1)): dom.one / (4 * k)}
+        omega = dict(w_aff)
+        add_into(omega, w_gam, -1)
+        return w_aff, w_gam, omega
+
+    @keep
+    def generators(self):
+        """(omega, W3, W4, W5) as PBW states, indexed by generator id."""
+        from . import reference
+
+        texts = (reference.W3_TEXT, reference.W4_TEXT, reference.W5_TEXT)
+        return (self.conformal()[2], *(pbw.parse_state(t, self.domain) for t in texts))
 
     def primaries(self):
         """The weight 3, 4, 5 primary generators as PBW states."""
-        if self._gen_states is None:
-            from . import reference
-
-            dom = self.domain
-            w3 = pbw.parse_state(reference.W3_TEXT, dom)
-            w4 = pbw.parse_state(reference.W4_TEXT, dom)
-            w5 = pbw.parse_state(reference.W5_TEXT, dom)
-            self._gen_states = (self.conformal()[2], w3, w4, w5)
-        return self._gen_states[1:]
+        return self.generators()[1:]
 
     def generator_state(self, g):
         """PBW state of generator id (0=omega, 1..3 = W3..W5)."""
-        self.primaries()
-        return self._gen_states[g]
+        return self.generators()[g]
 
     # -- commutant -----------------------------------------------------------
 
     def commutant_weight_space(self, d):
         """Basis of {v of weight d : h(m) v = 0 for m >= 0}, built once per
         session; callers must not mutate its states."""
-        basis = self._commutant.get(d)
-        if basis is None:
-            basis = self._commutant[d] = self._commutant_basis(d)
-        return list(basis)
+        return list(self._commutant_basis(d))
 
+    @keep
     def _commutant_basis(self, d):
         monos = pbw.enumerate_monomials(d, h0=0)
         cols = [
@@ -334,6 +338,7 @@ class Session:
 
     # -- normal form ---------------------------------------------------------
 
+    @keep
     def nf_expand(self, mono):
         """The image pi(E(mono)) in V / I of the PBW expansion E(mono) of a
         normal-form monomial, as its clear_vector pair (raws, factor),
@@ -344,21 +349,16 @@ class Session:
         h-led monomials of the result dropped (``pbw.h_free``), and kept so.
         An engine-level value, like clear_vector's; callers must not mutate
         it.  nf_expand_element gives the image in domain scalars."""
-        pair = self._nf_expansions.get(mono)
-        if pair is None:
-            car = carrier_for(self.domain)
-            if mono:
-                self._certify_generators()
-                g, t = mono[0]
-                _, f_gen, raising = self._generator_words(g)
-                tail, f_tail = self.nf_expand(mono[1:])
-                out = pbw.h_free(raw_modes(self.pbw, raising, (t,), as_target(self.pbw, tail))[t])
-                raws, content = car.content_reduce(list(out.values()))
-                pair = dict(zip(out, raws)), f_gen * f_tail * car.ratio(content)
-            else:
-                pair = {(): car.one}, self.domain.one
-            self._nf_expansions[mono] = pair
-        return pair
+        car = carrier_for(self.domain)
+        if not mono:
+            return {(): car.one}, self.domain.one
+        self._certify_generators()
+        g, t = mono[0]
+        _, f_gen, raising = self._generator_words(g)
+        tail, f_tail = self.nf_expand(mono[1:])
+        out = pbw.h_free(raw_modes(self.pbw, raising, (t,), as_target(self.pbw, tail))[t])
+        raws, content = car.content_reduce(list(out.values()))
+        return dict(zip(out, raws)), f_gen * f_tail * car.ratio(content)
 
     def nf_expand_element(self, elem):
         """The image in V / I of the PBW expansion of a normal-form element,
@@ -367,17 +367,15 @@ class Session:
         expansion is, since that is a commutant state."""
         return exact_sum(self.domain, [(c, self.nf_expand(m)) for m, c in elem.items()])
 
+    @keep
     def _generator_words(self, g):
         """(raws, factor, raising) of generator g, kept per session: the
         clear_vector pair of its state, and the raws of its words with an e
         or f factor, the only words whose raising modes leave I (lemma (A))."""
-        kept = self._gen_words.get(g)
-        if kept is None:
-            raws, factor = clear_vector(self.domain, self.generator_state(g))
-            raising = {w: c for w, c in raws.items() if any(a != pbw.H for a, _ in w)}
-            kept = self._gen_words[g] = raws, factor, raising
-        return kept
+        raws, factor = clear_vector(self.domain, self.generator_state(g))
+        return raws, factor, {w: c for w, c in raws.items() if any(a != pbw.H for a, _ in w)}
 
+    @keep
     def _certify_generators(self):
         """Check exactly, once per session, that theta maps each generator
         state to ``nf_parity`` times itself and that h(j) annihilates it for
@@ -387,8 +385,6 @@ class Session:
         The generators lie in the Heisenberg commutant, so every expansion
         and every product does, and the images decide their relations (see
         the module docstring)."""
-        if self._certified:
-            return
         for g in range(len(NF_GEN_WEIGHTS)):
             st = self.generator_state(g)
             flipped = pbw.canonical(self.domain, pbw.theta(self.pbw, st))
@@ -397,14 +393,11 @@ class Session:
             j = pbw.commutant_defect(self.pbw, st)
             if j is not None:
                 raise AssertionError(f"h({j}) does not annihilate generator {g}")
-        self._certified = True
 
+    @keep
     def _nf_basis(self, d, parity):
         """The normal-form basis of the theta sector ``parity`` (+1 or -1)
         at weight d, built on first use."""
-        nb = self._nf_bases.get((d, parity))
-        if nb is not None:
-            return nb
         self._certify_generators()
         monos = [m for m in enumerate_nf(d) if nf_parity(m) == parity]
         fixed = [m for m in ELIMINATED.get(d, ()) if nf_parity(m) == parity]
@@ -434,9 +427,7 @@ class Session:
                 **{words[j]: c / lam for j, c in rel.items() if j != i},
             }
         idx2mono = {i: m for i, m in enumerate(words) if i not in rels}
-        nb = _NFBasis(monos, solver, idx2mono, relations)
-        self._nf_bases[(d, parity)] = nb
-        return nb
+        return _NFBasis(monos, solver, idx2mono, relations)
 
     def express(self, state, parity):
         """Coordinates of a PBW state over the normal-form basis of its
@@ -491,15 +482,14 @@ class Session:
             for key, factor, raws, d, parity in images
         }
 
+    @keep
     def structure_constants(self):
         """The product table W^x_n W^y over generator ids x <= y, omega
         included, keyed (x, y, n); built once, one column y at a time."""
-        if self._sc_table is None:
-            table = {}
-            for y in range(len(NF_GEN_WEIGHTS)):
-                table.update(self._column(y, range(y + 1)))
-            self._sc_table = table
-        return self._sc_table
+        table = {}
+        for y in range(len(NF_GEN_WEIGHTS)):
+            table.update(self._column(y, range(y + 1)))
+        return table
 
     def ope_table(self):
         """All products W^i_n W^j, 3 <= i <= j <= 5, 0 <= n <= i+j-1: the
@@ -514,11 +504,10 @@ class Session:
         """{n: W^i_n W^j over the normal-form basis} for 0 <= n <= i+j-1."""
         return {n: elem for (_, _, n), elem in self._column(j - 2, (i - 2,)).items()}
 
+    @keep
     def walg(self):
         """The abstract algebra on normal-form words."""
-        if self._walg is None:
-            self._walg = WAlgebra(self.domain, self.structure_constants())
-        return self._walg
+        return WAlgebra(self.domain, self.structure_constants())
 
     # -- null fields -----------------------------------------------------------
 

@@ -170,12 +170,26 @@ def test_source_digest_follows_every_source_file(tmp_path):
     assert len(seen) == 3
 
 
+CORRUPT_ENTRIES = (
+    "{not json",
+    '[{"name": "x"}]',
+    '"rows"',
+    "[1, 2]",
+    # [] would replay as zero rows: the check would vanish from the report
+    "[]",
+    '[{"name": "x", "status": "skipped", "payload": "ran"}]',
+    '[{"name": "x", "status": "pass", "payload": 1}]',
+    '[{"name": ["x"], "status": "pass", "payload": "ran"}]',
+    '[{"name": "x", "status": "pass", "payload": "ran"}, {"name": "y", "status": null, "payload": ""}]',
+)
+
+
 def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
     calls = []
     fn = _counting_check(calls)
     ctx = report.Context(cache_dir=str(tmp_path), resume=True)
     report._run(ctx, "unit-test-key", fn)
-    for garbage in ("{not json", '[{"name": "x"}]', '"rows"', "[1, 2]"):
+    for garbage in CORRUPT_ENTRIES:
         with open(ctx._cache_path("unit-test-key"), "w") as fh:
             fh.write(garbage)
         capsys.readouterr()
@@ -184,10 +198,26 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys):
         assert "[cache] unreadable entry unit-test-key, recomputing" in err
         assert "[resume]" not in err
         assert [r.payload for r in rows] == ["ran"]
-    assert len(calls) == 5
+    assert len(calls) == 1 + len(CORRUPT_ENTRIES)
     # the recomputed rows were stored again and now replay
     report._run(ctx, "unit-test-key", fn)
-    assert len(calls) == 5
+    assert len(calls) == 1 + len(CORRUPT_ENTRIES)
+
+
+def test_an_entry_that_cannot_be_read_is_a_miss(tmp_path, monkeypatch, capsys):
+    # a directory in place of the stored toplevels(level=2) entry
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    d = str(tmp_path)
+    rows = report.check_toplevels(report.Context(cache_dir=d), 2)
+    ctx = report.Context(cache_dir=d, resume=True)
+    key = report.check_toplevels.key(2)
+    path = ctx._cache_path(key)
+    assert [r.name for r in ctx.cached(key)] == [r.name for r in rows]
+    os.remove(path)
+    os.mkdir(path)
+    capsys.readouterr()
+    assert ctx.cached(key) is None
+    assert f"[cache] unreadable entry {key}, recomputing" in capsys.readouterr().err
 
 
 def test_report_plan_cache_keys_distinct():

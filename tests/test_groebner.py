@@ -32,6 +32,15 @@ def poly(text, vars=VARS):
     return exprs.parse_multipoly(text, vars, QQ).map_coeffs(Fraction)
 
 
+def test_the_zero_polynomial_hashes_like_0():
+    # equal objects hash alike: a zero polynomial is one key with 0
+    p = poly("w2 - w3")
+    for zero in (MultiPoly.zero(VARS), MultiPoly(VARS), p - p):
+        assert zero == 0 and hash(zero) == hash(0)
+        assert len({zero, 0}) == 1 and {0: "zero"}[zero] == "zero"
+    assert len({p, 0}) == 2 and hash(p) == hash(poly("w2 - w3"))
+
+
 def test_trivial_basis():
     gb = buchberger([poly("w2"), poly("w3")], lex_order(("w5", "w4", "w3", "w2")))
     assert [p.format() for p in gb.elements] == ["w2", "w3"]

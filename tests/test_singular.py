@@ -131,21 +131,53 @@ def test_p1_contains_spot_term(ses5):
 def test_ur_normal_forms_are_computed_once_per_session(monkeypatch):
     from w2345 import report
 
+    # each build of a normal form solves one state u^r, of weight 6 + r
     computed = []
-    state = singular.ur_state
-    monkeypatch.setattr(
-        singular, "ur_state", lambda ses, r: computed.append((id(ses), r)) or state(ses, r)
-    )
+    express = walgebra.Session.express
+
+    def counted(ses, state, parity):
+        computed.append((id(ses), pbw.weight(state)))
+        return express(ses, state, parity)
+
+    monkeypatch.setattr(walgebra.Session, "express", counted)
     ctx = report.Context()
     rows = report.check_singular(ctx, 5) + report.check_p_a_polynomials(ctx, 5)
     assert all(r.status == "pass" for r in rows)
     ses = ctx.session(5)
-    assert computed == [(id(ses), r) for r in range(4)]
+    assert computed == [(id(ses), 6 + r) for r in range(4)]
     # each call returns a copy: mutating one leaves the kept normal form
     nf = singular.ur_normal_form(ses, 0)
     nf.clear()
     assert singular.ur_normal_form(ses, 0) == exprs.parse_nf(reference.U0_K5_TEXT, ses.domain)
     assert len(computed) == 4
+
+
+def test_check_singular_builds_u0_once_per_level(monkeypatch):
+    # the theta parity, the degenerate identity, the ideal span and u^0 all
+    # read the session's one u0: 5 builds for k = 2..6, not 12
+    from w2345 import report
+
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    built = []
+    decode_state = singular.decode_state  # called once per build of u0
+
+    def counted(st):
+        out = decode_state(st)
+        built.append(pbw.weight(out))
+        return out
+
+    monkeypatch.setattr(singular, "decode_state", counted)
+    ctx = report.Context()
+    for k in range(2, 7):
+        rows = report.check_singular(ctx, k, rmax=0)
+        assert all(r.status == "pass" for r in rows), k
+    assert built == [3, 4, 5, 6, 7]
+    # a level without u0 keeps nothing and raises again
+    ses = walgebra.Session()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            singular.u0_state(ses)
+    assert not ses.kept.get("u0_state")
 
 
 def test_ideal_membership_degenerate():

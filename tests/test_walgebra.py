@@ -156,16 +156,16 @@ def test_a_wrong_parity_generator_term_fails_the_theta_certificate(g):
     flipped = pbw.canonical(dom, pbw.theta(ses.pbw, {term: dom.one}))
     assert flipped == {term: -parity * dom.one}
     _plant_generator_term(ses, g, term)
-    with pytest.raises(AssertionError, match=f"theta does not act on generator {g}"):
-        ses.nf_dimensions(2)
-    assert not ses._nf_bases
+    for _ in range(2):  # a failed certificate is kept nowhere: checked again
+        with pytest.raises(AssertionError, match=f"theta does not act on generator {g}"):
+            ses.nf_dimensions(2)
+    assert not ses.kept["_certify_generators"] and not ses.kept.get("_nf_basis")
 
 
 def _plant_generator_term(ses, g, term):
-    ses.primaries()
-    states = [dict(st) for st in ses._gen_states]
+    states = [dict(st) for st in ses.generators()]
     pbw.add_into(states[g], {term: ses.domain.one})
-    ses._gen_states = tuple(states)
+    ses.kept["generators"][()] = tuple(states)
 
 
 @pytest.mark.parametrize("g", range(4))
@@ -179,9 +179,10 @@ def test_a_theta_correct_h_led_generator_term_fails_the_commutant_certificate(g)
     assert pbw.canonical(dom, pbw.theta(ses.pbw, {term: dom.one})) == {term: parity * dom.one}
     assert not pbw.h_free({term: dom.one})
     _plant_generator_term(ses, g, term)
-    with pytest.raises(AssertionError, match=f"does not annihilate generator {g}"):
-        ses.nf_dimensions(2)
-    assert not ses._nf_bases
+    for _ in range(2):  # a failed certificate is kept nowhere: checked again
+        with pytest.raises(AssertionError, match=f"does not annihilate generator {g}"):
+            ses.nf_dimensions(2)
+    assert not ses.kept["_certify_generators"] and not ses.kept.get("_nf_basis")
 
 
 @pytest.mark.parametrize("name", ["ses7", "gses"])
@@ -222,8 +223,8 @@ def test_the_level5_product_table_builds_no_odd_weight9_sector():
     # weight-9 product, W5_0 W5, is even
     ses = Session(5)
     ses.ope_table()
-    assert (9, 1) in ses._nf_bases
-    assert (9, -1) not in ses._nf_bases
+    assert (9, 1) in ses.kept["_nf_basis"]
+    assert (9, -1) not in ses.kept["_nf_basis"]
 
 
 def test_ope_spot_entries(gses):
@@ -427,7 +428,7 @@ def test_a_planted_raw_fails_the_generic_weight8_build():
     word = walgebra.ELIMINATED[8][0]
     raws, factor = ses.nf_expand(word)
     mono = next(iter(raws))
-    ses._nf_expansions[word] = ({**raws, mono: raws[mono] + 1}, factor)
+    ses.kept["nf_expand"][(word,)] = ({**raws, mono: raws[mono] + 1}, factor)
     with pytest.raises((ReconstructionError, AssertionError)) as err:
         ses.null_fields(8)
     assert err.type is ReconstructionError or "is independent" in str(err.value)
@@ -598,7 +599,7 @@ def test_products_certify_the_generators_before_any_word_acts(g, monkeypatch):
     monkeypatch.setattr(modes, "word_apply", lambda *args: calls.append(args))
     with pytest.raises(AssertionError, match=f"does not annihilate generator {g}"):
         ses.structure_constants()
-    assert not calls and not ses._nf_bases
+    assert not calls and not ses.kept.get("_nf_basis")
 
 
 def _watch_generator_targets(ses, monkeypatch):
@@ -612,7 +613,7 @@ def _watch_generator_targets(ses, monkeypatch):
     as_target = walgebra.as_target
 
     def watched(alg, state):
-        if not any(state is kept[0] for kept in ses._gen_words.values()):
+        if not any(state is kept[0] for kept in ses.kept.get("_generator_words", {}).values()):
             return as_target(alg, state)
         target = Watched(alg, {encode(m): c for m, c in state.items()})
         made.append(weakref.ref(target))
@@ -676,17 +677,64 @@ def test_the_ope_table_is_the_primary_slice_of_the_one_product_table(monkeypatch
 
 def test_commutant_weight_spaces_are_built_once_per_session(monkeypatch):
     # check_commutant asks for d = 1, 3, 4, 5, and find_primary again for
-    # d = 3, 4, 5
+    # d = 3, 4, 5; each build of a basis enumerates its monomials once
     from w2345 import report
 
     built = []
-    basis = Session._commutant_basis
-    monkeypatch.setattr(
-        Session, "_commutant_basis", lambda self, d: built.append(d) or basis(self, d)
-    )
-    rows = report.check_commutant(report.Context())
+    enumerate_monomials = pbw.enumerate_monomials
+
+    def counted(d, h0=None):
+        built.append(d)
+        return enumerate_monomials(d, h0)
+
+    monkeypatch.setattr(pbw, "enumerate_monomials", counted)
+    ctx = report.Context()
+    rows = report.check_commutant(ctx)
     assert all(r.status == "pass" for r in rows)
     assert sorted(built) == [1, 3, 4, 5]
+    ses = ctx.session()
+    assert sorted(ses.kept["_commutant_basis"]) == [(1,), (3,), (4,), (5,)]
+    # each call returns a new list of the kept states
+    ses.commutant_weight_space(3).clear()
+    assert len(ses.commutant_weight_space(3)) == 2 and len(built) == 4
+
+
+def test_keep_builds_once_per_argument_tuple_and_session():
+    calls = []
+
+    @walgebra.keep
+    def square(ses, n):
+        calls.append((ses, n))
+        if n < 0:
+            raise ValueError("negative")
+        return n * n
+
+    a, b = Session(5), Session(5)
+    assert [square(a, 2), square(a, 2), square(a, 3), square(b, 2)] == [4, 4, 9, 4]
+    assert calls == [(a, 2), (a, 3), (b, 2)]
+    assert a.kept["square"] == {(2,): 4, (3,): 9}
+    assert b.kept["square"] == {(2,): 4}
+    # a build that raises keeps nothing: the next call builds again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative"):
+            square(a, -1)
+    assert calls[3:] == [(a, -1), (a, -1)]
+    assert a.kept["square"] == {(2,): 4, (3,): 9}
+
+
+def test_kept_methods_live_in_their_session_only():
+    # one table per session: results are shared by nobody else, and a
+    # session that is let go of is freed with everything it kept
+    a, b = Session(5), Session(5)
+    assert a.generators() is a.generators()
+    assert a.generators() is not b.generators() and a.generators() == b.generators()
+    assert a.generator_state(2) is a.primaries()[1] is a.generators()[2]
+    a.nf_dimensions(4)
+    assert {"conformal", "generators", "_certify_generators", "nf_expand", "_nf_basis"} <= set(a.kept)
+    assert set(b.kept) == {"conformal", "generators"}
+    ref = weakref.ref(a)
+    del a
+    assert ref() is None
 
 
 def _table_action_cases():
