@@ -191,13 +191,3 @@ def enumerate_monomials(d, h0=None):
     words = enumerate_words((1, 1, 1), d)
     return words if h0 is None else [m for m in words if mono_h0(m) == h0]
 
-
-# ---------------------------------------------------------------------------
-# text forms
-# ---------------------------------------------------------------------------
-
-
-def parse_state(text, domain):
-    from . import exprs
-
-    return exprs.parse_pbw(text, domain)

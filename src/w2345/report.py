@@ -37,7 +37,7 @@ from .groebner import (
 )
 from .multipoly import MultiPoly
 from .scalars import domain as make_domain, ip_gcd
-from .walgebra import G3, G4, Session
+from .walgebra import G3, G4, Session, keep
 
 SCHEMA_VERSION = "v1"
 
@@ -75,28 +75,26 @@ def _result(name, ok, payload):
 
 
 class Context:
-    """Shared sessions, lex ideal bases and an optional result cache keyed
-    by the source digest, check name and arguments."""
+    """Shared sessions and lex ideal bases, kept in ``kept`` like a
+    session's results, and an optional result cache keyed by the source
+    digest, check name and arguments."""
 
     def __init__(self, cache_dir=None, resume=False):
-        self._sessions = {}
-        self._lex_bases = {}
+        self.kept = {}  # builder name -> {argument tuple: result}, see keep
         self.cache_dir = cache_dir or os.environ.get("WORKBENCH_CACHE_DIR") or None
         self.resume = resume and self.cache_dir is not None
 
-    def session(self, level=None):
-        if level not in self._sessions:
-            self._sessions[level] = Session(level)
-        return self._sessions[level]
+    @keep
+    def session(self, level):
+        """The session at ``level`` (None for generic k), one per context."""
+        return Session(level)
 
+    @keep
     def lex_basis(self, level, which):
         """(generators, lex Groebner basis) of the level ideal P or A, built
         once per context (w5 > w4 > w3 > w2)."""
-        if (level, which) not in self._lex_bases:
-            gens = _ideal_generators(self, level, which)
-            gb = buchberger(gens, lex_order(tuple(reversed(gens[0].vars))))
-            self._lex_bases[(level, which)] = gens, gb
-        return self._lex_bases[(level, which)]
+        gens = _ideal_generators(self, level, which)
+        return gens, buchberger(gens, lex_order(tuple(reversed(gens[0].vars))))
 
     def _cache_path(self, key):
         h = hashlib.sha256((source_digest() + "|" + key).encode()).hexdigest()[:24]
@@ -120,12 +118,15 @@ class Context:
 
     def store(self, key, results):
         """Write the entry to a temporary file, then rename it into place, so
-        an interrupted write never leaves a truncated entry behind."""
+        an interrupted write never leaves a truncated entry behind.  An entry
+        that cannot be written (say a directory sits at its path) is skipped
+        with a warning; the temporary file goes either way."""
         if self.cache_dir is None:
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
                 json.dump(
                     [
@@ -135,9 +136,12 @@ class Context:
                     fh,
                 )
             os.replace(tmp, self._cache_path(key))
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            tmp = None
+        except OSError as e:
+            print(f"[cache] cannot store entry {key}: {e}", file=sys.stderr)
+        finally:
+            if tmp is not None:
+                os.unlink(tmp)
 
 
 def _run(ctx, key, fn):
@@ -391,7 +395,7 @@ def check_singular(ctx, level, rmax=3):
         if text is not None:
             want = exprs.parse_nf(text, dom)
             ok = nf == want
-        payload = "normal form differs" if ok is False else ses.format_nf(nf)
+        payload = "normal form differs" if ok is False else exprs.format_nf(nf, dom)
         out.append(_result(f"u{r}_k{level}", ok, payload))
     return out
 

@@ -10,6 +10,7 @@ analysis.
 from __future__ import annotations
 
 from . import modes, pbw
+from .linalg import SpanSolver
 from .modes import decode_state, element_modes, encode
 from .walgebra import keep
 from .zhu import ZhuC2
@@ -121,8 +122,6 @@ def ideal_span_membership(ses, targets):
 
     Mode application is linear, so only independent representatives need
     their images explored."""
-    from .linalg import SpanSolver
-
     gens = [ses.conformal()[2], *ses.primaries()]
     solvers = {d: SpanSolver(ses.domain) for d in range(1, 6)}
     u0 = u0_state(ses)

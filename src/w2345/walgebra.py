@@ -87,7 +87,7 @@ from __future__ import annotations
 
 import functools
 
-from . import modes, pbw
+from . import exprs, modes, pbw, reference
 from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
 from .modes import NormalOrdering, add_into, as_target, decode, element_modes, encode, raw_modes
 from .scalars import comb_z, domain as make_domain
@@ -129,8 +129,6 @@ def nf_element_weight(elem, domain):
     ValueError naming the element when it is zero or mixes weights."""
     weights = {nf_weight(m) for m in elem}
     if len(weights) != 1:
-        from . import exprs
-
         raise ValueError(
             f"{exprs.format_nf(elem, domain)} is not a nonzero homogeneous element"
             f" (weights {sorted(weights)})"
@@ -221,16 +219,17 @@ class _NFBasis:
 
 
 def keep(build):
-    """Keep build(ses, *args) in ``ses.kept``, the one table of a session's
-    results: ``ses.kept[build name][args]``, built on first use.  A build
-    that raises keeps nothing, so the next call builds again."""
+    """Keep build(owner, *args) in ``owner.kept``, the one table of the
+    results of its owner, a session or a report context:
+    ``owner.kept[build name][args]``, built on first use.  A build that
+    raises keeps nothing, so the next call builds again."""
     name = build.__name__
 
     @functools.wraps(build)
-    def kept(ses, *args):
-        table = ses.kept.setdefault(name, {})
+    def kept(owner, *args):
+        table = owner.kept.setdefault(name, {})
         if args not in table:
-            table[args] = build(ses, *args)
+            table[args] = build(owner, *args)
         return table[args]
 
     return kept
@@ -266,10 +265,8 @@ class Session:
     @keep
     def generators(self):
         """(omega, W3, W4, W5) as PBW states, indexed by generator id."""
-        from . import reference
-
         texts = (reference.W3_TEXT, reference.W4_TEXT, reference.W5_TEXT)
-        return (self.conformal()[2], *(pbw.parse_state(t, self.domain) for t in texts))
+        return (self.conformal()[2], *(exprs.parse_pbw(t, self.domain) for t in texts))
 
     def primaries(self):
         """The weight 3, 4, 5 primary generators as PBW states."""
@@ -537,10 +534,3 @@ class Session:
         if rel is None:
             raise KeyError(f"no null field anchored at {mono}")
         return rel
-
-    # -- text ------------------------------------------------------------------
-
-    def format_nf(self, elem):
-        from . import exprs
-
-        return exprs.format_nf(elem, self.domain)

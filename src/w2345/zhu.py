@@ -19,10 +19,11 @@ word containing a mode below -1 and reads off the -1 modes.
 
 from __future__ import annotations
 
+from . import exprs, reference
 from .modes import decode_state, element_modes, encode
 from .multipoly import MultiPoly
 from .scalars import comb_z
-from .walgebra import GW, NF_GEN_WEIGHTS, nf_element_weight, nf_weight
+from .walgebra import G3, G4, GW, NF_GEN_WEIGHTS, nf_element_weight, nf_weight
 
 W_VARS = ("w2", "w3", "w4", "w5")
 X_VARS = ("x2", "x3", "x4", "x5")
@@ -33,7 +34,8 @@ class ZhuC2:
         self.ses = session
         self.dom = session.domain
         self.walg = session.walg()
-        self._memo = {}
+        # word -> image, shared by every reducer of the session
+        self._memo = session.kept.setdefault("reduce_word", {})
 
     # -- associative quotient -------------------------------------------------
 
@@ -106,8 +108,6 @@ class ZhuC2:
     def _null_scale(self):
         """The multiple relating the printed displays to the unit-normalized
         weight-8 null field: minus the recorded B0 scale."""
-        from . import reference
-
         return -self.dom.parse(reference.B0_SCALE_TEXT)
 
     def _null_scale_9(self):
@@ -118,8 +118,6 @@ class ZhuC2:
     def q_polynomials(self):
         """Kernel polynomials from the weight-8 and weight-9 null fields,
         scaled as printed."""
-        from .walgebra import G3, G4
-
         v0 = self.ses.null_field_for(((G3, -2), (G3, -2)))
         v1 = self.ses.null_field_for(((G3, -1), (G4, -3)))
         return self.zhu_reduce(v0) * self._null_scale(), self.zhu_reduce(v1) * self._null_scale_9()
@@ -130,9 +128,6 @@ class ZhuC2:
         B0 carries the printed scale, B1 the weight-9 scale with the sign
         fixed by the display, and B2 is matched projectively with the scalar
         returned alongside."""
-        from . import exprs, reference
-        from .walgebra import G3, G4
-
         v0 = self.ses.null_field_for(((G3, -2), (G3, -2)))
         v1 = self.ses.null_field_for(((G3, -1), (G4, -3)))
         v2 = self.ses.null_field_for(((G3, -3), (G3, -3)))

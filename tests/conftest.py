@@ -27,7 +27,7 @@ def report_ctx():
 def gses(report_ctx):
     """Shared generic-level session; caches the product table, normal-form
     bases and null fields across the whole test run."""
-    return report_ctx.session()
+    return report_ctx.session(None)
 
 
 @pytest.fixture(scope="session")

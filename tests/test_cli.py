@@ -218,6 +218,14 @@ def test_an_entry_that_cannot_be_read_is_a_miss(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert ctx.cached(key) is None
     assert f"[cache] unreadable entry {key}, recomputing" in capsys.readouterr().err
+    # the resumed check recomputes its rows, cannot store them over the
+    # directory, warns and leaves the directory alone
+    again = report.check_toplevels(ctx, 2)
+    assert f"[cache] cannot store entry {key}: " in capsys.readouterr().err
+    assert [(r.name, r.status, r.payload) for r in again] == [
+        (r.name, r.status, r.payload) for r in rows
+    ]
+    assert os.listdir(d) == [os.path.basename(path)] and os.path.isdir(path)
 
 
 def test_report_plan_cache_keys_distinct():
@@ -257,8 +265,10 @@ def test_torn_cache_write_leaves_no_entry(tmp_path, monkeypatch, capsys):
 
     with monkeypatch.context() as m:
         m.setattr(report.json, "dump", torn_dump)
-        with pytest.raises(OSError):
-            report.check_toplevels(report.Context(cache_dir=d), 2)
+        rows = report.check_toplevels(report.Context(cache_dir=d), 2)
+    key = report.check_toplevels.key(2)
+    assert f"[cache] cannot store entry {key}: disk full" in capsys.readouterr().err
+    assert [r.status for r in rows] == ["pass"] * 3
     assert os.listdir(d) == []
     capsys.readouterr()
     rows = report.check_toplevels(report.Context(cache_dir=d, resume=True), 2)
@@ -291,6 +301,26 @@ def test_groebner_and_variety_share_one_lex_basis(monkeypatch):
     report.check_groebner(ctx, 5, "P")
     report.check_variety(ctx, 5)
     assert len(calls) == 1
+
+
+def test_a_context_keeps_one_session_per_level_and_no_failed_basis(monkeypatch):
+    ctx = report.Context()
+    assert ctx.session(5) is ctx.session(5) and ctx.session(None) is ctx.session(None)
+    assert ctx.session(5) is not ctx.session(6)
+    assert sorted(ctx.kept["session"], key=repr) == [(5,), (6,), (None,)]
+    _stub_level_ideal(monkeypatch)
+    stub = report._ideal_generators
+
+    def failing(ctx, level, which):
+        raise ValueError("no generators")
+
+    monkeypatch.setattr(report, "_ideal_generators", failing)
+    with pytest.raises(ValueError):
+        ctx.lex_basis(5, "P")
+    assert ctx.kept["lex_basis"] == {}
+    monkeypatch.setattr(report, "_ideal_generators", stub)
+    assert ctx.lex_basis(5, "P") is ctx.lex_basis(5, "P")
+    assert list(ctx.kept["lex_basis"]) == [(5, "P")]
 
 
 def test_groebner_and_variety_build_each_staircase_once(monkeypatch):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from w2345 import pbw
-from w2345.exprs import format_pbw
+from w2345.exprs import format_pbw, parse_pbw
 from w2345.modes import decode_state, encode
 from w2345.pbw import E, F, H
 from w2345.scalars import domain
@@ -13,7 +13,7 @@ GEN = domain()
 
 
 def parse(text, dom=GEN):
-    return pbw.parse_state(text, dom)
+    return parse_pbw(text, dom)
 
 
 def test_generator_action_examples(gses):
@@ -167,7 +167,7 @@ def test_parse_print_round_trip(gses):
     ]
     for t in texts:
         st = parse(t)
-        again = pbw.parse_state(format_pbw(st, d), d)
+        again = parse_pbw(format_pbw(st, d), d)
         assert again == st
 
 

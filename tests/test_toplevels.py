@@ -173,7 +173,7 @@ def test_f_matrix_fails_on_a_relation_span_larger_than_the_kernel(ses6, monkeypa
 
     monkeypatch.setattr(toplevels, "descendant_relations", planted)
     ctx = report.Context()
-    ctx._sessions[6] = ses6
+    ctx.kept["session"] = {(6,): ses6}
     hw1 = tuple(Fraction(x) for x in reference.F_K6_HW_1)
     rows = [[Fraction(x) for x in row] for row in reference.F_K6_ROWS]
     res = toplevels.descendant_analysis(ses6, hw1, report._k6_null_elements(ctx), rows)

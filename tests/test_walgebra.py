@@ -692,7 +692,7 @@ def test_commutant_weight_spaces_are_built_once_per_session(monkeypatch):
     rows = report.check_commutant(ctx)
     assert all(r.status == "pass" for r in rows)
     assert sorted(built) == [1, 3, 4, 5]
-    ses = ctx.session()
+    ses = ctx.session(None)
     assert sorted(ses.kept["_commutant_basis"]) == [(1,), (3,), (4,), (5,)]
     # each call returns a new list of the kept states
     ses.commutant_weight_space(3).clear()

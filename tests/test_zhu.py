@@ -156,3 +156,22 @@ def test_termination_filtration(ses7):
         assert all(
             2 * e[0] + 3 * e[1] + 4 * e[2] + 5 * e[3] <= 6 for e in poly.terms
         )
+
+
+def test_the_reducers_of_a_session_share_one_word_memo(gses, ses5, monkeypatch):
+    # a second reducer on the same session reduces no word again
+    first = ZhuC2(gses)
+    want = first.q_polynomials()
+    assert ZhuC2(gses)._memo is first._memo is gses.kept["reduce_word"]
+    assert ZhuC2(ses5)._memo is ses5.kept["reduce_word"] is not first._memo
+    reduced = []
+    reduce_word = ZhuC2.reduce_word
+
+    def counted(self, mono):
+        if mono not in self._memo:
+            reduced.append(mono)
+        return reduce_word(self, mono)
+
+    monkeypatch.setattr(ZhuC2, "reduce_word", counted)
+    assert ZhuC2(gses).q_polynomials() == want
+    assert reduced == []
