@@ -8,6 +8,7 @@ report.txt; both are deterministic (timings go to stderr only).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import exprs, report
@@ -29,6 +30,13 @@ def _check_level_arg(value):
     if level is not None and level < 1:
         raise argparse.ArgumentTypeError("level must be 'generic' or an integer >= 1")
     return level
+
+
+def _output_path(value):
+    """A report file path, refused before any check runs if its directory is missing."""
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise argparse.ArgumentTypeError(f"the directory of {value!r} does not exist")
+    return value
 
 
 def _checks(run):
@@ -103,8 +111,8 @@ def build_parser():
 
     p = sub.add_parser("report", help="full verification report")
     p.add_argument("--all", action="store_true", required=True)
-    p.add_argument("--json", default="report.json")
-    p.add_argument("--txt", default="report.txt")
+    p.add_argument("--json", type=_output_path, default="report.json")
+    p.add_argument("--txt", type=_output_path, default="report.txt")
     p.set_defaults(run=_checks(_report))
 
     p = sub.add_parser("parse", help="round-trip an element through the parser")

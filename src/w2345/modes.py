@@ -10,8 +10,8 @@ prepended; otherwise it is moved past the first factor and the bracket of
 the two is added.  A subclass supplies gen_weight and three hooks:
 
 * ``top_mode(g)``: the largest creating mode of g (-1 over a vacuum);
-* ``ground(g, t)``: a non-creating mode on the empty word (the vacuum kills
-  it; a highest-weight zero mode acts by its eigenvalue);
+* ``ground(g, t)``: the scalar of a non-creating mode on the empty word (0:
+  the vacuum kills it; a highest-weight zero mode acts by its eigenvalue);
 * ``bracket(g, t, bg, bm, rest)``: the state [g_t, bg_bm] . rest.
 
 Inside the engine every monomial and word is a code: a byte string with
@@ -22,11 +22,9 @@ of the tuples; ``encode`` raises ValueError on a mode outside [-128, 127].
 The engine is apply_gen and its memo (keyed by the code of the word
 g_t mono, which is also the image of a prepended mode), the targets, their
 results and derived targets, word_memo, word_apply and raw_modes, and the
-brackets and grounds of the algebras.  Everywhere else monomials are
-tuples: ``as_target`` and ``raw_modes`` encode on entry and decode what
-they return, element_modes goes through them, and the outside callers of
-apply_gen pass it ``encode(mono)`` and read its state with
-``decode_state``.
+brackets of the algebras.  Everywhere else monomials are tuples:
+``as_target``, ``raw_modes`` and ``apply_modes`` encode on entry and decode
+what they return, and element_modes goes through them.
 
 On top of apply_gen, word_apply peels the leftmost creation factor of each
 word of v with the iterate formula
@@ -77,8 +75,8 @@ commutant targets of the products.
 apply_gen returns its memo's values unsettled: raws for the PBW algebra,
 and for the table-driven algebras plain ints where the mode only reorders
 the word, next to domain scalars where a bracket or an eigenvalue enters.
-Its callers multiply them by domain scalars or settle them
-(``pbw.canonical``, ``ZhuC2.c2_reduce``).
+Outside the engine modes act through ``apply_modes``, which settles these
+values by ``domain.scalar`` and so returns domain scalars only.
 """
 
 from __future__ import annotations
@@ -138,7 +136,7 @@ class NormalOrdering:
         return -1
 
     def ground(self, g, t):
-        return {}
+        return 0
 
     def mono_weight(self, mono):
         return word_weight(self, mono)
@@ -152,7 +150,8 @@ class NormalOrdering:
         if t <= self.top_mode(g) and (not mono or key[:2] <= mono[:2]):
             out = {key: 1}
         elif not mono:
-            out = self.ground(g, t)
+            ev = self.ground(g, t)
+            out = {b"": ev} if ev else {}
         else:
             bg, bm = mono[0], mono[1] - 128
             rest = mono[2:]
@@ -348,3 +347,17 @@ def element_modes(alg, elem, ns, state):
 def element_mode(alg, elem, n, state):
     """v_n w: the one-mode view of element_modes."""
     return element_modes(alg, elem, (n,), state)[n]
+
+
+def apply_modes(alg, word, state):
+    """g1_t1 ... gr_tr . state for a word ((g1, t1), ...) of generator modes
+    and a tuple-keyed state, rightmost mode first, by apply_gen; each value
+    is settled by ``domain.scalar`` as it is decoded."""
+    cur = {encode(m): c for m, c in state.items()}
+    for g, t in reversed(word):
+        nxt = {}
+        for m, c in cur.items():
+            add_into(nxt, alg.apply_gen(g, t, m), c)
+        cur = nxt
+    scalar = alg.domain.scalar
+    return {decode(m): scalar(c) for m, c in cur.items()}

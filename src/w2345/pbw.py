@@ -8,18 +8,17 @@ scalar: a Fraction at a level, a RatFunc over Q(k).
 
 Inside the engines the coefficients are raw integers: ``apply_gen`` and its
 memo tables hold ints (and IntPolys in k over Q(k)), and so do the targets
-of the mode calculus.  Their monomials are ``modes`` codes, so the helpers
-here pass ``encode(mono)`` to apply_gen.  ``modes.element_modes`` turns the
-coefficients into domain scalars on the way out, so its outputs, and every
-state built from them, are used as they are.  canonical() settles raw
-values only where they enter from outside that contract: the PBW ints that
-build u0, and states handed to ``Session.express``.
+of the mode calculus, on ``modes`` codes.  ``modes.apply_modes`` (which the
+helpers here call) and ``modes.element_modes`` turn the coefficients into
+domain scalars on the way out, so their outputs, and every state built from
+them, are used as they are.  canonical() settles raw values only where they
+enter from outside that contract: states handed to ``Session.express``.
 """
 
 from __future__ import annotations
 
 from .linalg import clear_vector
-from .modes import NormalOrdering, add_into, decode_state, encode
+from .modes import NormalOrdering, add_into, apply_modes
 from .scalars import IntPoly
 
 H, E, F = 0, 1, 2
@@ -116,12 +115,8 @@ def commutant_defect(alg, state):
     and j runs up to its largest weight, since a larger j lowers every
     monomial below the vacuum."""
     raws, _ = clear_vector(alg.domain, state)
-    codes = {encode(m): c for m, c in raws.items()}
     for j in range(max((mono_weight(m) for m in raws), default=-1) + 1):
-        img = {}
-        for mono, c in codes.items():
-            add_into(img, alg.apply_gen(H, j, mono), c)
-        if img:
+        if apply_modes(alg, ((H, j),), raws):
             return j
     return None
 
@@ -133,18 +128,10 @@ def theta(alg, state):
     leaves the word out of PBW order whenever both occur."""
     out = {}
     for mono, c in state.items():
-        hcount = sum(1 for g, _ in mono if g == H)
-        if hcount % 2:
+        if sum(1 for g, _ in mono if g == H) % 2:
             c = -c
-        img = {b"": 1}
-        for g, t in reversed(mono):
-            g2 = _theta_gen(g)
-            nxt = {}
-            for m2, c2 in img.items():
-                add_into(nxt, alg.apply_gen(g2, t, m2), c2)
-            img = nxt
-        add_into(out, img, c)
-    return decode_state(out)
+        add_into(out, apply_modes(alg, tuple((_theta_gen(g), t) for g, t in mono), {(): 1}), c)
+    return out
 
 
 # ---------------------------------------------------------------------------

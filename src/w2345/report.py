@@ -532,7 +532,7 @@ def _check_r_basis(gb, level):
         ok = False
         details.append("R1 mismatch")
     # R2: w3 * (univariate in w2)
-    r2_want = exprs.parse_multipoly(ref["r2_text"], vars, dom0).map_coeffs(Fraction)
+    r2_want = exprs.parse_multipoly(ref["r2_text"], vars, dom0)
     r2_want, _ = r2_want.primitive_integer()
     deg2 = max(e[iw2] for e in r2_want.terms)
     r2 = by_lead.get(exp(w3=1, w2=deg2))

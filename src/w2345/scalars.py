@@ -627,11 +627,10 @@ def reconstruct(sample, first):
 # generic (rational functions of k) or specialized at an integer level.
 # Every state and coefficient the engines return holds the domain's scalar
 # type only: Fractions at a level, RatFuncs over Q(k).  Raw ints and IntPolys
-# stay inside the engines; modes.element_modes and the linalg carriers turn
-# them into domain scalars on the way out, and pbw.canonical() settles raw
-# values only where they enter from outside.  The engine-level values that
-# carry raws are named so: apply_gen's memo states and the clear_vector
-# pairs (raws, factor) that Session.nf_expand returns.
+# stay inside the engines: modes.element_modes, modes.apply_modes and the
+# linalg carriers settle them on the way out, pbw.canonical() where they
+# enter from outside.  The engine-level values that carry raws are named
+# so: apply_gen's memo states and the clear_vector pairs of nf_expand.
 # ---------------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import modes, pbw
 from .linalg import SpanSolver
-from .modes import decode_state, element_modes, encode
+from .modes import apply_modes, element_modes
 from .walgebra import keep
 from .zhu import ZhuC2
 
@@ -28,13 +28,7 @@ def u0_state(ses):
     k = ses.level
     if k is None or not 2 <= k <= 6:
         raise ValueError("u0 needs a specialized level 2..6")
-    st = {encode((pbw.E, -1) for _ in range(k + 1)): 1}
-    for _ in range(k + 1):
-        out = {}
-        for mono, c in st.items():
-            pbw.add_into(out, ses.pbw.apply_gen(pbw.F, 0, mono), c)
-        st = out
-    st = pbw.canonical(ses.domain, decode_state(st))
+    st = apply_modes(ses.pbw, ((pbw.F, 0),) * (k + 1), {((pbw.E, -1),) * (k + 1): 1})
     wt = pbw.weight(st)
     if wt != k + 1:
         raise SingularCheckError(f"u0 has weight {wt}, expected {k + 1}")

@@ -149,13 +149,13 @@ def descendant_matrix(ses, hw):
     dom = ses.domain
     cols = []
     for s in range(4):
-        vmono = modes.encode(((s, NF_GEN_WEIGHTS[s] - 2),))
+        vec = {((s, NF_GEN_WEIGHTS[s] - 2),): 1}
         col = []
         for p in range(4):
-            res = mod.apply_gen(p, NF_GEN_WEIGHTS[p], vmono)
-            if set(res) - {b""}:
+            res = modes.apply_modes(mod, ((p, NF_GEN_WEIGHTS[p]),), vec)
+            if set(res) - {()}:
                 raise AssertionError("raising a weight-(h+1) vector left the top")
-            col.append(res.get(b"", dom.zero))
+            col.append(res.get((), dom.zero))
         cols.append(col)
     return [[cols[s][p] for s in range(4)] for p in range(4)]
 

@@ -89,7 +89,7 @@ import functools
 
 from . import exprs, modes, pbw, reference
 from .linalg import GenericSpan, NotInSpanError, SpanSolver, carrier_for, clear_vector, exact_sum
-from .modes import NormalOrdering, add_into, as_target, decode, element_modes, encode, raw_modes
+from .modes import NormalOrdering, add_into, apply_modes, as_target, element_modes, raw_modes
 from .scalars import comb_z, domain as make_domain
 
 GW, G3, G4, G5 = 0, 1, 2, 3
@@ -155,7 +155,7 @@ class WAlgebra(NormalOrdering):
         self.domain = dom
         # (x, y, i) -> the words of the element x_i y for x <= y, encoded once
         self.table = {
-            key: [(encode(word), c) for word, c in elem.items()] for key, elem in table.items() if elem
+            key: [(modes.encode(word), c) for word, c in elem.items()] for key, elem in table.items() if elem
         }
 
     def gen_weight(self, g):
@@ -203,8 +203,7 @@ class HWModule(WAlgebra):
         return NF_GEN_WEIGHTS[g] - 2
 
     def ground(self, g, t):
-        ev = self.eigen[g]
-        return {b"": ev} if ev and t == NF_GEN_WEIGHTS[g] - 1 else {}
+        return self.eigen[g] if t == NF_GEN_WEIGHTS[g] - 1 else 0
 
 
 class _NFBasis:
@@ -288,9 +287,9 @@ class Session:
         monos = pbw.enumerate_monomials(d, h0=0)
         cols = [
             {
-                (m, decode(m2)): c
+                (m, m2): c
                 for m in range(0, d + 1)
-                for m2, c in self.pbw.apply_gen(pbw.H, m, encode(mono)).items()
+                for m2, c in apply_modes(self.pbw, ((pbw.H, m),), {mono: 1}).items()
             }
             for mono in monos
         ]
@@ -384,7 +383,7 @@ class Session:
         the module docstring)."""
         for g in range(len(NF_GEN_WEIGHTS)):
             st = self.generator_state(g)
-            flipped = pbw.canonical(self.domain, pbw.theta(self.pbw, st))
+            flipped = pbw.theta(self.pbw, st)
             if flipped != pbw.scale(st, nf_parity(((g, 0),))):
                 raise AssertionError(f"theta does not act on generator {g} by its parity")
             j = pbw.commutant_defect(self.pbw, st)

@@ -20,7 +20,7 @@ word containing a mode below -1 and reads off the -1 modes.
 from __future__ import annotations
 
 from . import exprs, reference
-from .modes import decode_state, element_modes, encode
+from .modes import apply_modes, element_modes
 from .multipoly import MultiPoly
 from .scalars import comb_z
 from .walgebra import G3, G4, GW, NF_GEN_WEIGHTS, nf_element_weight, nf_weight
@@ -62,11 +62,10 @@ class ZhuC2:
         else:
             wt = NF_GEN_WEIGHTS[g]
             out = self._var(g) * self.reduce_word(rest) if j == 1 else MultiPoly.zero(W_VARS)
-            code = encode(rest)
             for i in range(1, wt + 1):
-                moved = self.walg.apply_gen(g, i - j, code)
+                moved = apply_modes(self.walg, ((g, i - j),), {rest: 1})
                 if moved:
-                    out = out - self.zhu_reduce(decode_state(moved)) * comb_z(wt, i)
+                    out = out - self.zhu_reduce(moved) * comb_z(wt, i)
         self._memo[mono] = out
         return out
 
@@ -90,7 +89,7 @@ class ZhuC2:
 
     def c2_reduce(self, elem):
         """The C2 image of an element or state; its coefficients may be raw
-        ints, as apply_gen leaves them, and come out as domain scalars."""
+        ints, and come out as domain scalars."""
         out = MultiPoly.zero(X_VARS)
         for mono, c in elem.items():
             if not c:

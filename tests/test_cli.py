@@ -62,6 +62,19 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("flag", ("--json", "--txt"))
+def test_report_into_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, flag):
+    # refused when the arguments are parsed, before any check runs
+    def refused(ctx):
+        raise AssertionError("the report ran")
+
+    monkeypatch.setattr(report, "run_all", refused)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--all", flag, str(tmp_path / "missing" / "r.out")])
+    assert exc.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
+
+
 def test_singular_subcommand_k2():
     rc = cli.main(["singular", "--k", "2"])
     assert rc == 0

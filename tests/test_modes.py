@@ -11,6 +11,7 @@ from w2345.linalg import carrier_for
 from w2345.modes import (
     TruncationError,
     add_into,
+    apply_modes,
     as_target,
     decode,
     decode_state,
@@ -59,6 +60,20 @@ def test_single_generator_modes_match_apply_gen(ses3):
         got = element_mode(alg, {((g, -1),): 1}, n, {w: 1})
         want = decode_state(alg.apply_gen(g, n, encode(w)))
         assert got == pbw.canonical(d, want)
+        assert apply_modes(alg, ((g, n),), {w: 1}) == got
+
+
+def test_apply_modes_builds_every_monomial_from_the_vacuum(ses5):
+    # the factors of a PBW-ordered monomial or word, rightmost first, only
+    # prepend creating modes: the vacuum goes to the monomial itself
+    one = ses5.domain.one
+    for d in range(5):
+        for mono in pbw.enumerate_monomials(d):
+            assert apply_modes(ses5.pbw, mono, {(): 1}) == {mono: one}, mono
+    walg = ses5.walg()
+    for d in range(7):
+        for word in enumerate_nf(d):
+            assert apply_modes(walg, word, {(): 1}) == {word: one}, word
 
 
 def test_commutator_identity(ses3):

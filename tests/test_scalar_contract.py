@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import singular
+from w2345 import pbw, singular
 from w2345.groebner import buchberger, lex_order
 from w2345.linalg import carrier_for
-from w2345.modes import decode_state, element_modes, encode
+from w2345.modes import apply_modes, decode_state, element_modes, encode
 from w2345.multipoly import MultiPoly
 from w2345.pbw import E, F, H
 from w2345.scalars import RatFunc
@@ -46,6 +46,30 @@ def test_element_modes_return_domain_scalars(ses):
     w3 = ses.generator_state(G3)
     outs = element_modes(ses.pbw, w3, range(6), w3)
     _assert_domain_scalars(dom, _elem_coeffs(outs.values()), "W3 on W3")
+
+
+def test_apply_modes_returns_domain_scalars(ses):
+    dom = ses.domain
+    # the PBW memo holds ints and, over Q(k), IntPolys in the central term
+    outs = [
+        apply_modes(ses.pbw, ((H, 1),), {((H, -1),): 1}),
+        apply_modes(ses.pbw, ((E, 1),), {((F, -1),): 1}),
+        apply_modes(ses.pbw, ((F, 0),) * 2, {((E, -1),) * 2: 1}),
+    ]
+    assert all(outs)
+    _assert_domain_scalars(dom, _elem_coeffs(outs), "apply_modes on the PBW algebra")
+    walg = ses.walg()
+    # apply_gen leaves a creating mode's coefficient a raw int
+    assert [type(c) for c in walg.apply_gen(GW, -1, encode(((G3, -1),))).values()] == [int]
+    outs = [
+        apply_modes(walg, ((GW, -1),), {((G3, -1),): 1}),
+        apply_modes(walg, ((G3, 1),), {((G3, -1),): 1}),
+        apply_modes(walg, ((G4, 0), (G3, -1)), {((G3, -1),): 1}),
+    ]
+    assert all(outs)
+    _assert_domain_scalars(dom, _elem_coeffs(outs), "apply_modes on the W-algebra")
+    flipped = [pbw.theta(ses.pbw, ses.generator_state(g)) for g in (GW, G3)]
+    _assert_domain_scalars(dom, _elem_coeffs(flipped), "theta of a generator")
 
 
 def test_normal_form_outputs_return_domain_scalars(ses):

@@ -159,14 +159,14 @@ def test_check_singular_builds_u0_once_per_level(monkeypatch):
 
     monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
     built = []
-    decode_state = singular.decode_state  # called once per build of u0
+    apply_modes = singular.apply_modes  # called once per build of u0
 
-    def counted(st):
-        out = decode_state(st)
+    def counted(alg, word, state):
+        out = apply_modes(alg, word, state)
         built.append(pbw.weight(out))
         return out
 
-    monkeypatch.setattr(singular, "decode_state", counted)
+    monkeypatch.setattr(singular, "apply_modes", counted)
     ctx = report.Context()
     for k in range(2, 7):
         rows = report.check_singular(ctx, k, rmax=0)
