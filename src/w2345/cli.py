@@ -125,7 +125,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
+    ap = build_parser()
+    args = ap.parse_args(argv)  # argparse exits 2 on usage errors
+    if args.command == "report" and os.path.realpath(args.json) == os.path.realpath(args.txt):
+        ap.error(f"--json and --txt name the same file {args.json!r}")
     return args.run(args)
 
 

@@ -13,6 +13,12 @@ Grammar (round-trip with the formatters in this module):
 
 Words multiply scalars on the left, e.g. ``(72/7) * W4[-1]|0>``; the vacuum
 alone is ``|0>``.  Which names are legal is decided by the caller.
+
+The name ``k`` is bound to the int level at a level and to ``domain.k``
+over Q(k).  At a level the evaluation stays exact on ints: every ``/`` goes
+through ``_scalar_div``, which makes ``Fraction(a, b)`` of two ints, ``^``
+takes only a non-negative integer exponent, and each entry point settles
+its result with ``domain.scalar``.
 """
 
 from __future__ import annotations
@@ -250,7 +256,7 @@ def _scalar_div(a, b):
             return a / b
         if not b.is_constant():
             raise ParseError("division by a non-constant polynomial")
-        return a / b.constant_value()
+        return _scalar_div(a, b.constant_value())
     if isinstance(b, int):
         b = Fraction(b)
     return a / b
@@ -270,8 +276,14 @@ def _evaluate(text, domain, names, word_kind=None):
     return v
 
 
+def _k(domain):
+    """The value of the name k: the int level at a level, ``domain.k`` over
+    Q(k)."""
+    return domain.k if domain.is_generic else domain.level
+
+
 def parse_scalar(text, domain):
-    v = _evaluate(text, domain, {"k": domain.k})
+    v = _evaluate(text, domain, {"k": _k(domain)})
     if isinstance(v, tuple):
         raise ParseError("expected a scalar, found an operator word")
     return domain.scalar(v)
@@ -279,7 +291,7 @@ def parse_scalar(text, domain):
 
 def parse_multipoly(text, vars, domain):
     vars = tuple(vars)
-    names = {"k": domain.k, **{v: MultiPoly.var(vars, v) for v in vars}}
+    names = {"k": _k(domain), **{v: MultiPoly.var(vars, v) for v in vars}}
     v = _evaluate(text, domain, names)
     if not isinstance(v, MultiPoly):
         v = MultiPoly.const(vars, v)
@@ -287,7 +299,7 @@ def parse_multipoly(text, vars, domain):
 
 
 def _parse_element(text, domain, kind):
-    v = _evaluate(text, domain, {"k": domain.k}, word_kind=kind)
+    v = _evaluate(text, domain, {"k": _k(domain)}, word_kind=kind)
     if not isinstance(v, tuple):
         if v == 0:
             return {}

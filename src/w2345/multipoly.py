@@ -2,7 +2,9 @@
 
 Terms map exponent tuples (one entry per declared variable) to nonzero
 coefficients; coefficients are whatever the session's scalar domain produces
-(Fractions at a fixed level, rational functions of k generically).
+(Fractions at a fixed level, rational functions of k generically).  Level
+code that evaluates a polynomial many times clears it once with
+``cleared`` and sums its integer terms, with one division at the end.
 """
 
 from __future__ import annotations
@@ -166,20 +168,7 @@ class MultiPoly:
             e >>= 1
         return out
 
-    # -- evaluation and specialization ---------------------------------------
-
-    def evaluate(self, point):
-        """Value at a point given as a mapping name -> scalar or a tuple."""
-        if not isinstance(point, dict):
-            point = dict(zip(self.vars, point))
-        acc = 0
-        for e, c in self.terms.items():
-            v = c
-            for name, exp in zip(self.vars, e):
-                if exp:
-                    v = v * point[name] ** exp
-            acc = acc + v
-        return acc
+    # -- specialization -------------------------------------------------------
 
     def specialize_level(self, k0):
         """Evaluate rational-function coefficients at an integer level."""

@@ -13,15 +13,14 @@ only, never serialized, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
-import inspect
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exprs, reference, singular, toplevels, zhu
@@ -54,11 +53,8 @@ def source_digest():
     return h.hexdigest()
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | computed-no-reference
-    payload: str
+# status is pass | fail | computed-no-reference
+CheckResult = collections.namedtuple("CheckResult", "name status payload")
 
 
 def _is_row(r):
@@ -161,15 +157,24 @@ def _run(ctx, key, fn):
 def _check(fn):
     """Cache a check ``fn(ctx, *params)`` under its name and bound params.
 
-    The wrapper's ``key(*params)`` gives the cache key without running it."""
-    sig = inspect.signature(fn)
+    The wrapper's ``key(*params)`` gives the cache key without running it.
+    The parameter names and defaults are read off ``fn.__code__`` and
+    ``fn.__defaults__``; a check takes plain positional-or-keyword
+    parameters only."""
+    code = fn.__code__
+    params = code.co_varnames[1 : code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    defaults = dict(zip(params[len(params) - len(defaults) :], defaults))
     name = fn.__name__.removeprefix("check_")
 
     def key(*args, **kwargs):
-        bound = sig.bind(None, *args, **kwargs)
-        bound.apply_defaults()
-        params = list(bound.arguments.items())[1:]
-        return f"{name}(" + ", ".join(f"{p}={v!r}" for p, v in params) + ")"
+        given = dict(zip(params, args))
+        if len(args) > len(params) or set(kwargs) & set(given) or set(kwargs) - set(params):
+            raise TypeError(f"{fn.__name__}: bad parameters {args} {kwargs}")
+        bound = {**defaults, **given, **kwargs}
+        if len(bound) < len(params):
+            raise TypeError(f"{fn.__name__}: missing parameters {set(params) - set(bound)}")
+        return f"{name}(" + ", ".join(f"{p}={bound[p]!r}" for p in params) + ")"
 
     @functools.wraps(fn)
     def wrapper(ctx, *args, **kwargs):

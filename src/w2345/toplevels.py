@@ -3,10 +3,14 @@
 Two independent routes: closed-form evaluation of the eigenvalue polynomials
 in (k, i-2j, (i-j+1)j, ...), and a brute-force oracle that acts with the
 reversed zero-mode words of the defining PBW states on the (i+1)-dimensional
-sl2 module spanned by the top vectors.  The level-6 descendant system is
-evaluated on an abstract highest-weight module driven purely by the product
-table.  The oracle and the descendant analysis take the caller's level
-Session, so its states and product table are built once.
+sl2 module spanned by the top vectors.  Both run on plain ints with one
+exact Fraction per result: the closed form sums the cleared polynomials of
+the level at the integer point of each top vector, once per level and
+vector, and the oracle accumulates on the cleared integer generator states
+of the session.  The level-6 descendant system is evaluated on an abstract
+highest-weight module driven purely by the product table.  The oracle and
+the descendant analysis take the caller's level Session, so its states and
+product table are built once.
 """
 
 from __future__ import annotations
@@ -16,16 +20,18 @@ from fractions import Fraction
 
 from . import exprs, modes, reference
 from .linalg import NotInSpanError, SpanSolver
+from .multipoly import cleared
 from .scalars import domain as make_domain
 from .walgebra import NF_GEN_WEIGHTS, HWModule, nf_element_weight
 
 
 @functools.cache
 def _eigen_polys(kval):
-    """The four eigenvalue polynomials in (m, p, q) at the level, parsed once."""
+    """The four eigenvalue polynomials in (m, p, q) at the level, parsed once
+    and kept cleared: (den, integer terms) each, via ``multipoly.cleared``."""
     dom = make_domain(kval)
     return tuple(
-        exprs.parse_multipoly(text, ("m", "p", "q"), dom)
+        cleared(exprs.parse_multipoly(text, ("m", "p", "q"), dom).terms)
         for text in (
             reference.EIG_OMEGA_TEXT,
             reference.EIG_W3_TEXT,
@@ -35,12 +41,29 @@ def _eigen_polys(kval):
     )
 
 
+def _closed_form(kval, i, j):
+    """The quartet at (i, j): each cleared polynomial summed on ints at the
+    integer point (m, p, q), then one Fraction over its denominator."""
+    m, p, q = i - 2 * j, (i - j + 1) * j, (i - j + 1) * (i - j + 2) * (j - 1) * j
+    return tuple(
+        Fraction(sum(c * m**a * p**b * q**d for (a, b, d), c in terms.items()), den)
+        for den, terms in _eigen_polys(kval)
+    )
+
+
+@functools.cache
+def _quartets(kval):
+    """Quartets of every top vector (i, j), 0 <= j <= i <= k, evaluated once
+    per level; ``quartet_table``, ``symmetry_check`` and
+    ``eigenvalues_closed_form`` read them from here."""
+    return {(i, j): _closed_form(kval, i, j) for i in range(kval + 1) for j in range(i + 1)}
+
+
 def eigenvalues_closed_form(kval, i, j):
     """Quartet (a2, a3, a4, a5) on the top vector indexed (i, j)."""
     if not (0 <= j <= i <= kval):
         raise ValueError("need 0 <= j <= i <= k")
-    point = (i - 2 * j, (i - j + 1) * j, (i - j + 1) * (i - j + 2) * (j - 1) * j)
-    return tuple(Fraction(poly.evaluate(point)) for poly in _eigen_polys(kval))
+    return _quartets(kval)[i, j]
 
 
 def _zero_mode_word_action(mono, vec, i):
@@ -73,17 +96,20 @@ def _zero_mode_word_action(mono, vec, i):
 
 
 def eigenvalues_oracle(ses, i, j):
-    """Independent evaluation by zero-mode words of the defining states of
-    the level session."""
+    """Independent evaluation by zero-mode words of the defining states
+    (omega, W3, W4, W5) of the level session: integer accumulators over the
+    raws of each state's clear_vector pair, which the session clears once,
+    and one ``factor * acc[j]`` per entry.  It never reads the eigenvalue
+    polynomials."""
     if not (0 <= j <= i <= ses.level):
         raise ValueError("need 0 <= j <= i <= k")
-    states = [ses.conformal()[2], *ses.primaries()]
     base = [0] * (i + 1)
     base[j] = 1
     quartet = []
-    for st in states:
-        acc = [Fraction(0)] * (i + 1)
-        for mono, c in st.items():
+    for g in range(len(NF_GEN_WEIGHTS)):
+        raws, factor, _ = ses._generator_words(g)
+        acc = [0] * (i + 1)
+        for mono, c in raws.items():
             hit = _zero_mode_word_action(mono, base, i)
             for idx in range(i + 1):
                 if hit[idx]:
@@ -91,7 +117,7 @@ def eigenvalues_oracle(ses, i, j):
         for idx in range(i + 1):
             if idx != j and acc[idx]:
                 raise AssertionError("top vector is not an eigenvector")
-        quartet.append(acc[j])
+        quartet.append(factor * acc[j])
     return tuple(quartet)
 
 
@@ -99,11 +125,7 @@ def quartet_table(kval):
     """Quartets on the k(k+1)/2 module top vectors (1 <= i <= k, 0 <= j < i)."""
     if not 2 <= kval <= 6:
         raise ValueError("level must be 2..6")
-    return {
-        (i, j): eigenvalues_closed_form(kval, i, j)
-        for i in range(1, kval + 1)
-        for j in range(0, i)
-    }
+    return {(i, j): q for (i, j), q in _quartets(kval).items() if j < i}
 
 
 def quartets_distinct(table):

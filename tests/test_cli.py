@@ -75,6 +75,22 @@ def test_report_into_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch,
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("txt", ("r", "./r", "sub/../r"))
+def test_report_with_one_file_for_json_and_txt_is_a_usage_error(tmp_path, monkeypatch, capsys, txt):
+    # serialize would write the text report over the JSON one
+    def refused(ctx):
+        raise AssertionError("the report ran")
+
+    monkeypatch.setattr(report, "run_all", refused)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--all", "--json", "r", "--txt", txt])
+    assert exc.value.code == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_singular_subcommand_k2():
     rc = cli.main(["singular", "--k", "2"])
     assert rc == 0
@@ -244,6 +260,31 @@ def test_an_entry_that_cannot_be_read_is_a_miss(tmp_path, monkeypatch, capsys):
 def test_report_plan_cache_keys_distinct():
     keys = [check.key(*args) for check, args in report.REPORT]
     assert len(set(keys)) == len(keys)
+
+
+def test_cache_keys_name_every_bound_parameter():
+    assert report.check_toplevels.key(2) == "toplevels(level=2)"
+    assert report.check_singular.key(5, rmax=0) == "singular(level=5, rmax=0)"
+    assert report.check_singular.key(5, 0) == "singular(level=5, rmax=0)"
+    assert report.check_ope.key() == "ope(level=None)"
+    assert report.check_null_fields.key(8) == "null_fields(weight=8)"
+    for args, kwargs in (((5, 0, 1), {}), ((), {}), ((5,), {"level": 5}), ((5,), {"r": 1})):
+        with pytest.raises(TypeError):
+            report.check_singular.key(*args, **kwargs)
+
+
+def test_the_cli_imports_neither_inspect_nor_dataclasses():
+    # -S: no site-packages .pth file adds modules to the run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, w2345.cli; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_singular_cache_key_includes_rmax(tmp_path, monkeypatch):

@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from w2345 import reference
-from w2345.exprs import _TOKEN_RE, ParseError, tokenize
+from w2345.exprs import _TOKEN_RE, NF_GENS, PBW_GENS, ParseError, _evaluate, tokenize
+from w2345.multipoly import MultiPoly
+from w2345.scalars import domain
 
 
 def _tokenize_by_position(text):
@@ -76,3 +80,51 @@ def test_tokenize_rejects_a_character_planted_in_reference_texts():
         with pytest.raises(ParseError) as got:
             tokenize(bad)
         assert (str(got.value), got.value.pos) == (str(want.value), want.value.pos)
+
+
+def _names_and_kind(text):
+    """(polynomial variables, word kind) of a text: its generator names
+    followed by their mode bracket make words, its other names but k are
+    variables."""
+    tokens = tokenize(text)
+    names, kind = set(), None
+    for (kind1, val, _), (_, nxt, _) in zip(tokens, tokens[1:]):
+        if kind1 != "name":
+            continue
+        if val in NF_GENS and nxt == "[":
+            kind = "nf"
+        elif val in PBW_GENS and nxt == "(":
+            kind = "pbw"
+        elif val != "k":
+            names.add(val)
+    return tuple(sorted(names)), kind
+
+
+def _settled(value, dom):
+    if isinstance(value, tuple):
+        return "elt", {m: dom.scalar(c) for m, c in value[1].items()}
+    if isinstance(value, MultiPoly):
+        return value.map_coeffs(dom.scalar)
+    return dom.scalar(value)
+
+
+def _value_or_error(text, dom, k, vars, kind):
+    """("value", the text's value with k bound to k), or ("error", message)."""
+    names = {"k": k, **{v: MultiPoly.var(vars, v) for v in vars}}
+    try:
+        return "value", _evaluate(text, dom, names, kind)
+    except ParseError as e:
+        return "error", str(e)
+
+
+def test_k_as_the_int_level_gives_the_values_of_k_as_a_fraction():
+    texts = _reference_texts()
+    for level in range(2, 8):
+        dom = domain(level)
+        for text in texts:
+            vars, kind = _names_and_kind(text)
+            want = _value_or_error(text, dom, Fraction(level), vars, kind)
+            tag, got = _value_or_error(text, dom, level, vars, kind)
+            if tag == "value":
+                got = _settled(got, dom)
+            assert (tag, got) == want, (level, text[:60])

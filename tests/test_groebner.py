@@ -309,16 +309,29 @@ def test_fglm_raises_when_a_grevlex_element_is_dropped(texts):
     assert checked >= 3
 
 
+def _value_at(p, pt):
+    """The exact value of p at the point: sum over its terms of
+    c * prod x_i^e_i."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for x, a in zip(pt, e):
+            term *= Fraction(x) ** a
+        total += term
+    return total
+
+
 def test_point_membership_matches_evaluate():
     rng = random.Random(29)
     for _ in range(40):
         p = _random_poly(rng)
         pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in VARS)
+        value = _value_at(p, pt)
         # a member: p minus its value at the point vanishes there
-        member = p - p.evaluate(pt)
+        member = p - value
         assert point_membership([member], pt)
-        assert point_membership([p], pt) == (p.evaluate(pt) == 0)
-        assert point_membership([member, p], pt) == (p.evaluate(pt) == 0)
+        assert point_membership([p], pt) == (value == 0)
+        assert point_membership([member, p], pt) == (value == 0)
     assert point_membership([MultiPoly(VARS)], (1, 2, 3, 4))
     with pytest.raises(ValueError):
         point_membership([poly("w2")], (1, 2, 3))

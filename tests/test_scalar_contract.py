@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import pbw, singular
+from w2345 import exprs, pbw, singular
 from w2345.groebner import buchberger, lex_order
 from w2345.linalg import carrier_for
 from w2345.modes import apply_modes, decode_state, element_modes, encode
 from w2345.multipoly import MultiPoly
 from w2345.pbw import E, F, H
-from w2345.scalars import RatFunc
+from w2345.scalars import RatFunc, domain
 from w2345.walgebra import G3, G4, GW, enumerate_nf
 from w2345.zhu import X_VARS, ZhuC2
 
@@ -114,3 +114,27 @@ def test_groebner_layer_returns_level_scalars(ses5):
     probe = MultiPoly(X_VARS, {(1, 2, 0, 3): Fraction(2, 7), (0, 1, 0, 0): Fraction(-5, 3)})
     for p in (probe, polys[0] * Fraction(1, 3) + probe):
         _assert_domain_scalars(ses5.domain, gb.normal_form(p).terms.values(), "normal_form")
+
+
+def test_parsers_at_a_level_return_fractions():
+    # k is the int level inside the parser; each entry point settles
+    dom = domain(5)
+    for text, want in (("k^2", 25), ("k/2", Fraction(5, 2))):
+        got = exprs.parse_scalar(text, dom)
+        assert got == want and type(got) is Fraction
+        poly = exprs.parse_multipoly(f"({text})*m + k", ("m",), dom)
+        assert poly.terms == {(1,): want, (0,): 5}
+        _assert_domain_scalars(dom, poly.terms.values(), f"parse_multipoly of {text}")
+    # an int over a constant polynomial of int coefficients is a Fraction
+    poly = exprs.parse_multipoly("m/k + 1/(k - m + m)", ("m",), dom)
+    assert poly.terms == {(1,): Fraction(1, 5), (0,): Fraction(1, 5)}
+    _assert_domain_scalars(dom, poly.terms.values(), "parse_multipoly of 1/(k - m + m)")
+    # the first coefficient vanishes at k = 5 and is dropped
+    elem = exprs.parse_nf("(k-5)*W3[-1]|0> + W4[-1]|0>", dom)
+    assert elem == {((G4, -1),): 1}
+    _assert_domain_scalars(dom, elem.values(), "parse_nf")
+    state = exprs.parse_pbw("(k-5)*h(-1)|0> + k/2 * e(-1)f(-1)|0>", dom)
+    assert state == {((E, -1), (F, -1)): Fraction(5, 2)}
+    _assert_domain_scalars(dom, state.values(), "parse_pbw")
+    with pytest.raises(exprs.ParseError):
+        exprs.parse_scalar("k/(k-5)", dom)

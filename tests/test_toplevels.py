@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from w2345 import reference, report, toplevels
+from w2345 import exprs, reference, report, toplevels
 from w2345.linalg import SpanSolver
+from w2345.scalars import domain
 from w2345.walgebra import G3, G4, Session
 from w2345.zhu import ZhuC2
 
@@ -19,6 +20,60 @@ def test_closed_form_examples():
     k = 4
     assert toplevels.eigenvalues_closed_form(k, 0, 0) == (0, 0, 0, 0)
     assert toplevels.eigenvalues_closed_form(5, 1, 0)[0] == Fraction(2, 35)
+
+
+def _value_at(poly, point):
+    """The exact value of poly at the point: sum over its terms of
+    c * prod x_i^e_i, in Fractions."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        term = Fraction(c)
+        for x, a in zip(point, e):
+            term *= Fraction(x) ** a
+        total += term
+    return total
+
+
+def test_closed_form_matches_the_parsed_polynomials_at_every_top_vector():
+    texts = (
+        reference.EIG_OMEGA_TEXT,
+        reference.EIG_W3_TEXT,
+        reference.EIG_W4_TEXT,
+        reference.EIG_W5_TEXT,
+    )
+    cases = 0
+    for k in range(2, 7):
+        polys = [exprs.parse_multipoly(t, ("m", "p", "q"), domain(k)) for t in texts]
+        for i in range(k + 1):
+            for j in range(i + 1):
+                point = (i - 2 * j, (i - j + 1) * j, (i - j + 1) * (i - j + 2) * (j - 1) * j)
+                got = toplevels.eigenvalues_closed_form(k, i, j)
+                assert got == tuple(_value_at(p, point) for p in polys), (k, i, j)
+                assert all(type(x) is Fraction for x in got), (k, i, j)
+                cases += 1
+    assert cases == 80
+
+
+def test_check_toplevels_evaluates_each_top_vector_once(monkeypatch):
+    # the quartet table, the symmetry sweep and the oracle comparison all
+    # read one cache per level: 80 evaluations for k = 2..6, not 215
+    monkeypatch.delenv("WORKBENCH_CACHE_DIR", raising=False)
+    evaluated = []
+    closed_form = toplevels._closed_form
+
+    def counted(kval, i, j):
+        evaluated.append((kval, i, j))
+        return closed_form(kval, i, j)
+
+    monkeypatch.setattr(toplevels, "_closed_form", counted)
+    toplevels._quartets.cache_clear()
+    try:
+        ctx = report.Context()
+        for k in range(2, 7):
+            assert all(r.status == "pass" for r in report.check_toplevels(ctx, k)), k
+    finally:
+        toplevels._quartets.cache_clear()
+    assert len(evaluated) == len(set(evaluated)) == 80
 
 
 def test_oracle_examples(ses6):
